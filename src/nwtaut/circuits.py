@@ -19,10 +19,10 @@ where a wire is written ``<group>:<j>`` (j 1-based) or ``g<i>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formulas as fm
-from .cnf import ClauseSet, dpll_solve
+from .cnf import ClauseSet, dpll_solve, gate_clauses
 
 
 class CircuitError(ValueError):
@@ -80,9 +80,6 @@ class Circuit:
 
     def has_opaque(self) -> bool:
         return any(g[0] == "opaque" for g in self.gates)
-
-    def opaque_names(self) -> set[str]:
-        return {g[1] for g in self.gates if g[0] == "opaque"}
 
 
 class CircuitBuilder:
@@ -214,32 +211,24 @@ def circuit_clauses(circ: Circuit) -> tuple[ClauseSet, list[int]]:
     """Tseitin clauses; input wire w -> variable w+1, gate i -> n_in+i+1.
 
     Returns (clauses, output variable list)."""
+    nvars = circ.n_inputs + circ.size
+    clauses, outs = circuit_clauses_mapped(circ, list(range(1, nvars + 1)))
+    return ClauseSet(clauses, nvars), outs
+
+
+def circuit_clauses_mapped(circ: Circuit, wire_vars: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Tseitin clauses with a caller-chosen variable for every wire
+    (inputs then gates); returns (clauses, output variables)."""
     if circ.has_opaque():
         raise CircuitError("clause translation requires an explicit circuit")
     n_in = circ.n_inputs
-
-    def var(wire: int) -> int:
-        return wire + 1
-
+    if len(wire_vars) != n_in + len(circ.gates):
+        raise CircuitError("wire variable map has wrong length")
     clauses: list[list[int]] = []
-    for i, g in enumerate(circ.gates):
-        v = var(n_in + i)
-        if g[0] == "not":
-            a = var(g[1])
-            clauses.append([-v, -a])
-            clauses.append([v, a])
-        elif g[0] == "and":
-            a, b = var(g[1]), var(g[2])
-            clauses.append([-v, a])
-            clauses.append([-v, b])
-            clauses.append([v, -a, -b])
-        else:
-            a, b = var(g[1]), var(g[2])
-            clauses.append([-v, a, b])
-            clauses.append([v, -a])
-            clauses.append([v, -b])
-    cs = ClauseSet(clauses, n_in + len(circ.gates))
-    return cs, [var(o) for o in circ.outputs]
+    for v, g in zip(wire_vars[n_in:], circ.gates):
+        # g[-1] is the second operand of AND/OR and is ignored for NOT
+        clauses.extend(gate_clauses(g[0], v, wire_vars[g[1]], wire_vars[g[-1]]))
+    return clauses, [wire_vars[o] for o in circ.outputs]
 
 
 @dataclass(frozen=True)
@@ -340,34 +329,6 @@ def inline(b: CircuitBuilder, circ: Circuit, input_wires: list[int]) -> list[int
         else:
             wmap.append(b.opaque(g[1], [wmap[a] for a in g[2]]))
     return [wmap[o] for o in circ.outputs]
-
-
-def circuit_clauses_mapped(circ: Circuit, wire_vars: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Tseitin clauses with a caller-chosen variable for every wire
-    (inputs then gates); returns (clauses, output variables)."""
-    if circ.has_opaque():
-        raise CircuitError("clause translation requires an explicit circuit")
-    n_in = circ.n_inputs
-    if len(wire_vars) != n_in + len(circ.gates):
-        raise CircuitError("wire variable map has wrong length")
-    clauses: list[list[int]] = []
-    for i, g in enumerate(circ.gates):
-        v = wire_vars[n_in + i]
-        if g[0] == "not":
-            a = wire_vars[g[1]]
-            clauses.append([-v, -a])
-            clauses.append([v, a])
-        elif g[0] == "and":
-            a, b = wire_vars[g[1]], wire_vars[g[2]]
-            clauses.append([-v, a])
-            clauses.append([-v, b])
-            clauses.append([v, -a, -b])
-        else:
-            a, b = wire_vars[g[1]], wire_vars[g[2]]
-            clauses.append([-v, a, b])
-            clauses.append([v, -a])
-            clauses.append([v, -b])
-    return clauses, [wire_vars[o] for o in circ.outputs]
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,8 @@ from . import designs as dg
 from . import formulas as fm
 from . import nwcore as nw
 from . import tasks as tk
-from .frege import FREGE, ProofError, parse_proof, proof_size_bits, serialize_proof
-from .proofsys import (
-    AdviceSystem,
-    PlusAlphaSystem,
-    check,
-    check_plus_alpha,
-    simulate,
-)
+from .frege import FREGE, check, parse_proof, proof_size_bits, serialize_proof
+from .proofsys import AdviceSystem, PlusAlphaSystem, check_plus_alpha, simulate
 
 EXIT_SOLUTION = 0
 EXIT_ERROR = 2
@@ -77,6 +71,13 @@ def _write_manifest(
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
+
+
+def _require(args, *names: str) -> None:
+    """Options that the chosen mode needs although argparse cannot demand them."""
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"{args.command}: missing {', '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,7 @@ def cmd_check_proof(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     t0 = time.time()
     phi = fm.parse(args.phi)
+    _require(args, "proof" if args.empty_advice else "checker")
     if args.empty_advice:
         QS = AdviceSystem(None, {}, c=args.c)
         res = simulate(QS, "", phi, _read(args.proof))
@@ -186,7 +188,7 @@ def cmd_simulate(args, argv) -> int:
     else:
         checker_text = _read(args.checker)
         checker = cc.parse_circuit(checker_text)
-        k = dict(checker.groups)["x"]
+        k, _, _ = AdviceSystem(checker).widths()
         QS = AdviceSystem(checker, {k: args.w}, c=args.c)
         res = simulate(QS, args.w, phi, args.y)
     for stage in sorted(res.stage_bits):
@@ -217,50 +219,49 @@ def _solve_outcome(args, argv, t0, params, inputs, sol_lines: list[str], found: 
 
 def cmd_solve(args, argv) -> int:
     t0 = time.time()
-    try:
-        if args.task == "cert":
-            circ_text = _read(args.circuit)
-            inst = tk.CertInstance(args.k, args.c, cc.parse_circuit(circ_text))
-            sol = tk.solve_cert(inst, budget=args.budget)
-            lines = ["solution cert"]
-            if sol:
-                lines += [f"kind {sol.kind}", f"code {sol.code}"]
-            else:
-                lines.append("verdict none")
-            return _solve_outcome(
-                args, argv, t0, {"k": str(args.k), "c": str(args.c)},
-                {"circuit": circ_text}, lines, sol is not None,
-            )
-        if args.task in ("err", "pair"):
-            design_text = _read(args.design)
-            params = dg.parse_design(design_text)
-            spec = nw.GeneratorSpec(params, _base_from_args(args, params.l))
-            triple = nw.err_triple(spec)
-            k = triple.k
-            L, wits = nw.ttable_from_seed(spec, args.seed)
-            inst = tk.ErrInstance(triple, k, L, args.seed, tuple(wits), args.w)
-            if args.task == "err":
-                sol = tk.solve_err(inst, budget=args.budget)
-            else:
-                sol = tk.solve_pair(tk.pair_from_err(inst), budget=args.budget)
-            lines = [f"solution {args.task}"]
-            lines.append(f"index {sol}" if sol else "verdict none")
-            return _solve_outcome(
-                args, argv, t0, {"seed": args.seed, "w": args.w, "base": args.base},
-                {"design": design_text}, lines, sol is not None,
-            )
-        if args.task == "find-verify":
-            inst = tk.FindInstance(
-                FREGE, fm.parse(args.alpha), args.k, args.c0, args.c1
-            )
-            verdict = tk.verify_find_candidate(inst, fm.parse(args.beta), args.mode)
-            print(f"candidate: {verdict}")
-            return EXIT_SOLUTION if verdict == "accepted" else EXIT_NONE
-        print(f"solve: unknown task {args.task!r}", file=sys.stderr)
-        return EXIT_ERROR
-    except fm.BudgetError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    if args.task == "cert":
+        _require(args, "circuit")
+        circ_text = _read(args.circuit)
+        inst = tk.CertInstance(args.k, args.c, cc.parse_circuit(circ_text))
+        sol = tk.solve_cert(inst, budget=args.budget)
+        lines = ["solution cert"]
+        if sol:
+            lines += [f"kind {sol.kind}", f"code {sol.code}"]
+        else:
+            lines.append("verdict none")
+        return _solve_outcome(
+            args, argv, t0, {"k": str(args.k), "c": str(args.c)},
+            {"circuit": circ_text}, lines, sol is not None,
+        )
+    if args.task in ("err", "pair"):
+        _require(args, "design", "seed", "w")
+        design_text = _read(args.design)
+        params = dg.parse_design(design_text)
+        spec = nw.GeneratorSpec(params, _base_from_args(args, params.l))
+        triple = nw.err_triple(spec)
+        k = triple.k
+        L, wits = nw.ttable_from_seed(spec, args.seed)
+        inst = tk.ErrInstance(triple, k, L, args.seed, tuple(wits), args.w)
+        if args.task == "err":
+            sol = tk.solve_err(inst, budget=args.budget)
+        else:
+            sol = tk.solve_pair(tk.pair_from_err(inst), budget=args.budget)
+        lines = [f"solution {args.task}"]
+        lines.append(f"index {sol}" if sol else "verdict none")
+        return _solve_outcome(
+            args, argv, t0, {"seed": args.seed, "w": args.w, "base": args.base},
+            {"design": design_text}, lines, sol is not None,
+        )
+    if args.task == "find-verify":
+        _require(args, "alpha", "beta")
+        inst = tk.FindInstance(
+            FREGE, fm.parse(args.alpha), args.k, args.c0, args.c1
+        )
+        verdict = tk.verify_find_candidate(inst, fm.parse(args.beta), args.mode)
+        print(f"candidate: {verdict}")
+        return EXIT_SOLUTION if verdict == "accepted" else EXIT_NONE
+    print(f"solve: unknown task {args.task!r}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def cmd_reduce(args, argv) -> int:
@@ -371,13 +372,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
-    except (fm.BudgetError,) as exc:
+    except fm.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (
-        ProofError, fm.ParseError, dg.DesignError, nw.NWError,
-        cc.CircuitError, tk.TaskError, OSError, ValueError,
-    ) as exc:
+    # every error class of the package subclasses ValueError; deep nesting in
+    # formula or proof text exhausts the recursive parser
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

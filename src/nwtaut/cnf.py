@@ -43,6 +43,16 @@ class ClauseSet:
         return "\n".join(lines) + "\n"
 
 
+def gate_clauses(op: str, v: int, a: int, b: int) -> list[list[int]]:
+    """Tseitin clauses (Tseitin 1968) making literal v equal to op applied to
+    literals a and b: "and", "or", or "not" (which ignores b)."""
+    if op == "not":
+        return [[-v, -a], [v, a]]
+    if op == "and":
+        return [[-v, a], [-v, b], [v, -a, -b]]
+    return [[-v, a, b], [v, -a], [v, -b]]
+
+
 def parse_dimacs(text: str) -> ClauseSet:
     nvars = None
     nclauses = None

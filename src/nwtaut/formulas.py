@@ -26,7 +26,7 @@ All other 4-bit patterns are rejected by the decoder.
 
 from __future__ import annotations
 
-from .cnf import ClauseSet, dpll_solve
+from .cnf import ClauseSet, dpll_solve, gate_clauses
 
 Formula = tuple
 
@@ -75,15 +75,6 @@ def big_and(parts: list[Formula]) -> Formula:
     for p in reversed(parts[:-1]):
         out = ("and", p, out)
     return out
-
-
-def node_count(f: Formula) -> int:
-    tag = f[0]
-    if tag in ("const", "var"):
-        return 1
-    if tag == "not":
-        return 1 + node_count(f[1])
-    return 1 + node_count(f[1]) + node_count(f[2])
 
 
 def fvars(f: Formula) -> set[int]:
@@ -255,30 +246,6 @@ def match_instance(candidate: Formula, pattern: Formula) -> dict[int, Formula] |
         if tag == "var":
             if cand[0] not in ("var", "const"):
                 return False
-            prev = sigma.get(pat[1])
-            if prev is None:
-                sigma[pat[1]] = cand
-                return True
-            return prev == cand
-        if tag == "const":
-            return cand == pat
-        if cand[0] != tag:
-            return False
-        if tag == "not":
-            return go(cand[1], pat[1])
-        return go(cand[1], pat[1]) and go(cand[2], pat[2])
-
-    return sigma if go(candidate, pattern) else None
-
-
-def match_schema(candidate: Formula, pattern: Formula) -> dict[int, Formula] | None:
-    """Like match_instance but pattern variables may map to arbitrary formulas
-    (used for axiom-scheme checking)."""
-    sigma: dict[int, Formula] = {}
-
-    def go(cand: Formula, pat: Formula) -> bool:
-        tag = pat[0]
-        if tag == "var":
             prev = sigma.get(pat[1])
             if prev is None:
                 sigma[pat[1]] = cand
@@ -482,14 +449,7 @@ def to_clauses(f: Formula) -> tuple[ClauseSet, int]:
         a = tr(g[1])
         b = tr(g[2])
         v = fresh()
-        if tag == "and":
-            clauses.append([-v, a])
-            clauses.append([-v, b])
-            clauses.append([v, -a, -b])
-        else:
-            clauses.append([-v, a, b])
-            clauses.append([v, -a])
-            clauses.append([v, -b])
+        clauses.extend(gate_clauses(tag, v, a, b))
         return v
 
     out = tr(f)

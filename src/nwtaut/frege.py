@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as fm
-from .formulas import CONST0, CONST1, Formula
+from .formulas import Formula
 
 
 def _p(text: str) -> Formula:
@@ -174,9 +174,8 @@ class ProofBuilder:
 
     def append_proof(self, proof: Proof) -> int:
         """Replay an existing proof; returns the index of its conclusion."""
-        remap: dict[int, int] = {}
         last = -1
-        for i, ln in enumerate(proof.lines):
+        for ln in proof.lines:
             kind = ln.just[0]
             if kind == "axiom":
                 last = self._push(Line(ln.formula, ln.just))
@@ -190,18 +189,13 @@ class ProofBuilder:
                 if ai is None or bi is None:
                     raise ProofError("append_proof: dangling modus ponens premise")
                 last = self._push(Line(ln.formula, ("mp", ai, bi)))
-            remap[i] = last
         return last
 
     def proof(self, conclusion_index: int | None = None) -> Proof:
         if conclusion_index is not None and conclusion_index != len(self.lines) - 1:
             # conclusion must be the last line; replay a tail copy if dedup
             # left it earlier
-            ln = self.lines[conclusion_index]
-            if ln.just[0] == "mp":
-                self.lines.append(Line(ln.formula, ln.just))
-            else:
-                self.lines.append(ln)
+            self.lines.append(self.lines[conclusion_index])
         return Proof(tuple(self.lines))
 
 

@@ -103,9 +103,3 @@ class GF:
         if self._log is None:
             return (a * b) % self.p
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out

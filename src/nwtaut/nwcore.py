@@ -14,9 +14,7 @@ from .cnf import ClauseSet, dpll_solve
 from .circuits import (
     Circuit,
     CircuitBuilder,
-    CircuitError,
     circuit_clauses_mapped,
-    circuit_to_formula,
     eval_circuit,
     inline,
 )
@@ -58,21 +56,17 @@ class BaseFunction:
 
 
 def _parity_base(l: int) -> BaseFunction:
-    b = CircuitBuilder([("u", l), ("y", 0)])
-    p = b.inp("u", 1)
-    for j in range(2, l + 1):
-        p = b.XOR(p, b.inp("u", j))
-    f1 = b.build([p])
-    b0 = CircuitBuilder([("u", l), ("y", 0)])
-    p0 = b0.inp("u", 1)
-    for j in range(2, l + 1):
-        p0 = b0.XOR(p0, b0.inp("u", j))
-    f0 = b0.build([b0.NOT(p0)])
+    def build(a: int) -> Circuit:
+        b = CircuitBuilder([("u", l), ("y", 0)])
+        p = b.inp("u", 1)
+        for j in range(2, l + 1):
+            p = b.XOR(p, b.inp("u", j))
+        return b.build([p if a else b.NOT(p)])
 
     def forward(u: str) -> tuple[int, str]:
         return u.count("1") % 2, ""
 
-    return BaseFunction("parity", l, 0, f0, f1, forward)
+    return BaseFunction("parity", l, 0, build(0), build(1), forward)
 
 
 def _tabular_base(l: int, table: str) -> BaseFunction:
@@ -242,27 +236,17 @@ def full_range(spec: GeneratorSpec) -> set[str]:
 # tau translation
 
 @dataclass(frozen=True)
-class BlockLayout:
-    y_start: int
-    y_width: int
-    s_start: int
-    s_width: int
-    out_var: int
-
-
-@dataclass(frozen=True)
 class TauResult:
-    """tau(NW)_b plus the clause set of its negation (the SAT benchmark).
+    """tau(NW)_b given as the clause set of its negation (the SAT benchmark):
+    the clauses are unsatisfiable exactly when tau(NW)_b is a tautology.
 
     Variable layout: seed bits x are 1..n; then per output bit i (in output
     order) a fresh witness block y^(i) followed by that block's computation
     variables."""
 
-    formula: fm.Formula
     clauses: ClauseSet
     b: str
     n: int
-    layout: tuple[BlockLayout, ...]
 
 
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
@@ -272,30 +256,18 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
         raise NWError(f"b must have {design.m} bits")
     n = design.n
     next_var = n + 1
-    conjuncts: list[fm.Formula] = []
     clauses: list[list[int]] = []
-    layouts: list[BlockLayout] = []
     for i in range(1, design.m + 1):
         J = block(design, i)
         checker = base.checker(int(b[i - 1]))
         if checker.has_opaque():
             raise NWError("tau translation needs explicit witness checkers")
-        yw = base.witness_width
-        y_start = next_var
-        next_var += yw
-        s_start = next_var
-        s_width = checker.size
-        next_var += s_width
-        input_vars = list(J) + list(range(y_start, y_start + yw))
-        gate_vars = list(range(s_start, s_start + s_width))
-        cf = circuit_to_formula(checker, input_vars=input_vars, gate_vars=gate_vars)
-        out_var = cf.out_vars[0]
-        conjuncts.append(("and", cf.correct, ("var", out_var)))
-        blk_clauses, outs = circuit_clauses_mapped(checker, input_vars + gate_vars)
+        width = base.witness_width + checker.size
+        fresh = list(range(next_var, next_var + width))
+        next_var += width
+        blk_clauses, outs = circuit_clauses_mapped(checker, list(J) + fresh)
         clauses.extend(blk_clauses)
         clauses.append([outs[0]])
-        layouts.append(BlockLayout(y_start, yw, s_start, s_width, out_var))
-    formula = ("not", fm.big_and(conjuncts))
     cs = ClauseSet(clauses, next_var - 1)
     cs.comments = [
         f"tau(NW)_b negation: design n={n} m={design.m} l={design.l} d={design.d} tag={design.tag}",
@@ -303,7 +275,7 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
         f"b={b}",
         "vars: x=1.." + str(n) + " then per-block witness and computation vars",
     ]
-    return TauResult(formula, cs, b, n, tuple(layouts))
+    return TauResult(cs, b, n)
 
 
 def tau_verdict(tau: TauResult) -> bool:
@@ -364,13 +336,20 @@ class Triple:
         )
 
 
+def _index_width(design: DesignParams) -> int:
+    """k with m = 2^k: the output bits of the design indexed by k-bit strings."""
+    m = design.m
+    k = m.bit_length() - 1
+    if 1 << k != m:
+        raise NWError(f"design m={m} is not a power of two")
+    return k
+
+
 def err_triple(spec: GeneratorSpec) -> Triple:
     """The generator-induced triple: F_a(x,y,w) applies the base checker to
     (w(J_x), y), where J_x is the design block selected by index x."""
     m = spec.design.m
-    k = m.bit_length() - 1
-    if 1 << k != m:
-        raise NWError(f"design m={m} is not a power of two")
+    k = _index_width(spec.design)
     n = spec.design.n
     base = spec.base
 
@@ -409,10 +388,9 @@ def dk_circuit(t: Triple, w_k: str) -> Circuit:
 def compute_bit(spec: GeneratorSpec, i: str, a) -> tuple[int, str]:
     """Bit at k-bit index i of NW(a), reading only the positions of the
     selected block from a (advice-style local computation)."""
-    m = spec.design.m
-    k = m.bit_length() - 1
-    if 1 << k != m:
-        raise NWError(f"design m={m} is not a power of two")
+    k = _index_width(spec.design)
+    if len(a) != spec.design.n:
+        raise NWError(f"seed must have {spec.design.n} bits, got {len(a)}")
     if len(i) != k:
         raise NWError(f"index must have {k} bits")
     idx = int(i, 2) + 1
@@ -423,13 +401,10 @@ def compute_bit(spec: GeneratorSpec, i: str, a) -> tuple[int, str]:
 def ttable_from_seed(spec: GeneratorSpec, a: str) -> tuple[str, list[str]]:
     """The 2^k-bit truth table NW(a) together with the collected witness
     bundle (one base-function witness per index)."""
-    m = spec.design.m
-    k = m.bit_length() - 1
-    if 1 << k != m:
-        raise NWError(f"design m={m} is not a power of two")
+    k = _index_width(spec.design)
     bits = []
     witnesses = []
-    for v in range(m):
+    for v in range(spec.design.m):
         bit, wit = compute_bit(spec, format(v, f"0{k}b"), a)
         bits.append(str(bit))
         witnesses.append(wit)

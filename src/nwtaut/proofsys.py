@@ -37,21 +37,12 @@ from .frege import (
     ProofError,
     check,
     discharge,
-    mp,
     parse_proof,
     proof_size_bits,
     prove_tautology,
     prove_true_sentence,
     subst_proof,
 )
-
-__all__ = [
-    "PlusAlphaSystem", "AdviceSystem", "SatEncoding", "ProvEncoding",
-    "AlphaEncoding", "SimulateResult", "check", "subst_proof",
-    "prove_true_sentence", "mp", "sat_formula", "d4_from_sat",
-    "check_plus_alpha", "check_advice", "prov_formula", "alpha_k", "simulate",
-]
-
 
 @dataclass(frozen=True)
 class PlusAlphaSystem:
@@ -97,10 +88,6 @@ class SatEncoding:
     evaluator: cc.Circuit
 
 
-def _single_output_formula(cf: cc.CircuitFormula) -> Formula:
-    return ("var", cf.out_vars[0])
-
-
 def sat_formula(
     k: int,
     evaluator: cc.Circuit,
@@ -124,7 +111,7 @@ def sat_formula(
         v_vars = list(range(2 * k + 1, 2 * k + 1 + len(evaluator.gates)))
     # input order in the circuit is u then x
     cf = cc.circuit_to_formula(evaluator, list(u_vars) + list(x_vars), list(v_vars))
-    out = _single_output_formula(cf)
+    out = ("var", cf.out_vars[0])
     formula = fm.Implies(cf.correct, out)
     return SatEncoding(
         k, formula, cf.correct, cf.conjuncts, out,
@@ -312,10 +299,10 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
     if phi is None:
         return False
     try:
-        proof = parse_proof(y)
-    except (ProofError, fm.ParseError):
+        return check(FREGE, phi, parse_proof(y))
+    except (ProofError, fm.ParseError, RecursionError):
+        # the formula routines recurse once per nesting level
         return False
-    return check(FREGE, phi, proof)
 
 
 @dataclass(frozen=True)
@@ -353,7 +340,7 @@ def prov_formula(QS: AdviceSystem, k: int, c: int | None = None) -> ProvEncoding
     s_base = k + 1 + yw + tw
     s_vars = list(range(s_base, s_base + len(QS.checker.gates)))
     cf = cc.circuit_to_formula(QS.checker, x_vars + y_vars + t_vars, s_vars)
-    out = _single_output_formula(cf)
+    out = ("var", cf.out_vars[0])
     formula = fm.And(cf.correct, out)
     return ProvEncoding(
         k, c, formula, cf.correct, cf.conjuncts, out,

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from . import circuits as cc
 from . import formulas as fm
 from .circuits import Circuit, CircuitBuilder
-from .frege import FREGE, FregeSystem, parse_proof
-from .nwcore import NWError, Triple
-from .proofsys import PlusAlphaSystem, ProofError, check_plus_alpha
+from .frege import FregeSystem, ProofError, parse_proof
+from .nwcore import Triple
+from .proofsys import PlusAlphaSystem, check_plus_alpha
 
 UNKNOWN = "unknown"
 
@@ -37,6 +37,24 @@ SWEEP_K_LIMIT = 14
 
 class TaskError(ValueError):
     pass
+
+
+def _sweep(k: int):
+    """All k-bit strings in lexicographic order; k is capped by SWEEP_K_LIMIT."""
+    if k > SWEEP_K_LIMIT:
+        raise fm.BudgetError(f"k={k} exceeds sweep limit {SWEEP_K_LIMIT}")
+    return (format(v, f"0{k}b") for v in range(1 << k))
+
+
+def _first_true(k: int, verify, what: str) -> str | None:
+    """Least k-bit string that verify accepts; None after a complete sweep."""
+    for s in _sweep(k):
+        verdict = verify(s)
+        if verdict is UNKNOWN:
+            raise fm.BudgetError(f"budget exhausted at {what} {s}")
+        if verdict:
+            return s
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +119,7 @@ def verify_cert(inst: CertInstance, sol: CertSolution, budget: int = 20):
 def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
     """Least x that decodes to a formula witnessing either clause; None is
     certified by the complete 2^k sweep."""
-    if inst.k > SWEEP_K_LIMIT:
-        raise fm.BudgetError(f"k={inst.k} exceeds sweep limit {SWEEP_K_LIMIT}")
-    for v in range(1 << inst.k):
-        code = format(v, f"0{inst.k}b")
+    for code in _sweep(inst.k):
         phi = fm.decode_k(code)
         if phi is None:
             continue
@@ -274,16 +289,7 @@ def verify_err(inst: ErrInstance, x: str, budget: int = 20):
 
 
 def solve_err(inst: ErrInstance, budget: int = 20) -> str | None:
-    if inst.k > SWEEP_K_LIMIT:
-        raise fm.BudgetError(f"k={inst.k} exceeds sweep limit {SWEEP_K_LIMIT}")
-    for v in range(1 << inst.k):
-        x = format(v, f"0{inst.k}b")
-        verdict = verify_err(inst, x, budget)
-        if verdict is UNKNOWN:
-            raise fm.BudgetError(f"budget exhausted at index {x}")
-        if verdict:
-            return x
-    return None
+    return _first_true(inst.k, lambda x: verify_err(inst, x, budget), "index")
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +359,7 @@ def verify_pair(inst: PairInstance, u: str, budget: int = 20):
 
 
 def solve_pair(inst: PairInstance, budget: int = 20) -> str | None:
-    if inst.k > SWEEP_K_LIMIT:
-        raise fm.BudgetError(f"k={inst.k} exceeds sweep limit {SWEEP_K_LIMIT}")
-    for v in range(1 << inst.k):
-        u = format(v, f"0{inst.k}b")
-        verdict = verify_pair(inst, u, budget)
-        if verdict is UNKNOWN:
-            raise fm.BudgetError(f"budget exhausted at candidate {u}")
-        if verdict:
-            return u
-    return None
+    return _first_true(inst.k, lambda u: verify_pair(inst, u, budget), "candidate")
 
 
 def pair_from_err(inst: ErrInstance, c: int | None = None) -> PairInstance:

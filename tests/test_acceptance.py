@@ -5,6 +5,7 @@ corpus sizes, wall-clock ceilings).  Randomized corpora are seeded, so the
 gate is deterministic.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -96,11 +97,17 @@ def test_tau_soundness_sweep_512():
     base = nw.builtin_base("tabular", 3, table="01101011")
     spec = nw.GeneratorSpec(params, base)
     in_range = nw.full_range(spec)  # the 2^9-seed oracle
+    dimacs = hashlib.sha256()
     for v in range(512):
         b = format(v, "09b")
         tau = nw.tau_of(spec, b)
         assert nw.tau_verdict(tau) == (b not in in_range), b
+        dimacs.update(tau.clauses.to_dimacs().encode())
     assert time.monotonic() - t0 < 120.0
+    # the benchmark files themselves are pinned byte for byte
+    assert dimacs.hexdigest() == (
+        "b207a8122b32bab84994197210532eac7d3f1334f63660ed16f40f69b3e45182"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +184,7 @@ def test_kernel_d1_d3_corpus():
 
 def test_pipeline_corpus_and_size_regression():
     results = []  # (input bits, stage sizes)
+    proofs = hashlib.sha256()  # serialized pipeline outputs, in corpus order
     for k in (8, 9, 10):
         for yw in (1, 2, 3):
             for tw in (1, 2):
@@ -187,6 +195,7 @@ def test_pipeline_corpus_and_size_regression():
                 assert ps.check_plus_alpha(S, phi, res.proof)
                 assert set(res.stage_bits) == {"prov_d2", "sat_mp", "d4", "total"}
                 results.append((k + yw + tw, res.stage_bits))
+                proofs.update(fr.serialize_proof(res.proof).encode())
 
     # empty-advice instances round out the corpus past 20
     for text in ("x1 | ~x1", "~x1 | x1"):
@@ -198,7 +207,11 @@ def test_pipeline_corpus_and_size_regression():
         res = ps.simulate(ps.AdviceSystem(None), "", phi, y)
         assert fr.check(fr.FREGE, phi, res.proof)
         results.append((len(y) * 8, res.stage_bits))
+        proofs.update(fr.serialize_proof(res.proof).encode())
     assert len(results) >= 20
+    assert proofs.hexdigest() == (
+        "632a21ea3c86ef5d19b2569263f5d2b2f6880a4ffee33964383750055162120a"
+    )
 
     # log-log regression over the checker corpus: growth stays polynomial
     pts = [(math.log(sz), math.log(st["total"])) for sz, st in results[:18]]

@@ -211,6 +211,34 @@ def test_solve_find_verify(capsys):
 
 
 # ---------------------------------------------------------------------------
+# inputs that must end in exit 2 with a one-line message, not a traceback
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--phi", "1", "--out", "{tmp}/o"],
+    ["simulate", "--phi", "1", "--empty-advice", "--out", "{tmp}/o"],
+    ["simulate", "--phi", "1", "--checker", "{no_x}", "--w", "1", "--out", "{tmp}/o"],
+    ["solve", "--task", "cert"],
+    ["solve", "--task", "err", "--design", "{design}", "--w", "1010"],
+    ["solve", "--task", "pair", "--design", "{design}", "--seed", "1010"],
+    ["solve", "--task", "err", "--design", "{design}", "--seed", "01", "--w", "1010"],
+    ["solve", "--task", "find-verify", "--beta", "1"],
+    ["solve", "--task", "find-verify", "--alpha", "1"],
+    ["check-proof", "--tau", "1", "--proof", "{deep}"],
+])
+def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.proof"
+    deep.write_text("proof\n1 " + "(" * 600 + "1" + ")" * 600 + " ; axiom T1\n")
+    no_x = tmp_path / "no_x.circ"
+    b = cc.CircuitBuilder([("z", 8), ("y", 1), ("t", 1)])
+    no_x.write_text(cc.serialize(b.build([b.AND(b.inp("y", 1), b.inp("t", 1))])))
+    fields = {"tmp": tmp_path, "design": write_four_block_design(tmp_path),
+              "deep": deep, "no_x": no_x}
+    assert run(*(a.format(**fields) for a in argv)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
 # reduce
 
 def test_reduce_writes_envelope(tmp_path, capsys):

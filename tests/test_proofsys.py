@@ -194,6 +194,14 @@ def test_check_advice_empty_clause():
     assert not ps.check_advice(QS, code1, long_y, "")
 
 
+def test_check_advice_deep_proof_line_is_a_rejection():
+    QS = ps.AdviceSystem(None, c=3)
+    code = fm.encode_k(("const", 1), 64)
+    y = "proof\n1 " + "~" * 3000 + "1 ; axiom T1\n"
+    assert 8 * len(y.encode()) <= 64**3
+    assert not ps.check_advice(QS, code, y, "")
+
+
 # ---------------------------------------------------------------------------
 # Prov_k and alpha_k encodings
 
