@@ -177,6 +177,8 @@ def wire_values(
         bits = inputs[name]
         if len(bits) != width:
             raise CircuitError(f"group {name!r}: expected {width} bits, got {len(bits)}")
+        if bits.strip("01"):
+            raise CircuitError(f"group {name!r}: bits must be 0 or 1, got {bits!r}")
         vals.extend(1 if b == "1" else 0 for b in bits)
     for g in circ.gates:
         op = g[0]
@@ -373,8 +375,8 @@ def sat_search(
     fixing: dict[int, int] = {}
     for name, bits in fixed.items():
         off, w = circ.group_offset(name)
-        if len(bits) != w:
-            raise CircuitError(f"group {name!r}: expected {w} bits")
+        if len(bits) != w or bits.strip("01"):
+            raise CircuitError(f"group {name!r}: expected {w} bits of 0 and 1")
         for j, b in enumerate(bits):
             fixing[off + j + 1] = 1 if b == "1" else 0
     order = []

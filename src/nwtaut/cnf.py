@@ -1,9 +1,15 @@
 """Clause sets, a deterministic DPLL engine and DIMACS I/O.
 
 The solver is deliberately simple: unit propagation plus branching on the
-first unassigned variable of a fixed decision order, false branch first.
-That makes the first model found the lexicographically least one over the
-decision order, which the task solvers rely on.  No clause learning.
+first unassigned variable of a fixed decision order, false branch first, with
+chronological backtracking.  That makes the first model found the
+lexicographically least one over the decision order, which the task solvers
+rely on.  No clause learning.
+
+Propagation scans, for each literal that becomes false, every clause that
+contains it; every clause the package builds has at most three literals, so
+a scan costs no more than watched literals would.  Clauses are only looked
+at then, so input unit clauses are not propagated ahead of the search.
 """
 
 from __future__ import annotations
@@ -100,118 +106,68 @@ def dpll_solve(
     ``fixed`` pre-assigns variables; a conflicting fixing yields None.
     """
     nvars = cs.nvars
-    clauses = cs.clauses
-    ncl = len(clauses)
-    if decision_order is None:
-        decision_order = list(range(1, nvars + 1))
-
-    # occurrence lists indexed by literal via offset
-    pos_occ: list[list[int]] = [[] for _ in range(nvars + 1)]
-    neg_occ: list[list[int]] = [[] for _ in range(nvars + 1)]
-    for ci, clause in enumerate(clauses):
+    order = range(1, nvars + 1) if decision_order is None else decision_order
+    # value and occurrence lists are indexed by literal: -v wraps to the back
+    value: list[int | None] = [None] * (2 * nvars + 1)
+    occ: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
+    for clause in cs.clauses:
         for lit in clause:
-            (pos_occ if lit > 0 else neg_occ)[abs(lit)].append(ci)
-
-    assign: list[int | None] = [None] * (nvars + 1)
-    true_count = [0] * ncl
-    unassigned_count = [len(c) for c in clauses]
-    n_satisfied = 0  # clauses with true_count >= 1
-
+            occ[lit].append(clause)
     trail: list[int] = []
 
-    def set_var(var: int, val: int) -> bool:
-        """Assign and propagate; returns False on conflict (caller must undo)."""
-        nonlocal n_satisfied
-        queue = [(var, val)]
+    def assign(lit: int) -> bool:
+        """Make lit true and propagate units; False on conflict."""
+        queue = [lit]
         while queue:
-            v, b = queue.pop()
-            if assign[v] is not None:
-                if assign[v] != b:
+            lit = queue.pop()
+            if value[lit] is not None:
+                if not value[lit]:
                     return False
                 continue
-            assign[v] = b
-            trail.append(v)
-            sup = pos_occ[v] if b == 1 else neg_occ[v]
-            fal = neg_occ[v] if b == 1 else pos_occ[v]
-            for ci in sup:
-                if true_count[ci] == 0:
-                    n_satisfied += 1
-                true_count[ci] += 1
-                unassigned_count[ci] -= 1
-            # finish this variable's bookkeeping even on conflict, so that
-            # undo_to (which replays full occurrence lists) is an exact inverse
-            conflict = False
-            for ci in fal:
-                unassigned_count[ci] -= 1
-                if true_count[ci] == 0:
-                    if unassigned_count[ci] == 0:
-                        conflict = True
-                    elif unassigned_count[ci] == 1:
-                        for lit in clauses[ci]:
-                            if assign[abs(lit)] is None:
-                                queue.append((abs(lit), 1 if lit > 0 else 0))
-                                break
-            if conflict:
-                return False
+            value[lit], value[-lit] = 1, 0
+            trail.append(lit)
+            for clause in occ[-lit]:
+                unit = 0
+                for other in clause:
+                    val = value[other]
+                    if val is None:
+                        if unit:
+                            break
+                        unit = other
+                    elif val:
+                        break
+                else:
+                    if not unit:
+                        return False
+                    queue.append(unit)
         return True
 
-    def undo_to(mark: int) -> None:
-        nonlocal n_satisfied
-        while len(trail) > mark:
-            v = trail.pop()
-            b = assign[v]
-            assign[v] = None
-            sup = pos_occ[v] if b == 1 else neg_occ[v]
-            fal = neg_occ[v] if b == 1 else pos_occ[v]
-            for ci in sup:
-                true_count[ci] -= 1
-                if true_count[ci] == 0:
-                    n_satisfied -= 1
-                unassigned_count[ci] += 1
-            for ci in fal:
-                unassigned_count[ci] += 1
-
-    def finish_model() -> dict[int, int]:
-        model = {v: (assign[v] if assign[v] is not None else 0) for v in range(1, nvars + 1)}
-        return model
-
     if fixed:
-        for var, val in fixed.items():
+        for var, bit in fixed.items():
             if not 1 <= var <= nvars:
                 raise CnfError(f"fixed variable {var} out of range")
-            if not set_var(var, int(val)):
+            if not assign(var if int(bit) else -var):
                 return None
-
-    if any(len(c) == 0 for c in clauses):
-        return None
-    if n_satisfied == ncl:
-        return finish_model()
-
-    # iterative search: stack of (trail_mark, var, next_val_to_try)
-    stack: list[tuple[int, int, int]] = []
-
-    def next_decision() -> int | None:
-        for v in decision_order:
-            if assign[v] is None:
-                return v
+    if any(not clause for clause in cs.clauses):
         return None
 
+    # chronological backtracking over (trail mark, order position, branch tried)
+    stack: list[tuple[int, int, bool]] = []
+    pos = 0
     while True:
-        var = next_decision()
-        if var is None or n_satisfied == ncl:
-            return finish_model()
-        stack.append((len(trail), var, 1))
-        ok = set_var(var, 0)
+        while pos < len(order) and value[order[pos]] is not None:
+            pos += 1
+        if pos == len(order):
+            return {v: value[v] or 0 for v in range(1, nvars + 1)}
+        stack.append((len(trail), pos, False))
+        ok = assign(-order[pos])
         while not ok:
-            # backtrack
-            while stack:
-                mark, v, nxt = stack.pop()
-                undo_to(mark)
-                if nxt <= 1:
-                    stack.append((mark, v, 2))
-                    ok = set_var(v, 1)
-                    break
-            else:
+            if not stack:
                 return None
-        if ok and n_satisfied == ncl:
-            return finish_model()
+            mark, pos, tried = stack.pop()
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = None
+            del trail[mark:]
+            if not tried:
+                stack.append((mark, pos, True))
+                ok = assign(order[pos])

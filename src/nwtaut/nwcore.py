@@ -195,7 +195,10 @@ class GeneratorSpec:
 
 def seed_restriction(x, J: list[int]) -> str:
     """x(J): the bits of x at the (1-based) sorted positions of J."""
-    return "".join("1" if x[j - 1] in (1, "1") else "0" for j in J)
+    bits = "".join(str(x[j - 1]) for j in J)
+    if bits.strip("01"):
+        raise NWError(f"seed bits must be 0 or 1, got {bits!r} at positions {J}")
+    return bits
 
 
 def nw_eval(spec: GeneratorSpec, x: str) -> str:
@@ -252,8 +255,8 @@ class TauResult:
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     design = spec.design
     base = spec.base
-    if len(b) != design.m:
-        raise NWError(f"b must have {design.m} bits")
+    if len(b) != design.m or b.strip("01"):
+        raise NWError(f"b must be {design.m} bits of 0 and 1")
     n = design.n
     next_var = n + 1
     clauses: list[list[int]] = []
@@ -280,8 +283,7 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
 
 def tau_verdict(tau: TauResult) -> bool:
     """True iff tau is a tautology, decided by DPLL on the negation clauses."""
-    order = list(range(1, tau.clauses.nvars + 1))
-    return dpll_solve(tau.clauses, decision_order=order) is None
+    return dpll_solve(tau.clauses) is None
 
 
 def tau_preimage(tau: TauResult) -> str | None:

@@ -148,6 +148,8 @@ class FindInstance:
     promise_checked: bool = field(init=False)
 
     def __post_init__(self):
+        if self.k < 8:
+            raise TaskError(f"k={self.k}: no code of fewer than 8 bits decodes")
         fits = any(
             fm.encode_k(self.alpha, w) is not None
             for w in range(8, max(9, self.k**self.c0 + 1))

@@ -97,11 +97,19 @@ def test_tau_soundness_sweep_512():
     base = nw.builtin_base("tabular", 3, table="01101011")
     spec = nw.GeneratorSpec(params, base)
     in_range = nw.full_range(spec)  # the 2^9-seed oracle
+    least_seed: dict[str, str] = {}
+    for v in range(512):
+        x = format(v, "09b")
+        least_seed.setdefault(nw.nw_eval(spec, x), x)
     dimacs = hashlib.sha256()
     for v in range(512):
         b = format(v, "09b")
         tau = nw.tau_of(spec, b)
         assert nw.tau_verdict(tau) == (b not in in_range), b
+        if b in least_seed:
+            # x comes first in the default decision order, so the lex-least
+            # model projects to the least preimage seed
+            assert nw.tau_preimage(tau) == least_seed[b], b
         dimacs.update(tau.clauses.to_dimacs().encode())
     assert time.monotonic() - t0 < 120.0
     # the benchmark files themselves are pinned byte for byte

@@ -224,6 +224,11 @@ def test_solve_find_verify(capsys):
     ["solve", "--task", "find-verify", "--beta", "1"],
     ["solve", "--task", "find-verify", "--alpha", "1"],
     ["check-proof", "--tau", "1", "--proof", "{deep}"],
+    ["solve", "--task", "err", "--design", "{design}", "--seed", "10x0", "--w", "1010"],
+    ["solve", "--task", "err", "--design", "{design}", "--seed", "1010", "--w", "10x0"],
+    ["gen-tau", "--q", "3", "--d", "2", "--base", "parity", "--b", "200000000",
+     "--verdict", "--outdir", "{tmp}/t"],
+    ["reduce", "--alpha", "1", "--k", "2"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"

@@ -46,6 +46,20 @@ def test_dpll_agrees_with_brute_force(cs):
         assert got == least
 
 
+@given(clause_sets(), st.data())
+def test_dpll_least_model_over_order_and_fixing(cs, data):
+    order = data.draw(st.permutations(range(1, cs.nvars + 1)))
+    fixed = data.draw(st.dictionaries(st.integers(1, cs.nvars), st.integers(0, 1)))
+    models = [
+        a for a in brute_models(cs) if all(a[v] == val for v, val in fixed.items())
+    ]
+    got = dpll_solve(cs, fixed=fixed, decision_order=order)
+    if not models:
+        assert got is None
+    else:
+        assert got == min(models, key=lambda a: [a[v] for v in order])
+
+
 def test_dpll_fixed_assumptions():
     cs = ClauseSet([[1, 2]], 2)
     assert dpll_solve(cs, fixed={1: 0}) == {1: 0, 2: 1}

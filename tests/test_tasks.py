@@ -99,6 +99,8 @@ def test_find_instance_promise():
     assert inst.promise_checked
     with pytest.raises(tk.TaskError):
         tk.FindInstance(fr.FREGE, fm.parse("x1 | x2"), 8, 2, 1)
+    with pytest.raises(tk.TaskError):
+        tk.FindInstance(fr.FREGE, fm.parse("1"), 2, 2, 1)
 
 
 def test_find_sound_verification():
