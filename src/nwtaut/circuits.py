@@ -89,6 +89,7 @@ class CircuitBuilder:
         self.groups = tuple(groups)
         self.n_in = sum(w for _, w in self.groups)
         self.gates: list[tuple] = []
+        self.const_anchor = 0
 
     def inp(self, name: str, j: int) -> int:
         """1-based bit j of input group name."""
@@ -120,31 +121,26 @@ class CircuitBuilder:
     def opaque(self, name: str, args: list[int]) -> int:
         return self._add(("opaque", name, tuple(args)))
 
-    def const(self, bit: int, anchor: int | None = None) -> int:
-        """Constant wire built from an anchor wire (default: the builder's
-        const_anchor attribute, initially wire 0)."""
+    def const(self, bit: int) -> int:
+        """Constant wire built from the wire const_anchor (initially wire 0)."""
         if self.n_in == 0:
             raise CircuitError("const wire needs at least one input")
-        a = anchor if anchor is not None else getattr(self, "const_anchor", 0)
+        a = self.const_anchor
         w = self.NOT(a)
         t = self.OR(a, w)  # tautological wire
         return t if bit else self.NOT(t)
 
-    def and_list(self, wires: list[int], empty: int | None = None) -> int:
+    def and_list(self, wires: list[int]) -> int:
         if not wires:
-            if empty is None:
-                raise CircuitError("and_list of nothing")
-            return empty
+            raise CircuitError("and_list of nothing")
         out = wires[0]
         for w in wires[1:]:
             out = self.AND(out, w)
         return out
 
-    def or_list(self, wires: list[int], empty: int | None = None) -> int:
+    def or_list(self, wires: list[int]) -> int:
         if not wires:
-            if empty is None:
-                raise CircuitError("or_list of nothing")
-            return empty
+            raise CircuitError("or_list of nothing")
         out = wires[0]
         for w in wires[1:]:
             out = self.OR(out, w)
@@ -155,7 +151,7 @@ class CircuitBuilder:
         if len(wires) != len(bits):
             raise CircuitError("width mismatch in equals_const")
         lits = [w if b == "1" else self.NOT(w) for w, b in zip(wires, bits)]
-        return self.and_list(lits, empty=None) if lits else self.const(1)
+        return self.and_list(lits) if lits else self.const(1)
 
     def build(self, outputs: list[int]) -> Circuit:
         return Circuit(self.groups, tuple(self.gates), tuple(outputs))
@@ -573,5 +569,5 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
         sel = b.equals_const(sel_wires, sel_bits) if positions else b.const(1)
         val = formula_to_wire(b, f, leaf)
         branches.append(b.AND(sel, val))
-    out = b.or_list(branches, empty=None) if branches else b.const(0)
+    out = b.or_list(branches) if branches else b.const(0)
     return b.build([out])

@@ -137,19 +137,20 @@ def cmd_gen_tau(args, argv) -> int:
     if not b_list:
         print("gen-tau: need --b or --sweep", file=sys.stderr)
         return EXIT_ERROR
-    os.makedirs(args.outdir, exist_ok=True)
+    # translate every b before the first write, so a bad b leaves no files
     outputs: dict[str, str] = {}
-    n_unsat = 0
+    verdicts: list[bool] = []
     for b in b_list:
         tau = nw.tau_of(spec, b)
-        text = tau.clauses.to_dimacs()
-        name = f"tau_{b}.cnf"
-        _atomic_write(os.path.join(args.outdir, name), text)
-        outputs[name] = text
+        outputs[f"tau_{b}.cnf"] = tau.clauses.to_dimacs()
         if args.verdict:
-            taut = nw.tau_verdict(tau)
-            n_unsat += taut
-            print(f"b={b}: {'tautology (UNSAT negation)' if taut else 'falsifiable (SAT)'}")
+            verdicts.append(nw.tau_verdict(tau))
+    os.makedirs(args.outdir, exist_ok=True)
+    for name, text in outputs.items():
+        _atomic_write(os.path.join(args.outdir, name), text)
+    for b, taut in zip(b_list, verdicts):
+        print(f"b={b}: {'tautology (UNSAT negation)' if taut else 'falsifiable (SAT)'}")
+    n_unsat = sum(verdicts)
     _write_manifest(
         os.path.join(args.outdir, "gen-tau"), "gen-tau", argv,
         {"base": args.base, "m": str(params.m)},

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .gf import GF, SUPPORTED_ORDERS
+
+_field = cache(GF)  # one field per order; at most len(SUPPORTED_ORDERS) entries
 
 
 class DesignError(ValueError):
@@ -84,7 +87,6 @@ def poly_design(q: int, d: int) -> DesignParams:
         raise DesignError(f"unsupported field order {q}; supported: {SUPPORTED_ORDERS}")
     if not 1 <= d <= q:
         raise DesignError(f"need 1 <= d <= q, got d={d}")
-    GF(q)  # validates
     return DesignParams(n=q * q, m=q**d, l=q, d=d, tag="poly", q=q, dbound=d)
 
 
@@ -116,19 +118,13 @@ def block(params: DesignParams, i: int) -> list[int]:
         raise DesignError(f"block index {i} out of range [1, {params.m}]")
     if params.tag == "poly":
         q, d = params.q, params.dbound
-        field = GF(q)
-        coeffs = []
-        x = i - 1
-        for _ in range(d):
-            coeffs.append(x % q)
-            x //= q
+        field = _field(q)
+        coeffs = [(i - 1) // q**e % q for e in range(d)]
         out = []
         for t in range(q):
             val = 0
-            tp = 1
-            for c in coeffs:
-                val = field.add(val, field.mul(c, tp))
-                tp = field.mul(tp, t)
+            for c in reversed(coeffs):  # Horner's rule
+                val = field.add(field.mul(val, t), c)
             out.append(q * t + val + 1)
         return sorted(out)
     if params.blocks is None:

@@ -80,7 +80,7 @@ def _tabular_base(l: int, table: str) -> BaseFunction:
             for r in range(1 << l)
             if int(table[r]) == a
         ]
-        out = b.or_list(rows, empty=None) if rows else b.const(0)
+        out = b.or_list(rows) if rows else b.const(0)
         return b.build([out])
 
     def forward(u: str) -> tuple[int, str]:

@@ -359,13 +359,11 @@ class AlphaEncoding:
     alpha: Formula
     antecedent: Formula
     consequent: Formula
-    w_k: str
     x_vars: tuple[int, ...]
     y_vars: tuple[int, ...]
     s_vars: tuple[int, ...]
     z_vars: tuple[int, ...]
     v_vars: tuple[int, ...]
-    prov: ProvEncoding
     sat: SatEncoding
 
 
@@ -404,8 +402,8 @@ def alpha_k(
     sat = sat_formula(k, evaluator, list(z_vars), list(x_vars), list(v_vars))
     alpha = fm.Implies(antecedent, sat.formula)
     return AlphaEncoding(
-        k, c, alpha, antecedent, sat.formula, w_k,
-        x_vars, y_vars, s_vars, z_vars, v_vars, prov, sat,
+        k, c, alpha, antecedent, sat.formula,
+        x_vars, y_vars, s_vars, z_vars, v_vars, sat,
     )
 
 

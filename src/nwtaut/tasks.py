@@ -69,7 +69,6 @@ class CertInstance:
     c: int
     D: Circuit
     oracles: dict | None = field(default=None, compare=False)
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         g = dict(self.D.groups)
@@ -237,10 +236,7 @@ def reduce_find_to_cert(inst: FindInstance) -> CertInstance:
             return False
         return check_plus_alpha(S, phi, proof)
 
-    return CertInstance(
-        k, inst.c1, D, oracles={"provable": oracle},
-        meta={"reduced-from": "find", "c0": inst.c0, "c1": inst.c1},
-    )
+    return CertInstance(k, inst.c1, D, oracles={"provable": oracle})
 
 
 # ---------------------------------------------------------------------------

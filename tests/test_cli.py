@@ -66,6 +66,17 @@ def test_gen_tau_explicit_b(tmp_path, capsys):
     assert "b=000000000: falsifiable (SAT)" in out
 
 
+def test_gen_tau_bad_later_b_writes_nothing(tmp_path):
+    outdir = tmp_path / "t2"
+    outdir.mkdir()
+    rc = run(
+        "gen-tau", "--q", "3", "--d", "2", "--base", "parity",
+        "--b", "000000000,20000000x", "--outdir", str(outdir),
+    )
+    assert rc == EXIT_ERROR
+    assert os.listdir(outdir) == []
+
+
 def test_gen_tau_needs_b_or_sweep(tmp_path):
     assert run("gen-tau", "--outdir", str(tmp_path)) == EXIT_ERROR
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,22 @@ def test_field_axioms_exhaustive(q):
     # multiplicative inverses exist
     for a in range(1, q):
         assert any(F.mul(a, b) == 1 for b in range(1, q))
+
+
+def test_extension_fields_and_designs_pinned():
+    # the field axioms hold for any irreducible modulus; these pins fix the
+    # moduli x^2+x+1, x^3+x+1 and x^2+1 and so every q = 4, 8, 9 block
+    assert [[GF(4).mul(a, b) for b in range(4)] for a in range(4)] == [
+        [0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2],
+    ]
+    text = ""
+    for q in (4, 8, 9):
+        p = dg.poly_design(q, 2)
+        for i in range(1, p.m + 1):
+            text += f"{q} {i}: {' '.join(map(str, dg.block(p, i)))}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8210937c07511c23c1742bab6d278607a8fcf6df3f030b63e6c8bae8eeabf39b"
+    )
 
 
 def test_unsupported_order():
