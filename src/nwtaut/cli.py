@@ -2,7 +2,7 @@
 
 Subcommands: design, gen-tau, check-proof, simulate, solve, reduce.  Every
 command that writes files also writes a manifest (line-oriented key-value:
-command, argv, parameter values, input/output hashes, wall clock, seed) next
+command, argv, parameter values, input/output hashes, wall clock) next
 to its primary output; re-running the argv recorded in a manifest reproduces
 the outputs byte for byte.  Writes are atomic (temp file + rename).
 
@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from . import circuits as cc
@@ -48,7 +47,6 @@ def _write_manifest(
     inputs: dict[str, str],
     outputs: dict[str, str],
     started: float,
-    seed: int | None = None,
 ) -> None:
     lines = [
         "manifest",
@@ -56,8 +54,6 @@ def _write_manifest(
         f"version {__version__}",
         "argv " + " ".join(argv),
     ]
-    if seed is not None:
-        lines.append(f"seed {seed}")
     for key in sorted(params):
         lines.append(f"param {key} {params[key]}")
     for name in sorted(inputs):
@@ -97,11 +93,11 @@ def cmd_design(args, argv) -> int:
     if args.poly:
         params = dg.poly_design(args.q, args.d)
     elif args.canonical:
-        params = dg.canonical_params(args.n, Fraction(args.delta))
+        params = dg.canonical_params(args.n, args.delta)
     else:
         print("design: need --poly, --canonical or --verify", file=sys.stderr)
         return EXIT_ERROR
-    report = dg.verify_design(params) if params.m <= 100_000 else None
+    report = dg.verify_design(params) if params.m <= dg.SCAN_LIMIT else None
     text = dg.serialize_design(params)
     print(f"n={params.n} m={params.m} l={params.l} d={params.d} tag={params.tag}")
     if report:

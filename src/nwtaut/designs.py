@@ -55,8 +55,13 @@ def canonical_params(n: int, delta: Fraction | str) -> DesignParams:
     n must be a perfect cube and n^delta integral.  When the m blocks fit
     disjointly into [n] the design is materialized; otherwise only the
     parameter record is returned (the intended m is astronomically large)."""
+    if n < 1:
+        raise DesignError(f"need n >= 1, got n={n}")
     if isinstance(delta, str):
-        delta = Fraction(delta)
+        try:
+            delta = Fraction(delta)
+        except ZeroDivisionError:
+            raise DesignError(f"delta {delta!r} has a zero denominator") from None
     if not 0 < delta <= Fraction(1, 3):
         raise DesignError("delta must lie in (0, 1/3]")
     l = round(n ** (1 / 3))
@@ -139,10 +144,14 @@ class DesignReport:
     max_intersection: int = 0
 
 
-def verify_design(params: DesignParams, scan_limit: int = 100_000) -> DesignReport:
+# the pairwise scan is quadratic in m
+SCAN_LIMIT = 100_000
+
+
+def verify_design(params: DesignParams) -> DesignReport:
     """Full pairwise scan of both design clauses (block size, intersections)."""
-    if params.m > scan_limit:
-        raise DesignError(f"m={params.m} exceeds scan limit {scan_limit}")
+    if params.m > SCAN_LIMIT:
+        raise DesignError(f"m={params.m} exceeds scan limit {SCAN_LIMIT}")
     masks = []
     for i in range(1, params.m + 1):
         b = block(params, i)

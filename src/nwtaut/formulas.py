@@ -153,11 +153,14 @@ class _Parser:
         if ch == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
             if self.pos == start:
                 raise ParseError("expected variable index after 'x'", self.pos)
-            idx = int(self.text[start : self.pos])
+            try:
+                idx = int(self.text[start : self.pos])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index too long", start) from None
             if idx < 1:
                 raise ParseError("variable index must be >= 1", start)
             return ("var", idx)

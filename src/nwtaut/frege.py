@@ -4,8 +4,9 @@ Lines are axiom-scheme instances or modus ponens; ψ -> η abbreviates ~ψ | η
 throughout, and modus ponens reads: from ψ and ~ψ | η infer η.  The basis is
 a standard complete implication/conjunction/disjunction set extended with
 constant axioms and convenience schemes for negated connectives (the basis
-is ours to fix; any finite sound and complete set qualifies).  Scheme
-patterns use variables 1, 2, 3 as metavariables.
+is ours to fix; any finite sound and complete set qualifies).  The schemes
+live in AXIOM_SCHEMES, the kernel's one table, and use variables 1, 2, 3 as
+metavariables.
 
 The kernel supports the four proof manipulations of a decent system:
 line-wise substitution into proofs, proofs of true sentences, combining
@@ -23,30 +24,26 @@ from . import formulas as fm
 from .formulas import Formula
 
 
-def _p(text: str) -> Formula:
-    return fm.parse(text)
-
-
 # metavariables: x1 = p, x2 = q, x3 = r
 AXIOM_SCHEMES: dict[str, Formula] = {
-    "P1": _p("~x1 | (~x2 | x1)"),                            # p -> (q -> p)
-    "P2": _p("~(~x1 | (~x2 | x3)) | (~(~x1 | x2) | (~x1 | x3))"),
-    "P3": _p("~(~~x1 | ~x2) | (~x2 | x1)"),                  # (~p->~q) -> (q->p)
-    "C1": _p("~(x1 & x2) | x1"),
-    "C2": _p("~(x1 & x2) | x2"),
-    "C3": _p("~x1 | (~x2 | x1 & x2)"),
-    "D1": _p("~x1 | (x1 | x2)"),
-    "D2": _p("~x2 | (x1 | x2)"),
-    "D3": _p("~(~x1 | x3) | (~(~x2 | x3) | (~(x1 | x2) | x3))"),
-    "T1": _p("1"),
-    "F1": _p("~0"),
-    "N1": _p("~~x1 | ~(x1 & x2)"),                           # ~p -> ~(p&q)
-    "N2": _p("~~x2 | ~(x1 & x2)"),
-    "N3": _p("~~x1 | (~~x2 | ~(x1 | x2))"),
-    "N4": _p("~x1 | ~~x1"),                                  # p -> ~~p
-    "N5": _p("~~~x1 | x1"),                                  # ~~p -> p
-    "EM": _p("x1 | ~x1"),
-    "ID": _p("~x1 | x1"),
+    "P1": fm.parse("~x1 | (~x2 | x1)"),                            # p -> (q -> p)
+    "P2": fm.parse("~(~x1 | (~x2 | x3)) | (~(~x1 | x2) | (~x1 | x3))"),
+    "P3": fm.parse("~(~~x1 | ~x2) | (~x2 | x1)"),                  # (~p->~q) -> (q->p)
+    "C1": fm.parse("~(x1 & x2) | x1"),
+    "C2": fm.parse("~(x1 & x2) | x2"),
+    "C3": fm.parse("~x1 | (~x2 | x1 & x2)"),
+    "D1": fm.parse("~x1 | (x1 | x2)"),
+    "D2": fm.parse("~x2 | (x1 | x2)"),
+    "D3": fm.parse("~(~x1 | x3) | (~(~x2 | x3) | (~(x1 | x2) | x3))"),
+    "T1": fm.parse("1"),
+    "F1": fm.parse("~0"),
+    "N1": fm.parse("~~x1 | ~(x1 & x2)"),                           # ~p -> ~(p&q)
+    "N2": fm.parse("~~x2 | ~(x1 & x2)"),
+    "N3": fm.parse("~~x1 | (~~x2 | ~(x1 | x2))"),
+    "N4": fm.parse("~x1 | ~~x1"),                                  # p -> ~~p
+    "N5": fm.parse("~~~x1 | x1"),                                  # ~~p -> p
+    "EM": fm.parse("x1 | ~x1"),
+    "ID": fm.parse("~x1 | x1"),
 }
 
 
@@ -80,26 +77,18 @@ class Proof:
 
 @dataclass(frozen=True)
 class FregeSystem:
-    """The fixed kernel: axiom schemes plus modus ponens."""
+    """The fixed kernel: the schemes of AXIOM_SCHEMES plus modus ponens.
 
-    schemes: tuple[tuple[str, Formula], ...] = tuple(sorted(AXIOM_SCHEMES.items()))
-
-    def scheme(self, name: str) -> Formula:
-        for n, f in self.schemes:
-            if n == name:
-                return f
-        raise ProofError(f"unknown axiom scheme {name!r}")
+    FREGE is its one instance; the checkers take it as the proof system P
+    of the paper, while the proof builders always build kernel proofs."""
 
     def line_valid(self, lines: tuple[Line, ...], i: int, allow_hyp: bool = False) -> bool:
         f, just = lines[i].formula, lines[i].just
         kind = just[0]
         if kind == "axiom":
             _, name, sigma = just
-            try:
-                pattern = self.scheme(name)
-            except ProofError:
-                return False
-            return fm.substitute(pattern, sigma) == f
+            pattern = AXIOM_SCHEMES.get(name)
+            return pattern is not None and fm.substitute(pattern, sigma) == f
         if kind == "mp":
             _, a, b = just
             if not (0 <= a < i and 0 <= b < i):
@@ -139,8 +128,7 @@ def check_derivation(P: FregeSystem, proof: Proof) -> bool:
 class ProofBuilder:
     """Accumulates lines with formula-level deduplication."""
 
-    def __init__(self, system: FregeSystem = FREGE):
-        self.system = system
+    def __init__(self):
         self.lines: list[Line] = []
         self._index: dict[Formula, int] = {}
 
@@ -154,7 +142,10 @@ class ProofBuilder:
         return idx
 
     def axiom(self, name: str, sigma: dict[int, Formula]) -> int:
-        f = fm.substitute(self.system.scheme(name), sigma)
+        pattern = AXIOM_SCHEMES.get(name)
+        if pattern is None:
+            raise ProofError(f"unknown axiom scheme {name!r}")
+        f = fm.substitute(pattern, sigma)
         return self._push(Line(f, ("axiom", name, dict(sigma))))
 
     def hyp(self, f: Formula) -> int:
@@ -199,12 +190,12 @@ class ProofBuilder:
         return Proof(tuple(self.lines))
 
 
-def subst_proof(proof: Proof, sigma: dict[int, Formula], system: FregeSystem = FREGE) -> Proof:
+def subst_proof(proof: Proof, sigma: dict[int, Formula]) -> Proof:
     """D1 (generalized): line-wise substitution of formulas for variables.
 
     Frege proofs are closed under it; the constants-only case is the decency
     condition proper."""
-    if not check_derivation(system, proof):
+    if not check_derivation(FREGE, proof):
         raise ProofError("input proof does not check")
     out: list[Line] = []
     for ln in proof.lines:
@@ -263,35 +254,35 @@ def _value_index(b: ProofBuilder, theta: Formula, assignment: dict[int, int]) ->
     return b.mp(j, step)
 
 
-def prove_true_sentence(psi: Formula, system: FregeSystem = FREGE) -> Proof:
+def prove_true_sentence(psi: Formula) -> Proof:
     """D2: a kernel proof of a true variable-free sentence."""
     if fm.fvars(psi):
         raise ProofError("sentence has variables")
     if fm.evaluate(psi, {}) != 1:
         raise ProofError("sentence is false")
-    b = ProofBuilder(system)
+    b = ProofBuilder()
     idx = _value_index(b, psi, {})
     return b.proof(idx)
 
 
-def mp(pi1: Proof, pi2: Proof, system: FregeSystem = FREGE) -> Proof:
+def mp(pi1: Proof, pi2: Proof) -> Proof:
     """D3: from proofs of psi and psi -> eta, a proof of eta."""
-    if not check_derivation(system, pi1) or not check_derivation(system, pi2):
+    if not check_derivation(FREGE, pi1) or not check_derivation(FREGE, pi2):
         raise ProofError("input proof does not check")
     impl = pi2.conclusion
     if impl[0] != "or" or impl[1] != ("not", pi1.conclusion):
         raise ProofError("conclusion shapes do not match for modus ponens")
-    b = ProofBuilder(system)
+    b = ProofBuilder()
     i = b.append_proof(pi1)
     j = b.append_proof(pi2)
     idx = b.mp(i, j)
     return b.proof(idx)
 
 
-def discharge(proof: Proof, hypothesis: Formula, system: FregeSystem = FREGE) -> Proof:
+def discharge(proof: Proof, hypothesis: Formula) -> Proof:
     """Deduction-theorem transformation: remove one hypothesis H, turning a
     derivation of phi from hypotheses into one of H -> phi."""
-    b = ProofBuilder(system)
+    b = ProofBuilder()
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
     H = hypothesis
     for i, ln in enumerate(proof.lines):
@@ -315,11 +306,9 @@ def discharge(proof: Proof, hypothesis: Formula, system: FregeSystem = FREGE) ->
 KALMAR_VAR_LIMIT = 8
 
 
-def _prove_under(
-    F: Formula, vars_left: list[int], assignment: dict[int, int], system: FregeSystem
-) -> Proof:
+def _prove_under(F: Formula, vars_left: list[int], assignment: dict[int, int]) -> Proof:
     if not vars_left:
-        b = ProofBuilder(system)
+        b = ProofBuilder()
         idx = _value_index(b, F, assignment)
         if fm.evaluate(F, assignment) != 1:
             raise ProofError("formula is falsified; not a tautology")
@@ -327,11 +316,11 @@ def _prove_under(
     z = vars_left[0]
     rest = vars_left[1:]
     zvar: Formula = ("var", z)
-    p1 = _prove_under(F, rest, {**assignment, z: 1}, system)
-    d1 = discharge(p1, zvar, system)  # z -> F
-    p0 = _prove_under(F, rest, {**assignment, z: 0}, system)
-    d0 = discharge(p0, ("not", zvar), system)  # ~z -> F
-    b = ProofBuilder(system)
+    p1 = _prove_under(F, rest, {**assignment, z: 1})
+    d1 = discharge(p1, zvar)  # z -> F
+    p0 = _prove_under(F, rest, {**assignment, z: 0})
+    d0 = discharge(p0, ("not", zvar))  # ~z -> F
+    b = ProofBuilder()
     i1 = b.append_proof(d1)
     i0 = b.append_proof(d0)
     em = b.axiom("EM", {1: zvar})  # z | ~z
@@ -342,7 +331,7 @@ def _prove_under(
     return b.proof(idx)
 
 
-def prove_tautology(F: Formula, system: FregeSystem = FREGE) -> Proof:
+def prove_tautology(F: Formula) -> Proof:
     """A kernel proof of any tautology, by case analysis over its variables
     (exponential in the variable count; desk scale only)."""
     vs = sorted(fm.fvars(F))
@@ -350,7 +339,7 @@ def prove_tautology(F: Formula, system: FregeSystem = FREGE) -> Proof:
         raise fm.BudgetError(
             f"{len(vs)} variables exceeds the case-analysis limit {KALMAR_VAR_LIMIT}"
         )
-    return _prove_under(F, vs, {}, system)
+    return _prove_under(F, vs, {})
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +369,14 @@ def proof_size_bits(proof: Proof) -> int:
     return 8 * len(serialize_proof(proof).encode())
 
 
+def _decimal(token: str) -> int | None:
+    """The value of an ASCII decimal numeral; None for anything else."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def parse_proof(text: str) -> Proof:
     lines: list[Line] = []
     saw_header = False
@@ -395,7 +392,7 @@ def parse_proof(text: str) -> Proof:
         head, _, just = s.partition(";")
         head = head.strip()
         num, _, ftext = head.partition(" ")
-        if not num.isdigit() or int(num) != len(lines) + 1:
+        if _decimal(num) != len(lines) + 1:
             raise ProofError(f"line {lineno}: expected line number {len(lines) + 1}")
         f = fm.parse(ftext.strip())
         jtoks = just.strip().split(None, 1)
@@ -412,16 +409,17 @@ def parse_proof(text: str) -> Proof:
                     part = part.strip()
                     if not part:
                         continue
-                    if not part.startswith("[") or ":=" not in part:
+                    key, sep, val = part[1:].partition(":=")
+                    m = _decimal(key)
+                    if not part.startswith("[") or not sep or m is None:
                         raise ProofError(f"line {lineno}: bad substitution {part!r}")
-                    key, _, val = part[1:].partition(":=")
-                    sigma[int(key)] = fm.parse(val)
+                    sigma[m] = fm.parse(val)
             lines.append(Line(f, ("axiom", name, sigma)))
         elif jtoks[0] == "mp":
-            try:
-                a, b = (int(t) for t in jtoks[1].split())
-            except (ValueError, IndexError):
-                raise ProofError(f"line {lineno}: mp needs two line numbers") from None
+            refs = [_decimal(t) for t in jtoks[1].split()] if len(jtoks) > 1 else []
+            if len(refs) != 2 or None in refs:
+                raise ProofError(f"line {lineno}: mp needs two line numbers")
+            a, b = refs
             lines.append(Line(f, ("mp", a - 1, b - 1)))
         elif jtoks[0] == "hyp":
             lines.append(Line(f, ("hyp",)))

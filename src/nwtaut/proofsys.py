@@ -184,13 +184,7 @@ def _prove_equiv_refl(b: ProofBuilder, conjunct: Formula) -> int:
     return b.mp(i, half)
 
 
-def d4_from_sat(
-    P: FregeSystem,
-    pi_sat: Proof,
-    phi: Formula,
-    enc: SatEncoding,
-    code: str,
-) -> Proof:
+def d4_from_sat(pi_sat: Proof, phi: Formula, enc: SatEncoding, code: str) -> Proof:
     """D4: from a proof of the satisfaction statement at x = code(phi),
     derive phi itself.
 
@@ -206,7 +200,7 @@ def d4_from_sat(
     conclusion = pi_sat.conclusion
     free_shape = fm.substitute(enc.formula, xmap)
 
-    b = ProofBuilder(P)
+    b = ProofBuilder()
     if conclusion == free_shape:
         if pi_sat.hypotheses():
             raise ProofError(
@@ -221,7 +215,7 @@ def d4_from_sat(
             wf[enc.k + j] = ("const", int(code[j]))
         gate_f = cc.gate_formulas(enc.evaluator, wf)
         sigma = {enc.v_vars[i]: gate_f[2 * enc.k + i] for i in range(len(enc.v_vars))}
-        pi2 = subst_proof(pi_sat, sigma, P)
+        pi2 = subst_proof(pi_sat, sigma)
         imp_idx = b.append_proof(pi2)
         conjs = [fm.substitute(cj, {**xmap, **sigma}) for cj in enc.conjuncts]
         idxs = [_prove_equiv_refl(b, cj) for cj in conjs]
@@ -236,12 +230,12 @@ def d4_from_sat(
             raise ProofError("proof conclusion is not the satisfaction statement")
         correct_sentence = fm.substitute(enc.correct, sub)
         imp_idx = b.append_proof(pi_sat)
-        corr_idx = b.append_proof(prove_true_sentence(correct_sentence, P))
+        corr_idx = b.append_proof(prove_true_sentence(correct_sentence))
         phi_prime_idx = b.mp(corr_idx, imp_idx)
         phi_prime = fm.substitute(enc.out_formula, sub)
     if phi_prime == phi:
         return b.proof(phi_prime_idx)
-    bridge = prove_tautology(fm.Implies(phi_prime, phi), P)
+    bridge = prove_tautology(fm.Implies(phi_prime, phi))
     bridge_idx = b.append_proof(bridge)
     final = b.mp(phi_prime_idx, bridge_idx)
     return b.proof(final)
@@ -254,11 +248,8 @@ def check_plus_alpha(S: PlusAlphaSystem, tau: Formula, pi: Proof) -> bool:
     """Def-shape acceptance: a kernel proof of a right-nested disjunction of
     negated alpha-instances ending in tau (possibly with no instances)."""
     lines = pi.lines
-    if not lines:
+    if not lines or not check(S.base, lines[-1].formula, pi):
         return False
-    for i in range(len(lines)):
-        if not S.base.line_valid(lines, i):
-            return False
 
     def peel(C: Formula) -> bool:
         if C == tau:
@@ -310,28 +301,21 @@ class ProvEncoding:
     """Prov_k(x, y, t, s) = CORRECT_Q(x, y, t, s) & out; satisfiable in s
     exactly on accepted (x, y, t)."""
 
-    k: int
-    c: int
     formula: Formula
-    correct: Formula
-    conjuncts: tuple[Formula, ...]
-    out_formula: Formula
     x_vars: tuple[int, ...]
     y_vars: tuple[int, ...]
     t_vars: tuple[int, ...]
     s_vars: tuple[int, ...]
-    checker: cc.Circuit
 
 
-def prov_formula(QS: AdviceSystem, k: int, c: int | None = None) -> ProvEncoding:
+def prov_formula(QS: AdviceSystem, k: int) -> ProvEncoding:
     """Numbering: x = 1..k, then y, t, s consecutively."""
-    if c is None:
-        c = QS.c
     xw, yw, tw = QS.widths()
     if xw != k:
         raise ProofError(f"checker takes {xw}-bit codes, not {k}")
-    if yw > k**c or tw > k**c:
-        raise ProofError(f"checker widths y={yw}, t={tw} exceed k^c = {k**c}")
+    bound = k**QS.c
+    if yw > bound or tw > bound:
+        raise ProofError(f"checker widths y={yw}, t={tw} exceed k^c = {bound}")
     if len(QS.checker.outputs) != 1:
         raise ProofError("checker must have a single output")
     x_vars = list(range(1, k + 1))
@@ -340,12 +324,8 @@ def prov_formula(QS: AdviceSystem, k: int, c: int | None = None) -> ProvEncoding
     s_base = k + 1 + yw + tw
     s_vars = list(range(s_base, s_base + len(QS.checker.gates)))
     cf = cc.circuit_to_formula(QS.checker, x_vars + y_vars + t_vars, s_vars)
-    out = ("var", cf.out_vars[0])
-    formula = fm.And(cf.correct, out)
-    return ProvEncoding(
-        k, c, formula, cf.correct, cf.conjuncts, out,
-        tuple(x_vars), tuple(y_vars), tuple(t_vars), tuple(s_vars), QS.checker,
-    )
+    formula = fm.And(cf.correct, ("var", cf.out_vars[0]))
+    return ProvEncoding(formula, tuple(x_vars), tuple(y_vars), tuple(t_vars), tuple(s_vars))
 
 
 @dataclass(frozen=True)
@@ -354,8 +334,6 @@ class AlphaEncoding:
     baked in as constants and the satisfaction side renumbered so that its
     code slot is the shared x and its assignment slot is fresh z."""
 
-    k: int
-    c: int
     alpha: Formula
     antecedent: Formula
     consequent: Formula
@@ -371,12 +349,9 @@ def alpha_k(
     QS: AdviceSystem,
     w_k: str,
     k: int,
-    c: int | None = None,
     evaluator: cc.Circuit | None = None,
 ) -> AlphaEncoding:
-    if c is None:
-        c = QS.c
-    prov = prov_formula(QS, k, c)
+    prov = prov_formula(QS, k)
     if len(w_k) != len(prov.t_vars):
         raise ProofError(
             f"advice has {len(w_k)} bits, checker expects {len(prov.t_vars)}"
@@ -402,8 +377,7 @@ def alpha_k(
     sat = sat_formula(k, evaluator, list(z_vars), list(x_vars), list(v_vars))
     alpha = fm.Implies(antecedent, sat.formula)
     return AlphaEncoding(
-        k, c, alpha, antecedent, sat.formula,
-        x_vars, y_vars, s_vars, z_vars, v_vars, sat,
+        alpha, antecedent, sat.formula, x_vars, y_vars, s_vars, z_vars, v_vars, sat
     )
 
 
@@ -419,7 +393,7 @@ class SimulateResult:
 
     @property
     def size_bits(self) -> int:
-        return proof_size_bits(self.proof)
+        return self.stage_bits["total"]
 
 
 def checker_run_bits(QS: AdviceSystem, x: str, y: str, w: str) -> str:
@@ -432,7 +406,6 @@ def simulate(
     w_k: str,
     phi: Formula,
     pi_Q: str,
-    P: FregeSystem = FREGE,
     evaluator: cc.Circuit | None = None,
 ) -> SimulateResult:
     """Turn an accepted Q-proof of phi into a P+alpha_k proof of phi.
@@ -463,7 +436,7 @@ def simulate(
         raise ProofError(f"formula does not fit a {k}-bit code")
     if not check_advice(QS, code, pi_Q, w_k):
         raise ProofError("advice checker rejects the given Q-proof")
-    alpha = alpha_k(QS, w_k, k, QS.c, evaluator)
+    alpha = alpha_k(QS, w_k, k, evaluator)
 
     # D2 stage: the provability sentence at the accepting run is true
     e = checker_run_bits(QS, code, pi_Q, w_k)
@@ -474,23 +447,23 @@ def simulate(
     prov_sentence = fm.substitute(alpha.antecedent, inst)
     if fm.evaluate(prov_sentence, {}) != 1:
         raise ProofError("provability sentence is false (tampered proof?)")
-    pi_prov = prove_true_sentence(prov_sentence, P)
+    pi_prov = prove_true_sentence(prov_sentence)
 
     # the alpha_k instance: z stays variable, v gets the constant run
     run = evaluator_run_bits(alpha.sat, code)
     inst.update(_const_map(alpha.v_vars, run))
     alpha_inst = fm.substitute(alpha.alpha, inst)
 
-    b = ProofBuilder(P)
+    b = ProofBuilder()
     hyp_idx = b.hyp(alpha_inst)
     prov_idx = b.append_proof(pi_prov)
     sat_idx = b.mp(prov_idx, hyp_idx)
     pi_sat = b.proof(sat_idx)
 
-    pi_phi = d4_from_sat(P, pi_sat, phi, alpha.sat, code)
-    final = discharge(pi_phi, alpha_inst, P)
+    pi_phi = d4_from_sat(pi_sat, phi, alpha.sat, code)
+    final = discharge(pi_phi, alpha_inst)
 
-    S = PlusAlphaSystem(P, alpha.alpha)
+    S = PlusAlphaSystem(FREGE, alpha.alpha)
     if not check_plus_alpha(S, phi, final):
         raise ProofError("internal error: pipeline output fails check_plus_alpha")
     return SimulateResult(

@@ -149,6 +149,8 @@ class FindInstance:
     def __post_init__(self):
         if self.k < 8:
             raise TaskError(f"k={self.k}: no code of fewer than 8 bits decodes")
+        if self.c0 < 1 or self.c1 < 1:
+            raise TaskError(f"need c0, c1 >= 1, got c0={self.c0}, c1={self.c1}")
         fits = any(
             fm.encode_k(self.alpha, w) is not None
             for w in range(8, max(9, self.k**self.c0 + 1))
@@ -360,14 +362,14 @@ def solve_pair(inst: PairInstance, budget: int = 20) -> str | None:
     return _first_true(inst.k, lambda u: verify_pair(inst, u, budget), "candidate")
 
 
-def pair_from_err(inst: ErrInstance, c: int | None = None) -> PairInstance:
+def pair_from_err(inst: ErrInstance) -> PairInstance:
     """The induced Pair instance: A/B are the table's zero/one sets and C is
     the pass-through circuit carrying the audited advice."""
     k = inst.k
     A = "".join("1" if ch == "0" else "0" for ch in inst.L)
     B = inst.L
     C = passthrough_circuit(k, inst.w)
-    return PairInstance(A, B, inst.triple, C, c if c is not None else inst.triple.c)
+    return PairInstance(A, B, inst.triple, C, inst.triple.c)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,10 @@ def test_solve_find_verify(capsys):
     ["gen-tau", "--q", "3", "--d", "2", "--base", "parity", "--b", "200000000",
      "--verdict", "--outdir", "{tmp}/t"],
     ["reduce", "--alpha", "1", "--k", "2"],
+    ["design", "--canonical", "--n", "-8"],
+    ["design", "--canonical", "--n", "27", "--delta", "1/0"],
+    ["reduce", "--alpha", "x1|~x1", "--k", "8", "--c1", "-1"],
+    ["solve", "--task", "find-verify", "--alpha", "x1|~x1", "--beta", "1", "--c1", "-1"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"

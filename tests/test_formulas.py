@@ -47,7 +47,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "x0", "x1 &", "(x1", "x1 x2", "y1"]:
+    for bad in ["", "x0", "x1 &", "(x1", "x1 x2", "y1", "x\u00b2"]:
         with pytest.raises(fm.ParseError):
             fm.parse(bad)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,7 +172,7 @@ def test_discharge_keeps_other_hypotheses():
     assert fr.check_derivation(fr.FREGE, out)
 
 
-@pytest.mark.parametrize("text", [
+TAUTOLOGY_BATCH = [
     "x1 | ~x1",
     "~x1 | x1",
     "~(x1 & x2) | (x2 & x1 | x3)",
@@ -179,11 +181,24 @@ def test_discharge_keeps_other_hypotheses():
     "~~x1 | ~x1",
     "1 | x1",
     "~(x1 & ~x1)",
-])
+]
+
+
+@pytest.mark.parametrize("text", TAUTOLOGY_BATCH)
 def test_prove_tautology_batch(text):
     tau = fm.parse(text)
     proof = fr.prove_tautology(tau)
     assert fr.check(fr.FREGE, tau, proof)
+
+
+def test_prove_tautology_text_is_pinned():
+    """The case-analysis prover is deterministic: its proof text for the
+    batch above, concatenated in list order, has a fixed digest."""
+    text = "".join(fr.serialize_proof(fr.prove_tautology(fm.parse(t))) for t in TAUTOLOGY_BATCH)
+    assert len(text) == 687_782
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e701d98e6dcaeb7d599e10e77ef399b198ad16f8c0b3e2a4fc645abfe4f85bc1"
+    )
 
 
 @given(small_formulas())
@@ -234,6 +249,10 @@ def test_proof_text_round_trip_with_hyp():
     "proof\n1 x1 ; frob\n",              # unknown justification
     "proof\n1 x1 ; axiom\n",             # scheme name missing
     "proof\n1 1 ; mp one two\n",         # non-numeric premises
+    "proof\n1 1 ; axiom T1 [:=x1]\n",    # empty substitution index
+    "proof\n1 1 ; axiom T1 [a:=x1]\n",   # non-numeric substitution index
+    "proof\n\u00b2 1 ; axiom T1\n",       # superscript-two line number
+    "proof\n1 x\u00b2 ; hyp\n",           # superscript-two variable index
 ])
 def test_parse_proof_rejects_malformed(bad):
     with pytest.raises((fr.ProofError, fm.ParseError)):

@@ -89,7 +89,7 @@ def test_d4_free_route_extracts_formula():
     pi_sat = fr.prove_tautology(free_shape)
     # the out gate computes u1 | ~u1 regardless of the code
     phi = fm.Or(fm.Var(1), fm.Not(fm.Var(1)))
-    out = ps.d4_from_sat(fr.FREGE, pi_sat, phi, enc, code)
+    out = ps.d4_from_sat(pi_sat, phi, enc, code)
     assert fr.check(fr.FREGE, phi, out)
 
 
@@ -99,7 +99,7 @@ def test_d4_free_route_with_bridge():
     xmap = {v: ("const", int(b)) for v, b in zip(enc.x_vars, code)}
     pi_sat = fr.prove_tautology(fm.substitute(enc.formula, xmap))
     phi = fm.parse("~x1 | (x1 | 1)")  # implied by u1 | ~u1, not equal to it
-    out = ps.d4_from_sat(fr.FREGE, pi_sat, phi, enc, code)
+    out = ps.d4_from_sat(pi_sat, phi, enc, code)
     assert fr.check(fr.FREGE, phi, out)
 
 
@@ -112,7 +112,7 @@ def test_d4_const_route_extracts_constant_formula():
     sub.update({v: ("const", int(b)) for v, b in zip(enc.v_vars, run)})
     sentence = fm.substitute(enc.formula, sub)
     pi_sat = fr.prove_true_sentence(sentence)
-    out = ps.d4_from_sat(fr.FREGE, pi_sat, phi, enc, code)
+    out = ps.d4_from_sat(pi_sat, phi, enc, code)
     assert fr.check(fr.FREGE, phi, out)
 
 
@@ -121,7 +121,7 @@ def test_d4_rejects_wrong_conclusion():
     code = fm.encode_k(("const", 1), 8)
     pi = fr.prove_true_sentence(("const", 1))
     with pytest.raises(fr.ProofError):
-        ps.d4_from_sat(fr.FREGE, pi, ("const", 1), enc, code)
+        ps.d4_from_sat(pi, ("const", 1), enc, code)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,14 @@ def test_check_advice_empty_clause():
     long_y = fr.serialize_proof(fr.prove_true_sentence(("const", 1)))
     assert 8 * len(long_y.encode()) > 64
     assert not ps.check_advice(QS, code1, long_y, "")
+    # empty or non-numeric substitution indices, non-ASCII digits, and
+    # numerals with more digits than int() converts
+    wide = fm.encode_k(("const", 1), 64)
+    for bad in ["proof\n1 1 ; axiom T1 [:=x1]\n", "proof\n1 1 ; axiom T1 [a:=x1]\n",
+                "proof\n\u00b2 1 ; axiom T1\n", "proof\n1 x\u00b2 ; hyp\n",
+                "proof\n" + "1" * 5000 + " 1 ; axiom T1\n",
+                "proof\n1 x" + "1" * 5000 + " ; hyp\n"]:
+        assert not ps.check_advice(ps.AdviceSystem(None, c=3), wide, bad, "")
 
 
 def test_check_advice_deep_proof_line_is_a_rejection():
