@@ -4,7 +4,8 @@ The solver is deliberately simple: unit propagation plus branching on the
 first unassigned variable of a fixed decision order, false branch first, with
 chronological backtracking.  That makes the first model found the
 lexicographically least one over the decision order, which the task solvers
-rely on.  No clause learning.
+rely on; a partial order is completed by the variables it leaves out, in
+index order.  No clause learning.
 
 Propagation scans, for each literal that becomes false, every clause that
 contains it; every clause the package builds has at most three literals, so
@@ -103,7 +104,9 @@ def dpll_solve(
 ) -> dict[int, int] | None:
     """Return the lex-least (over decision_order, 0 before 1) total model, or None.
 
-    ``fixed`` pre-assigns variables; a conflicting fixing yields None.
+    ``fixed`` pre-assigns variables; a conflicting fixing yields None.  The
+    variables a given ``decision_order`` leaves out are decided after it, in
+    index order; the default order is 1..nvars.
     """
     nvars = cs.nvars
     order = range(1, nvars + 1) if decision_order is None else decision_order
@@ -158,7 +161,13 @@ def dpll_solve(
         while pos < len(order) and value[order[pos]] is not None:
             pos += 1
         if pos == len(order):
-            return {v: value[v] or 0 for v in range(1, nvars + 1)}
+            if None not in value[1 : nvars + 1]:
+                return {v: value[v] for v in range(1, nvars + 1)}
+            # a partial order runs out: the variables it leaves out follow
+            # it, by index; positions already on the stack stay valid
+            listed = set(order)
+            order = [*order, *(v for v in range(1, nvars + 1) if v not in listed)]
+            continue
         stack.append((len(trail), pos, False))
         ok = assign(-order[pos])
         while not ok:

@@ -49,12 +49,29 @@ class DesignParams:
             raise DesignError(f"need d <= l, got d={self.d}, l={self.l}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0, k >= 1, in exact integer arithmetic."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) >= the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+# the largest d for which m = 2^d is computed (2^d takes d bits)
+CANONICAL_D_LIMIT = 2**16
+
+
 def canonical_params(n: int, delta: Fraction | str) -> DesignParams:
     """The canonical preset: l = n^(1/3), d = n^delta, m = 2^d.
 
-    n must be a perfect cube and n^delta integral.  When the m blocks fit
-    disjointly into [n] the design is materialized; otherwise only the
-    parameter record is returned (the intended m is astronomically large)."""
+    n must be a perfect cube, n^delta integral and d at most
+    CANONICAL_D_LIMIT.  When the m blocks fit disjointly into [n] the design
+    is materialized; otherwise only the parameter record is returned (the
+    intended m is astronomically large)."""
     if n < 1:
         raise DesignError(f"need n >= 1, got n={n}")
     if isinstance(delta, str):
@@ -64,20 +81,21 @@ def canonical_params(n: int, delta: Fraction | str) -> DesignParams:
             raise DesignError(f"delta {delta!r} has a zero denominator") from None
     if not 0 < delta <= Fraction(1, 3):
         raise DesignError("delta must lie in (0, 1/3]")
-    l = round(n ** (1 / 3))
+    l = _iroot(n, 3)
     if l**3 != n:
-        lo, hi = l**3 if l**3 < n else (l - 1) ** 3, (l + 1) ** 3 if l**3 < n else l**3
-        raise DesignError(f"n={n} is not a perfect cube (nearest valid: {lo} or {hi})")
-    # n^delta must be an integer
-    root = round(n ** float(delta))
-    ok = False
-    for cand in (root - 1, root, root + 1):
-        if cand >= 1 and Fraction(cand) ** delta.denominator == Fraction(n) ** delta.numerator:
-            d = cand
-            ok = True
-            break
-    if not ok:
+        raise DesignError(
+            f"n={n} is not a perfect cube (nearest valid: {l**3} or {(l + 1) ** 3})"
+        )
+    # with delta = p/q in lowest terms, n^delta is an integer iff n = r^q for
+    # an integer r, and then d = r^p; r >= 2 needs 2^q <= n, so a larger q
+    # leaves only r = 1 (n = 1) and no power of the size of 2^q is taken
+    p, q = delta.numerator, delta.denominator
+    r = _iroot(n, q) if q < n.bit_length() else 1
+    if r**q != n:
         raise DesignError(f"n^delta is not integral for n={n}, delta={delta}")
+    d = r**p
+    if d > CANONICAL_D_LIMIT:
+        raise DesignError(f"d={d} exceeds the limit {CANONICAL_D_LIMIT} (m = 2^d)")
     m = 2**d
     blocks = None
     if m * l <= n:

@@ -180,28 +180,67 @@ _PREC = {"or": 1, "and": 2, "not": 3, "var": 4, "const": 4}
 
 
 def to_text(f: Formula) -> str:
-    """Print in the grammar; reparsing yields an equal tree."""
+    """Print in the grammar; reparsing yields an equal tree.
+
+    This is the one printing rule.  Proof serialization calls its memoized
+    form _text with one memo per proof, so a subterm shared by several
+    lines or parents is printed once; _text_len counts by the same rule."""
+    return _text(f, {})
+
+
+# A memo maps id(subterm) to the subterm's text (_text) or text length
+# (_text_len); one memo may serve several formulas.  Ids are unique only among
+# live objects, so the caller keeps every formula it passes alive while the
+# memo is in use.  Formulas are not hash-consed, and hashing a nested tuple
+# costs its size, hence ids rather than the tuples as keys.
+
+def _text(f: Formula, memo: dict[int, str]) -> str:
     tag = f[0]
     if tag == "const":
         return str(f[1])
     if tag == "var":
         return f"x{f[1]}"
+    s = memo.get(id(f))
+    if s is not None:
+        return s
     if tag == "not":
-        inner = to_text(f[1])
-        if _PREC[f[1][0]] < 3:
-            inner = f"({inner})"
-        return "~" + inner
-    op = "&" if tag == "and" else "|"
-    p = _PREC[tag]
-    left = to_text(f[1])
-    # binary connectives associate right: a left child of equal precedence
-    # needs parentheses, a right child does not
-    if _PREC[f[1][0]] <= p:
-        left = f"({left})"
-    right = to_text(f[2])
-    if _PREC[f[2][0]] < p:
-        right = f"({right})"
-    return f"{left} {op} {right}"
+        s = _text(f[1], memo)
+        s = f"~({s})" if _PREC[f[1][0]] < 3 else "~" + s
+    else:
+        op = "&" if tag == "and" else "|"
+        p = _PREC[tag]
+        left = _text(f[1], memo)
+        # binary connectives associate right: a left child of equal precedence
+        # needs parentheses, a right child does not
+        if _PREC[f[1][0]] <= p:
+            left = f"({left})"
+        right = _text(f[2], memo)
+        if _PREC[f[2][0]] < p:
+            right = f"({right})"
+        s = f"{left} {op} {right}"
+    memo[id(f)] = s
+    return s
+
+
+def _text_len(f: Formula, memo: dict[int, int]) -> int:
+    """len(_text(f, ...)), counted by the same parenthesis rule without
+    building the text."""
+    tag = f[0]
+    if tag == "const":
+        return len(str(f[1]))
+    if tag == "var":
+        return 1 + len(str(f[1]))
+    n = memo.get(id(f))
+    if n is not None:
+        return n
+    if tag == "not":
+        n = 1 + _text_len(f[1], memo) + (2 if _PREC[f[1][0]] < 3 else 0)
+    else:
+        p = _PREC[tag]
+        n = _text_len(f[1], memo) + 3 + _text_len(f[2], memo)
+        n += (2 if _PREC[f[1][0]] <= p else 0) + (2 if _PREC[f[2][0]] < p else 0)
+    memo[id(f)] = n
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -346,14 +346,16 @@ def prove_tautology(F: Formula) -> Proof:
 # serialization
 
 def serialize_proof(proof: Proof) -> str:
+    # one memo for the whole proof; the proof keeps every formula alive
+    memo: dict[int, str] = {}
     lines = ["proof"]
     for i, ln in enumerate(proof.lines, 1):
-        f = fm.to_text(ln.formula)
+        f = fm._text(ln.formula, memo)
         kind = ln.just[0]
         if kind == "axiom":
             _, name, sigma = ln.just
             subst = " ".join(
-                f"[{m}:={fm.to_text(t)}]" for m, t in sorted(sigma.items())
+                f"[{m}:={fm._text(t, memo)}]" for m, t in sorted(sigma.items())
             )
             just = f"axiom {name} {subst}".rstrip()
         elif kind == "mp":
@@ -365,8 +367,31 @@ def serialize_proof(proof: Proof) -> str:
 
 
 def proof_size_bits(proof: Proof) -> int:
-    """Proof size = bit length of the serialized string form."""
-    return 8 * len(serialize_proof(proof).encode())
+    """Proof size = bit length of the serialized string form.
+
+    Counts the bytes of serialize_proof's layout without building the text:
+    formula lengths come from one memo over the proof, and the text is ASCII
+    apart from scheme names, which are counted as UTF-8."""
+    memo: dict[int, int] = {}
+    n = len("proof\n")
+    for i, ln in enumerate(proof.lines, 1):
+        # "<i> <formula> ; <just>\n"
+        n += len(str(i)) + fm._text_len(ln.formula, memo) + 5
+        kind = ln.just[0]
+        if kind == "axiom":
+            _, name, sigma = ln.just
+            if sigma:
+                # "axiom <name> " then "[m:=<t>]" joined by single spaces
+                n += 7 + len(name.encode()) + len(sigma) - 1 + sum(
+                    len(str(m)) + 4 + fm._text_len(t, memo) for m, t in sigma.items()
+                )
+            else:
+                n += len(f"axiom {name}".rstrip().encode())
+        elif kind == "mp":
+            n += len(f"mp {ln.just[1] + 1} {ln.just[2] + 1}")
+        else:
+            n += len("hyp")
+    return 8 * n
 
 
 def _decimal(token: str) -> int | None:

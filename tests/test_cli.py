@@ -244,6 +244,9 @@ def test_solve_find_verify(capsys):
     ["design", "--canonical", "--n", "27", "--delta", "1/0"],
     ["reduce", "--alpha", "x1|~x1", "--k", "8", "--c1", "-1"],
     ["solve", "--task", "find-verify", "--alpha", "x1|~x1", "--beta", "1", "--c1", "-1"],
+    ["design", "--canonical", "--n", str(10**400)],
+    ["design", "--canonical", "--n", "27", "--delta", "1/1000000000000"],
+    ["design", "--canonical", "--n", str(10**30), "--delta", "1/3"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"

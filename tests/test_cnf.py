@@ -60,6 +60,24 @@ def test_dpll_least_model_over_order_and_fixing(cs, data):
         assert got == min(models, key=lambda a: [a[v] for v in order])
 
 
+@given(clause_sets(), st.data())
+def test_dpll_partial_order_is_completed_by_index(cs, data):
+    perm = data.draw(st.permutations(range(1, cs.nvars + 1)))
+    order = perm[:data.draw(st.integers(0, cs.nvars))]
+    full = order + [v for v in range(1, cs.nvars + 1) if v not in order]
+    models = brute_models(cs)
+    got = dpll_solve(cs, decision_order=order)
+    if not models:
+        assert got is None
+    else:
+        assert got == min(models, key=lambda a: [a[v] for v in full])
+
+
+def test_dpll_partial_order_returns_models():
+    assert dpll_solve(ClauseSet([[1], [-1]], 2), decision_order=[2]) is None
+    assert dpll_solve(ClauseSet([[1, 2], [-1]], 2), decision_order=[]) == {1: 0, 2: 1}
+
+
 def test_dpll_fixed_assumptions():
     cs = ClauseSet([[1, 2]], 2)
     assert dpll_solve(cs, fixed={1: 0}) == {1: 0, 2: 1}

@@ -3,8 +3,10 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nwtaut import circuits as cc
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
+from nwtaut import proofsys as ps
 
 
 def sentences(max_leaves=10):
@@ -239,6 +241,69 @@ def test_proof_text_round_trip_with_hyp():
     proof = b.proof(idx)
     back = fr.parse_proof(fr.serialize_proof(proof))
     assert back == proof
+
+
+def assert_size_is_text_length(proof):
+    assert fr.proof_size_bits(proof) == 8 * len(fr.serialize_proof(proof).encode())
+
+
+@pytest.mark.parametrize("text", TAUTOLOGY_BATCH)
+def test_proof_size_bits_counts_the_text_kalmar(text):
+    proof = fr.prove_tautology(fm.parse(text))
+    assert_size_is_text_length(proof)
+    # a parsed proof shares no subterm objects
+    assert_size_is_text_length(fr.parse_proof(fr.serialize_proof(proof)))
+
+
+def test_proof_size_bits_counts_the_text_with_hyp():
+    b = fr.ProofBuilder()
+    h = b.hyp(fm.Var(3))
+    idx = b.imply(h, "N4", {1: fm.Var(3)})
+    assert_size_is_text_length(b.proof(idx))
+
+
+def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
+    """Every stage proof simulate sizes, and its final proof, on the
+    pipeline corpus of the acceptance gate (checker: x4 and all y, t bits)."""
+    sized = []
+
+    def size_and_keep(proof):
+        sized.append(proof)
+        return fr.proof_size_bits(proof)
+
+    monkeypatch.setattr(ps, "proof_size_bits", size_and_keep)
+    for k in (8, 9, 10):
+        for yw in (1, 2, 3):
+            for tw in (1, 2):
+                b = cc.CircuitBuilder([("x", k), ("y", yw), ("t", tw)])
+                out = b.inp("x", 4)
+                for i in range(yw):
+                    out = b.AND(out, b.inp("y", i + 1))
+                for i in range(tw):
+                    out = b.AND(out, b.inp("t", i + 1))
+                QS = ps.AdviceSystem(b.build([out]), {k: "1" * tw}, c=2)
+                res = ps.simulate(QS, "1" * tw, ("const", 1), "1" * yw)
+                assert res.stage_bits["total"] == 8 * len(fr.serialize_proof(res.proof))
+    assert len(sized) == 4 * 18
+    for proof in sized:
+        assert_size_is_text_length(proof)
+
+
+def test_shared_subterms_are_printed_and_sized_once():
+    """f_0 = x1 and f_{i+1} = f_i | f_i: 2^i leaves over i + 1 objects."""
+    dag = [fm.Var(1)]
+    for _ in range(64):
+        dag.append(("or", dag[-1], dag[-1]))
+    for i, f in enumerate(dag[:13]):
+        assert fm.parse(fm.to_text(f)) == f
+        proof = fr.Proof((fr.Line(f, ("hyp",)),))
+        assert_size_is_text_length(proof)
+        if i >= 1:  # "proof\n1 " + 6 * 2^i - 5 characters + " ; hyp\n"
+            assert fr.proof_size_bits(proof) == 8 * (6 * 2**i + 10)
+    # far beyond any text that could be built; a bare int keeps a failure
+    # report from printing the DAG
+    size = fr.proof_size_bits(fr.Proof((fr.Line(dag[64], ("hyp",)),)))
+    assert size == 8 * (6 * 2**64 + 10)
 
 
 @pytest.mark.parametrize("bad", [
