@@ -97,7 +97,9 @@ def cmd_design(args, argv) -> int:
     else:
         print("design: need --poly, --canonical or --verify", file=sys.stderr)
         return EXIT_ERROR
-    report = dg.verify_design(params) if params.m <= dg.SCAN_LIMIT else None
+    # a canonical preset is verified only when it is materialized
+    verifiable = params.m <= dg.SCAN_LIMIT and (params.tag == "poly" or params.blocks)
+    report = dg.verify_design(params) if verifiable else None
     text = dg.serialize_design(params)
     print(f"n={params.n} m={params.m} l={params.l} d={params.d} tag={params.tag}")
     if report:
@@ -372,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     except fm.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    # every error class of the package subclasses ValueError; deep nesting in
-    # formula or proof text exhausts the recursive parser
+    # every error class of the package subclasses ValueError; deeply nested
+    # formulas exhaust the recursive printer, substitute and tuple comparison
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

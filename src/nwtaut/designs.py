@@ -61,17 +61,19 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-# the largest d for which m = 2^d is computed (2^d takes d bits)
-CANONICAL_D_LIMIT = 2**16
+# the largest d for which m = 2^d is computed; 2^(2^13) has 2,467 decimal
+# digits, within the 4,300 that Python converts to a string by default
+CANONICAL_D_LIMIT = 2**13
 
 
 def canonical_params(n: int, delta: Fraction | str) -> DesignParams:
     """The canonical preset: l = n^(1/3), d = n^delta, m = 2^d.
 
     n must be a perfect cube, n^delta integral and d at most
-    CANONICAL_D_LIMIT.  When the m blocks fit disjointly into [n] the design
-    is materialized; otherwise only the parameter record is returned (the
-    intended m is astronomically large)."""
+    CANONICAL_D_LIMIT.  When the m blocks fit disjointly into [n] and their
+    m*l entries are at most SCAN_LIMIT, the design is materialized; otherwise
+    only the parameter record is returned (the intended m is astronomically
+    large)."""
     if n < 1:
         raise DesignError(f"need n >= 1, got n={n}")
     if isinstance(delta, str):
@@ -98,7 +100,7 @@ def canonical_params(n: int, delta: Fraction | str) -> DesignParams:
         raise DesignError(f"d={d} exceeds the limit {CANONICAL_D_LIMIT} (m = 2^d)")
     m = 2**d
     blocks = None
-    if m * l <= n:
+    if m * l <= min(n, SCAN_LIMIT):
         blocks = tuple(tuple(range(i * l + 1, (i + 1) * l + 1)) for i in range(m))
     return DesignParams(n=n, m=m, l=l, d=d, tag="canonical", blocks=blocks)
 
@@ -201,8 +203,9 @@ def serialize_design(params: DesignParams) -> str:
     if params.tag == "poly":
         lines.append(f"poly {params.q} {params.dbound}")
     else:
-        for i in range(1, params.m + 1):
-            lines.append("block " + " ".join(str(j) for j in block(params, i)))
+        # a canonical preset without blocks is written as its header alone
+        for b in params.blocks or ():
+            lines.append("block " + " ".join(map(str, b)))
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,10 @@ Formulas are immutable nested tuples:
 Grammar for the text form: variables ``xN`` (N >= 1), constants ``0``/``1``,
 ``~`` (not), ``&`` (and), ``|`` (or), parentheses.  ``~`` binds tightest,
 then ``&``, then ``|``; binary connectives associate to the right, matching
-the right-nested disjunction convention used by the proof checkers.
+the right-nested disjunction convention used by the proof checkers.  The
+parser is one operator-precedence loop over an explicit stack, and the code
+reader and writer below are loops too, so they accept any nesting depth;
+printing, substitution, evaluation and the clause translation recurse.
 
 The fixed-width binary code (encode_k/decode_k) is a Polish prefix token
 stream, 4 bits per token, variable tokens followed by a fixed-width index
@@ -25,6 +28,8 @@ All other 4-bit patterns are rejected by the decoder.
 """
 
 from __future__ import annotations
+
+import re
 
 from .cnf import ClauseSet, dpll_solve, gate_clauses
 
@@ -102,77 +107,69 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN = re.compile(r"x[0-9]*|\S")
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        if self.peek() == "|":
-            self.pos += 1
-            return ("or", left, self.parse_or())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        if self.peek() == "&":
-            self.pos += 1
-            return ("and", left, self.parse_and())
-        return left
-
-    def parse_unary(self) -> Formula:
-        ch = self.peek()
-        if ch == "~":
-            self.pos += 1
-            return ("not", self.parse_unary())
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_or()
-            self.expect(")")
-            return inner
-        if ch == "0":
-            self.pos += 1
-            return CONST0
-        if ch == "1":
-            self.pos += 1
-            return CONST1
-        if ch == "x":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-                self.pos += 1
-            if self.pos == start:
-                raise ParseError("expected variable index after 'x'", self.pos)
-            try:
-                idx = int(self.text[start : self.pos])
-            except ValueError:  # more digits than int() converts
-                raise ParseError("variable index too long", start) from None
-            if idx < 1:
-                raise ParseError("variable index must be >= 1", start)
-            return ("var", idx)
-        raise ParseError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
+def _error(msg: str, text: str, i: int, shift: int = 0) -> ParseError:
+    """A ParseError at the start of token i of text, plus shift."""
+    return ParseError(msg, [m.start() for m in _TOKEN.finditer(text)][i] + shift)
 
 
 def parse(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.parse_or()
-    p.skip_ws()
-    if p.pos != len(text):
-        raise ParseError("trailing input", p.pos)
+    """One operator-precedence loop over the tokens: ops holds the pending
+    "~", "(", "and" and "or", vals the left operands of the pending "and"
+    and "or", and f the operand just completed (None where one is expected)."""
+    toks = _TOKEN.findall(text)
+    ops: list[str] = []
+    vals: list[Formula] = []
+    f = None
+    for i, tok in enumerate(toks):
+        if f is None:
+            if tok == "~" or tok == "(":
+                ops.append(tok)
+                continue
+            if tok == "0" or tok == "1":
+                f = CONST1 if tok == "1" else CONST0
+            elif tok[0] != "x":
+                raise _error(f"unexpected character {tok!r}", text, i)
+            elif len(tok) == 1:
+                raise _error("expected variable index after 'x'", text, i, 1)
+            else:
+                try:
+                    f = ("var", int(tok[1:]))
+                except ValueError:  # more digits than int() converts
+                    raise _error("variable index too long", text, i, 1) from None
+                if f[1] < 1:
+                    raise _error("variable index must be >= 1", text, i, 1)
+        elif tok == "&" or tok == "|":
+            # both associate right: & reduces nothing, | only a pending and
+            while tok == "|" and ops and ops[-1] == "and":
+                ops.pop()
+                f = ("and", vals.pop(), f)
+            ops.append("and" if tok == "&" else "or")
+            vals.append(f)
+            f = None
+            continue
+        elif tok == ")":
+            # no ~ sits right below a pending and/or, so this stops at the
+            # innermost ( or empties ops
+            while ops and ops[-1] != "(":
+                f = (ops.pop(), vals.pop(), f)
+            if not ops:
+                raise _error("trailing input", text, i)
+            ops.pop()
+        else:
+            raise _error("expected ')'" if "(" in ops else "trailing input", text, i)
+        while ops and ops[-1] == "~":  # a completed operand takes its prefix ~
+            ops.pop()
+            f = ("not", f)
+    if f is None:
+        raise ParseError("unexpected end of input", len(text))
+    while ops:
+        op = ops.pop()
+        if op == "(":
+            raise ParseError("expected ')'", len(text))
+        f = (op, vals.pop(), f)
     return f
 
 
@@ -250,20 +247,26 @@ class EvalError(KeyError):
     pass
 
 
-def evaluate(f: Formula, a: dict[int, int]) -> int:
+def _value(f: Formula, a: dict[int, int], full: int) -> int:
+    """The one evaluation rule: a maps variables to bits with full = 1, or
+    to truth-table columns with full the all-ones column."""
     tag = f[0]
     if tag == "const":
-        return f[1]
+        return full if f[1] else 0
     if tag == "var":
         try:
             return a[f[1]]
         except KeyError:
             raise EvalError(f"variable x{f[1]} unmapped") from None
     if tag == "not":
-        return 1 - evaluate(f[1], a)
+        return full ^ _value(f[1], a, full)
     if tag == "and":
-        return evaluate(f[1], a) & evaluate(f[2], a)
-    return evaluate(f[1], a) | evaluate(f[2], a)
+        return _value(f[1], a, full) & _value(f[2], a, full)
+    return _value(f[1], a, full) | _value(f[2], a, full)
+
+
+def evaluate(f: Formula, a: dict[int, int]) -> int:
+    return _value(f, a, 1)
 
 
 def substitute(f: Formula, sigma: dict[int, Formula]) -> Formula:
@@ -282,26 +285,27 @@ def match_instance(candidate: Formula, pattern: Formula) -> dict[int, Formula] |
     """Find sigma with substitute(pattern, sigma) == candidate, targets
     restricted to variables and constants.  Unique when it exists."""
     sigma: dict[int, Formula] = {}
-
-    def go(cand: Formula, pat: Formula) -> bool:
+    # left before right, so sigma binds in pre-order
+    stack = [(candidate, pattern)]
+    while stack:
+        cand, pat = stack.pop()
         tag = pat[0]
         if tag == "var":
             if cand[0] not in ("var", "const"):
-                return False
-            prev = sigma.get(pat[1])
-            if prev is None:
-                sigma[pat[1]] = cand
-                return True
-            return prev == cand
-        if tag == "const":
-            return cand == pat
-        if cand[0] != tag:
-            return False
-        if tag == "not":
-            return go(cand[1], pat[1])
-        return go(cand[1], pat[1]) and go(cand[2], pat[2])
-
-    return sigma if go(candidate, pattern) else None
+                return None
+            if sigma.setdefault(pat[1], cand) != cand:
+                return None
+        elif tag == "const":
+            if cand != pat:
+                return None
+        elif cand[0] != tag:
+            return None
+        elif tag == "not":
+            stack.append((cand[1], pat[1]))
+        else:
+            stack.append((cand[2], pat[2]))
+            stack.append((cand[1], pat[1]))
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +326,26 @@ def index_width(k: int) -> int:
 
 
 def _emit(f: Formula, w: int, out: list[str]) -> bool:
-    tag = f[0]
-    if tag == "const":
-        out.append(TOK_CONST1 if f[1] else TOK_CONST0)
-        return True
-    if tag == "var":
-        if f[1] > (1 << w):
-            return False
-        out.append(TOK_VAR)
-        out.append(format(f[1] - 1, f"0{w}b"))
-        return True
-    if tag == "not":
-        out.append(TOK_NOT)
-        return _emit(f[1], w, out)
-    out.append(TOK_AND if tag == "and" else TOK_OR)
-    return _emit(f[1], w, out) and _emit(f[2], w, out)
+    """Append f's tokens in pre-order; False if a variable index does not fit."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        tag = g[0]
+        if tag == "const":
+            out.append(TOK_CONST1 if g[1] else TOK_CONST0)
+        elif tag == "var":
+            if g[1] > (1 << w):
+                return False
+            out.append(TOK_VAR)
+            out.append(format(g[1] - 1, f"0{w}b"))
+        elif tag == "not":
+            out.append(TOK_NOT)
+            stack.append(g[1])
+        else:
+            out.append(TOK_AND if tag == "and" else TOK_OR)
+            stack.append(g[2])
+            stack.append(g[1])
+    return True
 
 
 def encode_k(f: Formula, k: int) -> str | None:
@@ -357,50 +366,43 @@ def encode_k(f: Formula, k: int) -> str | None:
 def decode_k(s: str) -> Formula | None:
     """Inverse of encode_k on its range; None on ill-formed codes."""
     k = len(s)
-    if k < 8 or any(c not in "01" for c in s):
+    if k < 8 or s.strip("01"):
         return None
     w = index_width(k)
-
-    def rd(pos: int) -> tuple[Formula, int] | None:
+    # forward: read tokens while operands are still owed; every token but
+    # NOT supplies one, and AND/OR each owe two more
+    toks: list[Formula | str] = []  # leaves and connective tags, in code order
+    pos = 0
+    owed = 1
+    while owed:
         tok = s[pos : pos + 4]
-        if len(tok) < 4:
-            return None
         pos += 4
-        if tok == TOK_CONST0:
-            return CONST0, pos
-        if tok == TOK_CONST1:
-            return CONST1, pos
-        if tok == TOK_VAR:
-            field = s[pos : pos + w]
-            if len(field) < w:
-                return None
-            return ("var", int(field, 2) + 1), pos + w
         if tok == TOK_NOT:
-            sub = rd(pos)
-            if sub is None:
-                return None
-            return ("not", sub[0]), sub[1]
-        if tok in (TOK_AND, TOK_OR):
-            left = rd(pos)
-            if left is None:
-                return None
-            right = rd(left[1])
-            if right is None:
-                return None
-            tag = "and" if tok == TOK_AND else "or"
-            return (tag, left[0], right[0]), right[1]
-        return None  # END here or an invalid token
-
-    parsed = rd(0)
-    if parsed is None:
+            toks.append("not")
+            continue
+        if tok == TOK_AND or tok == TOK_OR:
+            toks.append("and" if tok == TOK_AND else "or")
+            owed += 2
+        elif tok == TOK_CONST0 or tok == TOK_CONST1:
+            toks.append(CONST1 if tok == TOK_CONST1 else CONST0)
+        elif tok == TOK_VAR and pos + w <= k:
+            toks.append(("var", int(s[pos : pos + w], 2) + 1))
+            pos += w
+        else:
+            return None  # END here, an invalid token, or one cut off
+        owed -= 1
+    if s[pos : pos + 4] != TOK_END or s[pos + 4 :].strip("0"):
         return None
-    f, pos = parsed
-    if s[pos : pos + 4] != TOK_END:
-        return None
-    pos += 4
-    if any(c != "0" for c in s[pos:]):
-        return None
-    return f
+    # backward: each connective takes the operands that follow it
+    stack: list[Formula] = []
+    for t in reversed(toks):
+        if t == "not":
+            stack.append(("not", stack.pop()))
+        elif t == "and" or t == "or":
+            stack.append((t, stack.pop(), stack.pop()))
+        else:
+            stack.append(t)
+    return stack[0]
 
 
 def code_length(f: Formula, w: int) -> int | None:
@@ -505,19 +507,6 @@ class BudgetError(RuntimeError):
 BRUTE_VAR_LIMIT = 24
 
 
-def _bitblast(f: Formula, masks: dict[int, int], full: int) -> int:
-    tag = f[0]
-    if tag == "const":
-        return full if f[1] else 0
-    if tag == "var":
-        return masks[f[1]]
-    if tag == "not":
-        return full ^ _bitblast(f[1], masks, full)
-    if tag == "and":
-        return _bitblast(f[1], masks, full) & _bitblast(f[2], masks, full)
-    return _bitblast(f[1], masks, full) | _bitblast(f[2], masks, full)
-
-
 def is_tautology(f: Formula, mode: str = "brute") -> bool:
     """Ground-truth tautology oracle.
 
@@ -543,7 +532,7 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
             repeats = total // period
             comb = (1 << (period * repeats)) - 1
             masks[v] = (comb // ((1 << period) - 1)) * (ones << block)
-        return _bitblast(f, masks, full) == full
+        return _value(f, masks, full) == full
     if mode == "dpll":
         cs, out = to_clauses(("not", f))
         cs.clauses.append([out])

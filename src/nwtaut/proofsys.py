@@ -251,15 +251,12 @@ def check_plus_alpha(S: PlusAlphaSystem, tau: Formula, pi: Proof) -> bool:
     if not lines or not check(S.base, lines[-1].formula, pi):
         return False
 
-    def peel(C: Formula) -> bool:
-        if C == tau:
-            return True
-        if C[0] == "or" and C[1][0] == "not":
-            if fm.match_instance(C[1][1], S.alpha) is not None:
-                return peel(C[2])
-        return False
-
-    return peel(lines[-1].formula)
+    C = lines[-1].formula
+    while C != tau:
+        if C[0] != "or" or C[1][0] != "not" or fm.match_instance(C[1][1], S.alpha) is None:
+            return False
+        C = C[2]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,8 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
     try:
         return check(FREGE, phi, parse_proof(y))
     except (ProofError, fm.ParseError, RecursionError):
-        # the formula routines recurse once per nesting level
+        # the printer, substitute and tuple comparison still recurse once
+        # per nesting level
         return False
 
 

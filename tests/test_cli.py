@@ -48,6 +48,25 @@ def test_design_bad_params():
     assert run("design", "--poly", "--q", "6") == EXIT_ERROR
 
 
+def test_design_canonical_writes_parameter_record(tmp_path, capsys):
+    # m = 2^16 blocks of 16 do not fit into [4096]: the file is the header alone
+    out = str(tmp_path / "c.design")
+    assert run("design", "--canonical", "--n", "4096", "--out", out) == EXIT_SOLUTION
+    assert open(out).read() == "design 4096 65536 16 16 canonical\n"
+    assert "verified" not in capsys.readouterr().out
+    params = dg.parse_design(open(out).read())
+    assert (params.m, params.blocks) == (2**16, None)
+    # the largest d the preset allows: m = 2^8192 has 2,467 digits
+    assert run("design", "--canonical", "--n", str(2**39), "--out", out) == EXIT_SOLUTION
+    assert dg.parse_design(open(out).read()).m == 2**8192
+
+
+def test_design_canonical_names_an_oversized_d(capsys):
+    argv = ["design", "--canonical", "--n", "281474976710656", "--delta", "1/3"]
+    assert run(*argv) == EXIT_ERROR
+    assert "d=65536 exceeds the limit 8192" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen-tau
 
@@ -97,6 +116,22 @@ def test_check_proof_accepts_and_rejects(tmp_path):
 
 def test_check_proof_missing_file(tmp_path):
     assert run("check-proof", "--tau", "1", "--proof", str(tmp_path / "no")) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("depth", [600, 10**4])
+def test_check_proof_accepts_deeply_parenthesized_line(tmp_path, capsys, depth):
+    path = tmp_path / "deep.proof"
+    path.write_text("proof\n1 " + "(" * depth + "1" + ")" * depth + " ; axiom T1\n")
+    assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_SOLUTION
+    assert "ACCEPTED" in capsys.readouterr().out
+
+
+def test_check_proof_unclosed_deep_line_is_one_error(tmp_path, capsys):
+    path = tmp_path / "deep.proof"
+    path.write_text("proof\n1 " + "(" * 10**5 + "1 ; axiom T1\n")
+    assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: expected ')'") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +285,7 @@ def test_solve_find_verify(capsys):
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"
-    deep.write_text("proof\n1 " + "(" * 600 + "1" + ")" * 600 + " ; axiom T1\n")
+    deep.write_text("proof\n1 " + "(" * 10**5 + "1 ; axiom T1\n")
     no_x = tmp_path / "no_x.circ"
     b = cc.CircuitBuilder([("z", 8), ("y", 1), ("t", 1)])
     no_x.write_text(cc.serialize(b.build([b.AND(b.inp("y", 1), b.inp("t", 1))])))

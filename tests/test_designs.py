@@ -96,6 +96,25 @@ def test_canonical_params_large_not_materialized():
     assert p.m == 2**16 and p.blocks is None
 
 
+def test_canonical_params_materializes_at_most_scan_limit_entries():
+    # m*l = 256*512 <= n, but above SCAN_LIMIT
+    p = dg.canonical_params(2**27, "1/9")
+    assert (p.l, p.d, p.m) == (512, 8, 256) and p.blocks is None
+
+
+def test_canonical_params_d_limit_keeps_m_printable():
+    assert dg.canonical_params(2**39, "1/3").d == dg.CANONICAL_D_LIMIT == 2**13
+    with pytest.raises(dg.DesignError, match="d=65536"):
+        dg.canonical_params(2**48, "1/3")
+
+
+def test_canonical_parameter_record_round_trip():
+    p = dg.canonical_params(4096, "1/3")
+    text = dg.serialize_design(p)
+    assert text == "design 4096 65536 16 16 canonical\n"
+    assert dg.parse_design(text) == p
+
+
 def test_canonical_params_rejects_noncube():
     with pytest.raises(dg.DesignError) as e:
         dg.canonical_params(26, "1/3")

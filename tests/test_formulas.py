@@ -52,6 +52,74 @@ def test_parse_rejects_garbage():
             fm.parse(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of input (at position 0)"),
+    ("   ", "unexpected end of input (at position 3)"),
+    ("~", "unexpected end of input (at position 1)"),
+    ("x1 |", "unexpected end of input (at position 4)"),
+    ("x1 &\t", "unexpected end of input (at position 5)"),
+    ("x", "expected variable index after 'x' (at position 1)"),
+    ("x 1", "expected variable index after 'x' (at position 1)"),
+    ("x\u00b2", "expected variable index after 'x' (at position 1)"),
+    ("x0", "variable index must be >= 1 (at position 1)"),
+    ("x00", "variable index must be >= 1 (at position 1)"),
+    ("x" + "9" * 5000, "variable index too long (at position 1)"),
+    ("x1 )", "trailing input (at position 3)"),
+    ("01", "trailing input (at position 1)"),
+    ("x1 x2", "trailing input (at position 3)"),
+    (" ~x1 ?", "trailing input (at position 5)"),
+    ("(x1)) | x2", "trailing input (at position 4)"),
+    ("(x1 x2)", "expected ')' (at position 4)"),
+    ("(x1 | x2", "expected ')' (at position 8)"),
+    ("((x1)", "expected ')' (at position 5)"),
+    ("x1 & & x2", "unexpected character '&' (at position 5)"),
+    ("y1", "unexpected character 'y' (at position 0)"),
+    ("(x1 | ~)", "unexpected character ')' (at position 7)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(fm.ParseError) as e:
+        fm.parse(text)
+    assert str(e.value) == message
+
+
+# Deep formulas are checked by walking them in loops: == and hash() on nested
+# tuples recurse in C, so they are never applied to a deep tree here.
+DEEP = 10**5
+
+
+def test_parse_deep_not_chain():
+    f = fm.parse("~" * DEEP + "x1")
+    for _ in range(DEEP):
+        assert f[0] == "not"
+        f = f[1]
+    assert f == ("var", 1)
+
+
+def test_parse_deep_parentheses():
+    assert fm.parse("(" * DEEP + "x1" + ")" * DEEP) == ("var", 1)
+    f = fm.parse("~(" * DEEP + "x1" + ")" * DEEP)
+    for _ in range(DEEP):
+        assert f[0] == "not"
+        f = f[1]
+    assert f == ("var", 1)
+
+
+def test_parse_deep_or_chain_nests_right():
+    f = fm.parse(" | ".join(f"x{i}" for i in range(1, DEEP + 1)))
+    for i in range(1, DEEP):
+        assert f[0] == "or" and f[1] == ("var", i)
+        f = f[2]
+    assert f == ("var", DEEP)
+
+
+def test_parse_deep_parenthesized_and_chain_nests_left():
+    f = fm.parse("(" * (DEEP - 1) + "x1" + "".join(f" & x{i})" for i in range(2, DEEP + 1)))
+    for i in range(DEEP, 1, -1):
+        assert f[0] == "and" and f[2] == ("var", i)
+        f = f[1]
+    assert f == ("var", 1)
+
+
 @given(formulas())
 def test_text_round_trip(f):
     assert fm.parse(fm.to_text(f)) == f
@@ -136,6 +204,49 @@ def test_code_round_trip(f, k):
     if code is not None:
         assert len(code) == k
         assert fm.decode_k(code) == f
+
+
+def test_code_round_trip_deep():
+    n = 10**4
+    code = "0001" * n + "1111" + "0000" + "0" * 5
+    f = fm.decode_k(code)
+    g = f
+    for _ in range(n):
+        assert g[0] == "not"
+        g = g[1]
+    assert g == ("const", 1)
+    assert fm.encode_k(f, len(code)) == code
+    # a variable leaf, and a code one bit too short for the same formula
+    k = 4 * n + 4 + 16 + 4
+    f = fm.Var(3)
+    for _ in range(n):
+        f = fm.Not(f)
+    code = fm.encode_k(f, k)
+    assert code == "0001" * n + "0100" + format(2, "016b") + "0000"
+    assert fm.code_length(f, 16) == k - 4
+    assert fm.encode_k(f, k - 1) is None
+    g = fm.decode_k(code)
+    for _ in range(n):
+        assert g[0] == "not"
+        g = g[1]
+    assert g == ("var", 3)
+
+
+def test_match_instance_deep():
+    n = 10**4
+    pattern = fm.Var(1)
+    cand = fm.Var(7)
+    for _ in range(n):
+        pattern = fm.Not(pattern)
+        cand = fm.Not(cand)
+    assert fm.match_instance(cand, pattern) == {1: ("var", 7)}
+    assert fm.match_instance(cand[1], pattern) is None
+    # a right-nested disjunction binds its variables left to right
+    pattern = fm.big_or([fm.Var(i) for i in range(1, n + 1)])
+    cand = fm.big_or([fm.CONST1 if i % 2 else fm.Var(i) for i in range(1, n + 1)])
+    sigma = fm.match_instance(cand, pattern)
+    assert list(sigma) == list(range(1, n + 1))
+    assert all(sigma[i] == (fm.CONST1 if i % 2 else ("var", i)) for i in sigma)
 
 
 def test_enumerate_fitting_small_widths():

@@ -210,6 +210,14 @@ def test_check_advice_deep_proof_line_is_a_rejection():
     assert not ps.check_advice(QS, code, y, "")
 
 
+def test_check_advice_long_code_is_a_rejection():
+    # 2,000 NOT tokens: the code decodes to a formula nested 2,001 deep
+    code = "0001" * 2000 + "1111" + "0000"
+    QS = ps.AdviceSystem(None, c=2)
+    assert not ps.check_advice(QS, code, "proof\n", "")
+    assert not ps.check_advice(QS, code, "proof\n1 1 ; axiom T1\n", "")
+
+
 # ---------------------------------------------------------------------------
 # Prov_k and alpha_k encodings
 
