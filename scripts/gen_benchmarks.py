@@ -5,7 +5,11 @@ Writes, under --outdir:
 
 * design files for the polynomial designs q in {2, 3, 4, 5, 7};
 * the full 512-instance tau sweep for the q=3, d=2 design (parity base by
-  default), with a verdict summary in sweep_summary.txt.
+  default), with a verdict summary in sweep_summary.txt;
+* for each tautology of the sweep, the solver's DRUP refutation of the
+  negation as tau_<b>.drup (one lemma per line, DIMACS literals ending in 0,
+  the form DRAT-trim reads), checked by cnf.check_rup; its lemma count and
+  total literals are added to that b's summary line.
 
 Everything is produced through the library, so the output agrees byte for
 byte with `nwtaut design` / `nwtaut gen-tau` runs of the same parameters.
@@ -17,6 +21,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from nwtaut import cnf  # noqa: E402
 from nwtaut import designs as dg  # noqa: E402
 from nwtaut import nwcore as nw  # noqa: E402
 
@@ -55,9 +60,17 @@ def main() -> int:
         tau = nw.tau_of(spec, b)
         with open(os.path.join(taudir, f"tau_{b}.cnf"), "w") as fh:
             fh.write(tau.clauses.to_dimacs())
-        taut = nw.tau_verdict(tau)
-        n_taut += taut
-        summary.append(f"{b} {'taut' if taut else 'sat'}")
+        lemmas: list[list[int]] = []
+        if cnf.dpll_solve(tau.clauses, lemmas=lemmas) is not None:
+            summary.append(f"{b} sat")
+            continue
+        if not cnf.check_rup(tau.clauses, lemmas):
+            print(f"error: the refutation of tau_{b} does not check", file=sys.stderr)
+            return 1
+        with open(os.path.join(taudir, f"tau_{b}.drup"), "w") as fh:
+            fh.write("".join(" ".join(map(str, [*lemma, 0])) + "\n" for lemma in lemmas))
+        n_taut += 1
+        summary.append(f"{b} taut lemmas={len(lemmas)} literals={sum(map(len, lemmas))}")
     with open(os.path.join(args.outdir, "sweep_summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"tau sweep: {n_taut}/{1 << params.m} tautologies under base={args.base}")

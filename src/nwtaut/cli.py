@@ -83,6 +83,15 @@ def cmd_design(args, argv) -> int:
     t0 = time.time()
     if args.verify:
         params = dg.parse_design(_read(args.verify))
+        if params.tag == "canonical" and not params.blocks:
+            # a parameter-only record: check its header, there is nothing to scan
+            n, m, l, d = params.n, params.m, params.l, params.d
+            if l**3 != n:
+                raise dg.DesignError(f"canonical record fails l^3 = n (l={l}, n={n})")
+            if m & (m - 1) or m.bit_length() - 1 != d:
+                raise dg.DesignError(f"canonical record fails m = 2^d (m={m}, d={d})")
+            print(f"design n={n} m={m} l={l} d={d}: header ok, no blocks to scan")
+            return EXIT_SOLUTION
         report = dg.verify_design(params)
         print(
             f"design n={params.n} m={params.m} l={params.l} d={params.d}: "
@@ -374,9 +383,13 @@ def main(argv: list[str] | None = None) -> int:
     except fm.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    # every error class of the package subclasses ValueError; deeply nested
-    # formulas exhaust the recursive printer, substitute and tuple comparison
-    except (OSError, ValueError, RecursionError) as exc:
+    # deeply nested formulas exhaust the recursive printer, substitute and
+    # tuple comparison
+    except RecursionError:
+        print("error: the input formula is nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
+    # every error class of the package subclasses ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

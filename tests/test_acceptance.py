@@ -13,6 +13,7 @@ import time
 import pytest
 
 from nwtaut import circuits as cc
+from nwtaut import cnf
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
@@ -116,6 +117,54 @@ def test_tau_soundness_sweep_512():
     assert dimacs.hexdigest() == (
         "b207a8122b32bab84994197210532eac7d3f1334f63660ed16f40f69b3e45182"
     )
+
+
+def test_tau_refutations_check_512():
+    """Every tautology of the 512-b sweep comes with a DRUP refutation that
+    check_rup accepts.  Unit propagation alone refutes none of them, a log
+    cut before its final empty clause is no refutation, and the empty clause
+    appended to the log of a satisfiable negation is not implied."""
+    spec = nw.GeneratorSpec(
+        dg.poly_design(3, 2), nw.builtin_base("tabular", 3, table="01101011")
+    )
+    in_range = nw.full_range(spec)
+    for v in range(512):
+        b = format(v, "09b")
+        cs = nw.tau_of(spec, b).clauses
+        lemmas: list[list[int]] = []
+        model = cnf.dpll_solve(cs, lemmas=lemmas)
+        assert (model is None) == (b not in in_range), b
+        if model is None:
+            assert lemmas[-1] == [] and cnf.check_rup(cs, lemmas), b
+            assert not cnf.check_rup(cs, [[]]), b
+            assert not cnf.check_rup(cs, lemmas[:-1]), b
+        else:
+            assert [] not in lemmas and not cnf.check_rup(cs, lemmas + [[]]), b
+
+
+def test_toy_owp_q4_verdicts_are_certified():
+    """toy-owp at q = 4 (n = m = 16): two b in the range and two uniform b.
+    A satisfiable negation is certified by the generator on its seed, an
+    unsatisfiable one by check_rup.  Chronological backtracking took about
+    50 s on each unsatisfiable b."""
+    spec = nw.GeneratorSpec(dg.poly_design(4, 2), nw.builtin_base("toy-owp", 4))
+    rng = random.Random(0)
+    b_values = [nw.nw_eval(spec, format(rng.getrandbits(16), "016b")) for _ in range(2)]
+    b_values += [format(rng.getrandbits(16), "016b") for _ in range(2)]
+    refuted = 0
+    for b in b_values:
+        tau = nw.tau_of(spec, b)
+        lemmas: list[list[int]] = []
+        t0 = time.monotonic()
+        model = cnf.dpll_solve(tau.clauses, lemmas=lemmas)
+        assert time.monotonic() - t0 < 5.0, b
+        if model is None:
+            refuted += 1
+            assert cnf.check_rup(tau.clauses, lemmas), b
+        else:
+            seed = "".join(str(model[v]) for v in range(1, tau.n + 1))
+            assert nw.nw_eval(spec, seed) == b
+    assert refuted == 2
 
 
 # ---------------------------------------------------------------------------

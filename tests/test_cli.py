@@ -67,6 +67,22 @@ def test_design_canonical_names_an_oversized_d(capsys):
     assert "d=65536 exceeds the limit 8192" in capsys.readouterr().err
 
 
+def test_design_verify_checks_a_parameter_record(tmp_path, capsys):
+    out = str(tmp_path / "c.design")
+    assert run("design", "--canonical", "--n", "4096", "--out", out) == EXIT_SOLUTION
+    capsys.readouterr()
+    assert run("design", "--verify", out) == EXIT_SOLUTION
+    assert capsys.readouterr().out == (
+        "design n=4096 m=65536 l=16 d=16: header ok, no blocks to scan\n"
+    )
+    bad = tmp_path / "bad.design"
+    for header, relation in [("4096 16 15 4", "l^3 = n"), ("4096 65535 16 16", "m = 2^d")]:
+        bad.write_text(f"design {header} canonical\n")
+        assert run("design", "--verify", str(bad)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and relation in err
+
+
 # ---------------------------------------------------------------------------
 # gen-tau
 
@@ -294,6 +310,13 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     assert run(*(a.format(**fields) for a in argv)) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_formula_is_one_named_error(tmp_path, capsys):
+    proof = tmp_path / "one.proof"
+    proof.write_text("proof\n1 1 ; axiom T1\n")
+    assert run("check-proof", "--tau", "~" * 3000 + "1", "--proof", str(proof)) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: the input formula is nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------

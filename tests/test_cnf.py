@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nwtaut.cnf import ClauseSet, CnfError, dpll_solve, parse_dimacs
+from nwtaut.cnf import ClauseSet, CnfError, check_rup, dpll_solve, parse_dimacs
 
 
 def brute_models(cs: ClauseSet):
@@ -71,6 +73,52 @@ def test_dpll_partial_order_is_completed_by_index(cs, data):
         assert got is None
     else:
         assert got == min(models, key=lambda a: [a[v] for v in full])
+
+
+def test_dpll_learning_agrees_with_brute_force():
+    """Random 3-CNFs near the threshold (12-14 variables, 4.3 clauses per
+    variable) make the solver learn and backjump, which the small
+    hypothesis instances rarely do.  Models must still be the least over a
+    random full order under random fixings, and refutations must check."""
+    rng = random.Random(12)
+    learned = 0
+    for _ in range(30):
+        n = rng.randint(12, 14)
+        clauses = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(round(4.3 * n))
+        ]
+        cs = ClauseSet(clauses, n)
+        order = rng.sample(range(1, n + 1), n)
+        fixed = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(0, 2))}
+        models = [
+            a for a in brute_models(cs) if all(a[v] == bit for v, bit in fixed.items())
+        ]
+        lemmas: list[list[int]] = []
+        got = dpll_solve(cs, fixed=fixed, decision_order=order, lemmas=lemmas)
+        learned += any(lemmas)
+        if models:
+            assert got == min(models, key=lambda a: [a[v] for v in order])
+        else:
+            assert got is None and check_rup(cs, lemmas, fixed)
+    assert learned >= 20
+
+
+def test_check_rup_rejects_what_unit_propagation_does_not_imply():
+    cs = ClauseSet([[1, 2], [1, -2], [-1, 3], [-1, -3]], 3)
+    lemmas: list[list[int]] = []
+    assert dpll_solve(cs, lemmas=lemmas) is None
+    assert lemmas[-1] == [] and check_rup(cs, lemmas)
+    assert not check_rup(cs, [])
+    assert not check_rup(cs, [[]])
+    assert not check_rup(cs, lemmas[:-1])
+    assert check_rup(cs, [[1], []])
+    assert not check_rup(cs, [[4], [1], []])
+    # [1] follows from [1, 2] and [1, -2], but the clauses are satisfiable,
+    # so no log ends in an implied empty clause; the fixing 1 = 0 refutes them
+    sat = ClauseSet([[1, 2], [1, -2]], 2)
+    assert not check_rup(sat, [[1], []])
+    assert check_rup(sat, [[]], fixed={1: 0})
 
 
 def test_dpll_partial_order_returns_models():
