@@ -64,6 +64,14 @@ def _write_manifest(
     _atomic_write(out_path + ".manifest", "\n".join(lines) + "\n")
 
 
+def _write_output(args, argv, t0: float, params: dict[str, str],
+                  inputs: dict[str, str], text: str) -> None:
+    """Write text to args.out atomically, and its manifest beside it."""
+    _atomic_write(args.out, text)
+    _write_manifest(args.out, args.command, argv, params, inputs,
+                    {os.path.basename(args.out): text}, t0)
+
+
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -114,11 +122,7 @@ def cmd_design(args, argv) -> int:
     if report:
         print(f"verified: max pairwise intersection {report.max_intersection}")
     if args.out:
-        _atomic_write(args.out, text)
-        _write_manifest(
-            args.out, "design", argv,
-            {"tag": params.tag}, {}, {os.path.basename(args.out): text}, t0,
-        )
+        _write_output(args, argv, t0, {"tag": params.tag}, {}, text)
     return EXIT_SOLUTION
 
 
@@ -201,14 +205,9 @@ def cmd_simulate(args, argv) -> int:
         res = simulate(QS, args.w, phi, args.y)
     for stage in sorted(res.stage_bits):
         print(f"stage {stage}: {res.stage_bits[stage]} bits")
-    text = serialize_proof(res.proof)
-    _atomic_write(args.out, text)
     inputs = {"checker": checker_text} if checker_text else {}
-    _write_manifest(
-        args.out, "simulate", argv,
-        {"phi": args.phi, "c": str(args.c)},
-        inputs, {os.path.basename(args.out): text}, t0,
-    )
+    _write_output(args, argv, t0, {"phi": args.phi, "c": str(args.c)}, inputs,
+                  serialize_proof(res.proof))
     print(f"P+alpha proof written ({len(res.proof.lines)} lines)")
     return EXIT_SOLUTION
 
@@ -216,11 +215,7 @@ def cmd_simulate(args, argv) -> int:
 def _solve_outcome(args, argv, t0, params, inputs, sol_lines: list[str], found: bool):
     text = "\n".join(sol_lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
-        _write_manifest(
-            args.out, "solve", argv, params, inputs,
-            {os.path.basename(args.out): text}, t0,
-        )
+        _write_output(args, argv, t0, params, inputs, text)
     print(text, end="")
     return EXIT_SOLUTION if found else EXIT_NONE
 
@@ -287,13 +282,8 @@ def cmd_reduce(args, argv) -> int:
     )
     print(f"reduced: D over x ({cert.k} bits), y ({cert.y_width} bits), opaque oracle")
     if args.out:
-        _atomic_write(args.out, env)
-        _write_manifest(
-            args.out, "reduce", argv,
-            {"k": str(args.k), "c0": str(args.c0), "c1": str(args.c1)},
-            {"alpha": fm.to_text(inst.alpha)},
-            {os.path.basename(args.out): env}, t0,
-        )
+        _write_output(args, argv, t0, {"k": str(args.k), "c0": str(args.c0), "c1": str(args.c1)},
+                      {"alpha": fm.to_text(inst.alpha)}, env)
     return EXIT_SOLUTION
 
 

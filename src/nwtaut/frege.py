@@ -165,22 +165,15 @@ class ProofBuilder:
 
     def append_proof(self, proof: Proof) -> int:
         """Replay an existing proof; returns the index of its conclusion."""
-        last = -1
+        placed: list[int] = []  # where each replayed line landed after dedup
         for ln in proof.lines:
-            kind = ln.just[0]
-            if kind == "axiom":
-                last = self._push(Line(ln.formula, ln.just))
-            elif kind == "hyp":
-                last = self.hyp(ln.formula)
-            else:
-                _, a, b = ln.just
-                # dedup may have rerouted: re-locate premises by formula
-                ai = self._index.get(proof.lines[a].formula)
-                bi = self._index.get(proof.lines[b].formula)
-                if ai is None or bi is None:
+            just = ln.just
+            if just[0] == "mp":
+                if not all(0 <= p < len(placed) for p in just[1:]):
                     raise ProofError("append_proof: dangling modus ponens premise")
-                last = self._push(Line(ln.formula, ("mp", ai, bi)))
-        return last
+                just = ("mp", placed[just[1]], placed[just[2]])
+            placed.append(self._push(Line(ln.formula, just)))
+        return placed[-1] if placed else -1
 
     def proof(self, conclusion_index: int | None = None) -> Proof:
         if conclusion_index is not None and conclusion_index != len(self.lines) - 1:

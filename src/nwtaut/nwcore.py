@@ -201,14 +201,17 @@ def seed_restriction(x, J: list[int]) -> str:
     return bits
 
 
-def nw_eval(spec: GeneratorSpec, x: str) -> str:
+def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:
+    """(bit, witness) of the base function on each block of seed x, in
+    output order."""
     if len(x) != spec.design.n:
         raise NWError(f"seed must have {spec.design.n} bits, got {len(x)}")
-    bits = []
-    for i in range(1, spec.design.m + 1):
-        u = seed_restriction(x, block(spec.design, i))
-        bits.append(str(spec.base.evaluate(u)[0]))
-    return "".join(bits)
+    return [spec.base.evaluate(seed_restriction(x, block(spec.design, i)))
+            for i in range(1, spec.design.m + 1)]
+
+
+def nw_eval(spec: GeneratorSpec, x: str) -> str:
+    return "".join(str(bit) for bit, _ in _block_values(spec, x))
 
 
 RANGE_ORACLE_LIMIT = 22
@@ -403,11 +406,6 @@ def compute_bit(spec: GeneratorSpec, i: str, a) -> tuple[int, str]:
 def ttable_from_seed(spec: GeneratorSpec, a: str) -> tuple[str, list[str]]:
     """The 2^k-bit truth table NW(a) together with the collected witness
     bundle (one base-function witness per index)."""
-    k = _index_width(spec.design)
-    bits = []
-    witnesses = []
-    for v in range(spec.design.m):
-        bit, wit = compute_bit(spec, format(v, f"0{k}b"), a)
-        bits.append(str(bit))
-        witnesses.append(wit)
-    return "".join(bits), witnesses
+    _index_width(spec.design)  # the table is indexed by k-bit strings
+    values = _block_values(spec, a)
+    return "".join(str(bit) for bit, _ in values), [wit for _, wit in values]

@@ -44,6 +44,20 @@ from .frege import (
     subst_proof,
 )
 
+
+def _at_most_power(n: int, k: int, c: int) -> bool:
+    """n <= k^c, multiplied up with an early exit: a large c gives a power
+    that does not fit in memory."""
+    if c < 1 or k < 2:
+        return n <= k**c  # at most 1, so cheap to form
+    power = k
+    for _ in range(c - 1):
+        if power >= n:
+            break
+        power *= k
+    return n <= power
+
+
 @dataclass(frozen=True)
 class PlusAlphaSystem:
     base: FregeSystem
@@ -267,7 +281,7 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
     empty w asks whether y serializes a kernel proof of the formula coded
     by x.  False, never an exception, on malformed inputs."""
     k = len(x)
-    if not x or any(ch not in "01" for ch in x):
+    if not x or x.strip("01"):
         return False
     if w:
         if QS.checker is None:
@@ -278,10 +292,10 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
             return False
         if k != xw or len(y) != yw or len(w) != tw:
             return False
-        if any(ch not in "01" for ch in y + w) or len(w) > k**QS.c:
+        if (y + w).strip("01") or not _at_most_power(len(w), k, QS.c):
             return False
         return cc.eval_circuit(QS.checker, {"x": x, "y": y, "t": w}) == "1"
-    if 8 * len(y.encode()) > k**QS.c:
+    if not _at_most_power(8 * len(y.encode()), k, QS.c):
         return False
     phi = fm.decode_k(x)
     if phi is None:
@@ -311,9 +325,8 @@ def prov_formula(QS: AdviceSystem, k: int) -> ProvEncoding:
     xw, yw, tw = QS.widths()
     if xw != k:
         raise ProofError(f"checker takes {xw}-bit codes, not {k}")
-    bound = k**QS.c
-    if yw > bound or tw > bound:
-        raise ProofError(f"checker widths y={yw}, t={tw} exceed k^c = {bound}")
+    if not _at_most_power(max(yw, tw), k, QS.c):
+        raise ProofError(f"checker widths y={yw}, t={tw} exceed k^c = {k}^{QS.c}")
     if len(QS.checker.outputs) != 1:
         raise ProofError("checker must have a single output")
     x_vars = list(range(1, k + 1))

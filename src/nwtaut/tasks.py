@@ -10,7 +10,9 @@ never ``False``.
 
 "Size k formula" always means: a bit string of length exactly k that decodes
 under the canonical formula code.  Strings that do not decode are skipped by
-solvers and rejected by verifiers.
+solvers and rejected by verifiers.  A Find proof has fewer than k^c1 bits, so
+the Find-to-Cert oracle reads the first floor((k^c1 - 1)/8) bytes of its y slot
+of k^c1 bits, which may hold at most ``Y_WIDTH_LIMIT`` bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import formulas as fm
 from .circuits import Circuit, CircuitBuilder
 from .frege import FregeSystem, ProofError, parse_proof
 from .nwcore import Triple
-from .proofsys import PlusAlphaSystem, check_plus_alpha
+from .proofsys import PlusAlphaSystem, _at_most_power, check_plus_alpha
 
 UNKNOWN = "unknown"
 
@@ -33,6 +35,9 @@ SOUND_BIT_BUDGET = 22
 
 #: largest k for which solvers sweep all 2^k candidate indices
 SWEEP_K_LIMIT = 14
+
+#: largest y slot (k^c1 bits) of the Find-to-Cert reduction
+Y_WIDTH_LIMIT = 1 << 16
 
 
 class TaskError(ValueError):
@@ -92,52 +97,60 @@ class CertSolution:
             raise TaskError(f"unknown solution kind {self.kind!r}")
 
 
-def _accepting_y(inst: CertInstance, code: str, budget: int):
-    return cc.sat_search(
-        inst.D, fixed={"x": code}, budget=budget, oracles=inst.oracles
-    )
+def _cert_kind(inst: CertInstance, code: str, budget: int) -> str | None:
+    """The solution kind that code witnesses, or None: a code that decodes
+    is a solution when D accepts it although it is falsifiable, or rejects
+    it although it is a tautology."""
+    phi = fm.decode_k(code)
+    if phi is None:
+        return None
+    taut = fm.is_tautology(phi, mode="auto")
+    y = cc.sat_search(inst.D, fixed={"x": code}, budget=budget, oracles=inst.oracles)
+    if taut == (y is not None):
+        return None
+    return "tautology-rejected" if taut else "falsifiable-accepted"
 
 
 def verify_cert(inst: CertInstance, sol: CertSolution, budget: int = 20):
     """True, False, or UNKNOWN (opaque-enumeration budget exceeded)."""
     if len(sol.code) != inst.k:
         return False
-    phi = fm.decode_k(sol.code)
-    if phi is None:
-        return False
-    taut = fm.is_tautology(phi, mode="auto")
     try:
-        y = _accepting_y(inst, sol.code, budget)
+        return _cert_kind(inst, sol.code, budget) == sol.kind
     except fm.BudgetError:
         return UNKNOWN
-    if sol.kind == "falsifiable-accepted":
-        return (not taut) and y is not None
-    return taut and y is None
 
 
 def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
     """Least x that decodes to a formula witnessing either clause; None is
     certified by the complete 2^k sweep."""
     for code in _sweep(inst.k):
-        phi = fm.decode_k(code)
-        if phi is None:
-            continue
-        taut = fm.is_tautology(phi, mode="auto")
-        y = _accepting_y(inst, code, budget)
-        if taut and y is None:
-            return CertSolution("tautology-rejected", code)
-        if not taut and y is not None:
-            return CertSolution("falsifiable-accepted", code)
+        kind = _cert_kind(inst, code, budget)
+        if kind:
+            return CertSolution(kind, code)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Find
 
+def _fits(f: fm.Formula, k: int, c: int) -> bool:
+    """Whether f has a code of some width w with 8 <= w <= k^c.  The widths
+    2^(iw-1) < w <= 2^iw share the index width iw, and f fits each of them
+    from its token length plus END on, so one length per index width decides."""
+    iw = fm.index_width(8)
+    while _at_most_power(lo := max(8, (1 << (iw - 1)) + 1), k, c):
+        n = fm.code_length(f, iw)
+        if n is not None and n + len(fm.TOK_END) <= 1 << iw:
+            return _at_most_power(max(lo, n + len(fm.TOK_END)), k, c)
+        iw += 1
+    return False
+
+
 @dataclass(frozen=True)
 class FindInstance:
     """1^(k) plus an axiom alpha with a code of at most k^c0 bits; sought is
-    a size-k tautology without a P+alpha proof of size below k^c1."""
+    a size-k tautology without a P+alpha proof of fewer than k^c1 bits."""
 
     P: FregeSystem
     alpha: fm.Formula
@@ -151,18 +164,12 @@ class FindInstance:
             raise TaskError(f"k={self.k}: no code of fewer than 8 bits decodes")
         if self.c0 < 1 or self.c1 < 1:
             raise TaskError(f"need c0, c1 >= 1, got c0={self.c0}, c1={self.c1}")
-        fits = any(
-            fm.encode_k(self.alpha, w) is not None
-            for w in range(8, max(9, self.k**self.c0 + 1))
-        )
-        if not fits:
+        if not _fits(self.alpha, self.k, self.c0):
             raise TaskError(f"alpha does not fit {self.k}^{self.c0} code bits")
         # the promise (alpha is a tautology) is decided eagerly when feasible
-        checked = False
-        if len(fm.fvars(self.alpha)) <= 20:
-            if not fm.is_tautology(self.alpha, mode="auto"):
-                raise TaskError("alpha is not a tautology")
-            checked = True
+        checked = len(fm.fvars(self.alpha)) <= 20
+        if checked and not fm.is_tautology(self.alpha, mode="auto"):
+            raise TaskError("alpha is not a tautology")
         object.__setattr__(self, "promise_checked", checked)
 
     @property
@@ -174,11 +181,17 @@ def _proof_strings(bit_budget: int):
     """Every byte string shorter than bit_budget bits, lexicographically."""
     nbytes = 0
     while 8 * nbytes < bit_budget:
-        if nbytes == 0:
-            yield b""
-        else:
-            yield from (v.to_bytes(nbytes, "big") for v in range(1 << (8 * nbytes)))
+        yield from (v.to_bytes(nbytes, "big") for v in range(1 << (8 * nbytes)))
         nbytes += 1
+
+
+def _spells_proof(S: PlusAlphaSystem, phi: fm.Formula, raw: bytes) -> bool:
+    """Whether the bytes raw spell a P+alpha proof of phi."""
+    try:
+        proof = parse_proof(raw.decode("utf-8"))
+    except (UnicodeDecodeError, ProofError, fm.ParseError):
+        return False
+    return check_plus_alpha(S, phi, proof)
 
 
 def verify_find_candidate(inst: FindInstance, beta: fm.Formula, mode: str = "sound") -> str:
@@ -188,55 +201,42 @@ def verify_find_candidate(inst: FindInstance, beta: fm.Formula, mode: str = "sou
     accepts only when none is a P+alpha proof of beta; it therefore exists
     only under the explicit bit budget.  Heuristic mode stops after the
     tautology and size gates: proof nonexistence is not certified."""
-    if fm.encode_k(beta, inst.k) is None:
-        return "rejected"
-    if not fm.is_tautology(beta, mode="auto"):
+    if fm.encode_k(beta, inst.k) is None or not fm.is_tautology(beta, mode="auto"):
         return "rejected"
     if mode == "heuristic":
         return "unverified"
     if mode != "sound":
         raise TaskError(f"unknown mode {mode!r}")
-    bit_budget = inst.k**inst.c1
-    if bit_budget > SOUND_BIT_BUDGET:
+    if _at_most_power(SOUND_BIT_BUDGET + 1, inst.k, inst.c1):
         raise fm.BudgetError(
-            f"k^c1 = {bit_budget} bits exceeds sound search budget {SOUND_BIT_BUDGET}"
+            f"k^c1 = {inst.k}^{inst.c1} bits exceeds sound search budget {SOUND_BIT_BUDGET}"
         )
     S = inst.system
-    for raw in _proof_strings(bit_budget):
-        try:
-            proof = parse_proof(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ProofError, fm.ParseError):
-            continue
-        if check_plus_alpha(S, beta, proof):
-            return "rejected"
+    if any(_spells_proof(S, beta, raw) for raw in _proof_strings(inst.k**inst.c1)):
+        return "rejected"
     return "accepted"
 
 
 def reduce_find_to_cert(inst: FindInstance) -> CertInstance:
     """D(x, y) = 'y spells a P+alpha proof of the formula coded by x', as an
-    opaque circuit over x (k bits) and y (k^c1 bits)."""
+    opaque circuit over x (k bits) and y (k^c1 bits); trailing zero bytes of
+    y are padding."""
+    if _at_most_power(Y_WIDTH_LIMIT + 1, inst.k, inst.c1):
+        raise TaskError(f"y slot of {inst.k}^{inst.c1} bits exceeds the limit {Y_WIDTH_LIMIT}")
     k, yw = inst.k, inst.k**inst.c1
+    nbytes = (yw - 1) // 8
     b = CircuitBuilder([("x", k), ("y", yw)])
     wires = [b.inp("x", i + 1) for i in range(k)] + [b.inp("y", i + 1) for i in range(yw)]
-    out = b.opaque("provable", wires)
-    D = b.build([out])
+    D = b.build([b.opaque("provable", wires)])
     S = inst.system
 
     def oracle(bits: tuple[int, ...]) -> bool:
-        code = "".join(str(v) for v in bits[:k])
-        ybits = bits[k:]
-        phi = fm.decode_k(code)
+        phi = fm.decode_k("".join(str(v) for v in bits[:k]))
         if phi is None:
             return False
-        nbytes = len(ybits) // 8
-        raw = bytes(
-            sum(ybits[8 * i + j] << (7 - j) for j in range(8)) for i in range(nbytes)
-        ).rstrip(b"\x00")
-        try:
-            proof = parse_proof(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ProofError, fm.ParseError):
-            return False
-        return check_plus_alpha(S, phi, proof)
+        ybits = "".join(str(v) for v in bits[k : k + 8 * nbytes])
+        raw = int("0" + ybits, 2).to_bytes(nbytes, "big").rstrip(b"\x00")
+        return _spells_proof(S, phi, raw)
 
     return CertInstance(k, inst.c1, D, oracles={"provable": oracle})
 
@@ -274,18 +274,27 @@ class ErrInstance:
                 raise TaskError(f"witness bundle fails to replay at index {x}")
 
 
-def verify_err(inst: ErrInstance, x: str, budget: int = 20):
-    """True iff the advice-equipped algorithm errs at index x: no witness
-    for the table's bit exists under advice w."""
-    if len(x) != inst.k or any(ch not in "01" for ch in x):
-        raise TaskError(f"index must be a {inst.k}-bit string")
-    a = int(inst.L[int(x, 2)])
-    circ = inst.triple.f1 if a else inst.triple.f0
+def _index(s: str, k: int, what: str) -> int:
+    """The k-bit string s as a number."""
+    if len(s) != k or s.strip("01"):
+        raise TaskError(f"{what} must be a {k}-bit string")
+    return int(s, 2)
+
+
+def _no_witness(triple: Triple, a: int, x: str, w: str, budget: int):
+    """True iff F_a(x, ., w) has no witness; UNKNOWN past the budget."""
     try:
-        y = cc.sat_search(circ, fixed={"x": x, "w": inst.w}, budget=budget)
+        y = cc.sat_search(triple.f1 if a else triple.f0, fixed={"x": x, "w": w}, budget=budget)
     except fm.BudgetError:
         return UNKNOWN
     return y is None
+
+
+def verify_err(inst: ErrInstance, x: str, budget: int = 20):
+    """True iff the advice-equipped algorithm errs at index x: no witness
+    for the table's bit exists under advice w."""
+    a = int(inst.L[_index(x, inst.k, "index")])
+    return _no_witness(inst.triple, a, x, inst.w, budget)
 
 
 def solve_err(inst: ErrInstance, budget: int = 20) -> str | None:
@@ -341,21 +350,11 @@ def passthrough_circuit(k: int, zbits: str) -> Circuit:
 def verify_pair(inst: PairInstance, u: str, budget: int = 20):
     """True iff u certifies that C is not a reduction: u is in A but C(u)
     lands outside U, or in B but outside V."""
-    if len(u) != inst.k or any(ch not in "01" for ch in u):
-        raise TaskError(f"candidate must be a {inst.k}-bit string")
-    v = int(u, 2)
-    in_a, in_b = inst.A[v] == "1", inst.B[v] == "1"
-    if not (in_a or in_b):
+    v = _index(u, inst.k, "candidate")
+    if inst.A[v] != "1" and inst.B[v] != "1":
         return False
     out = cc.eval_circuit(inst.C, {"u": u}, inst.oracles)
-    x, z = out[: inst.k], out[inst.k:]
-    a = 1 if in_b else 0
-    circ = inst.triple.f1 if a else inst.triple.f0
-    try:
-        y = cc.sat_search(circ, fixed={"x": x, "w": z}, budget=budget)
-    except fm.BudgetError:
-        return UNKNOWN
-    return y is None
+    return _no_witness(inst.triple, inst.B[v] == "1", out[: inst.k], out[inst.k:], budget)
 
 
 def solve_pair(inst: PairInstance, budget: int = 20) -> str | None:

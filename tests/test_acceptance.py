@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -402,10 +403,10 @@ def run_twice_and_compare(tmp_path, name, argv_of):
         assert main(argv_of(out)) == EXIT_SOLUTION
         hashes = [
             line.split()[1:]
-            for line in open(out + ".manifest")
+            for line in Path(out + ".manifest").read_text().splitlines()
             if line.startswith(("input ", "output "))
         ]
-        outs.append((open(out).read(), [h[-1] for h in hashes]))
+        outs.append((Path(out).read_text(), [h[-1] for h in hashes]))
     (text1, h1), (text2, h2) = outs
     assert text1 == text2 and h1 == h2
 
@@ -448,7 +449,7 @@ def test_cli_manifest_reproducibility(tmp_path):
                    "--outdir", outdir])
         assert rc == EXIT_SOLUTION
         sets.append({
-            name: open(os.path.join(outdir, name)).read()
+            name: Path(os.path.join(outdir, name)).read_text()
             for name in os.listdir(outdir)
             if not name.endswith(".manifest")
         })

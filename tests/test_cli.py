@@ -1,4 +1,6 @@
 import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +33,9 @@ def em_proof_text():
 def test_design_poly_writes_file_and_manifest(tmp_path, capsys):
     out = str(tmp_path / "d.design")
     assert run("design", "--poly", "--q", "3", "--d", "2", "--out", out) == EXIT_SOLUTION
-    params = dg.parse_design(open(out).read())
+    params = dg.parse_design(Path(out).read_text())
     assert (params.n, params.m) == (9, 9)
-    manifest = open(out + ".manifest").read()
+    manifest = Path(out + ".manifest").read_text()
     assert manifest.startswith("manifest\ncommand design\n")
     assert "output d.design" in manifest
     assert run("design", "--verify", out) == EXIT_SOLUTION
@@ -52,13 +54,13 @@ def test_design_canonical_writes_parameter_record(tmp_path, capsys):
     # m = 2^16 blocks of 16 do not fit into [4096]: the file is the header alone
     out = str(tmp_path / "c.design")
     assert run("design", "--canonical", "--n", "4096", "--out", out) == EXIT_SOLUTION
-    assert open(out).read() == "design 4096 65536 16 16 canonical\n"
+    assert Path(out).read_text() == "design 4096 65536 16 16 canonical\n"
     assert "verified" not in capsys.readouterr().out
-    params = dg.parse_design(open(out).read())
+    params = dg.parse_design(Path(out).read_text())
     assert (params.m, params.blocks) == (2**16, None)
     # the largest d the preset allows: m = 2^8192 has 2,467 digits
     assert run("design", "--canonical", "--n", str(2**39), "--out", out) == EXIT_SOLUTION
-    assert dg.parse_design(open(out).read()).m == 2**8192
+    assert dg.parse_design(Path(out).read_text()).m == 2**8192
 
 
 def test_design_canonical_names_an_oversized_d(capsys):
@@ -165,7 +167,7 @@ def test_simulate_checker_pipeline(tmp_path, capsys):
     assert rc == EXIT_SOLUTION
     stdout = capsys.readouterr().out
     assert "stage total" in stdout and "P+alpha proof written" in stdout
-    proof = fr.parse_proof(open(out).read())
+    proof = fr.parse_proof(Path(out).read_text())
     assert len(proof) > 0
     assert os.path.exists(out + ".manifest")
 
@@ -180,7 +182,7 @@ def test_simulate_empty_advice(tmp_path):
         "--proof", kernel, "--out", out,
     )
     assert rc == EXIT_SOLUTION
-    assert fr.parse_proof(open(out).read()).conclusion == fm.parse("x1 | ~x1")
+    assert fr.parse_proof(Path(out).read_text()).conclusion == fm.parse("x1 | ~x1")
 
 
 def test_simulate_rejected_proof(tmp_path):
@@ -210,7 +212,7 @@ def test_solve_cert_solution_and_exit_code(tmp_path, capsys):
     out = str(tmp_path / "sol.txt")
     rc = run("solve", "--task", "cert", "--circuit", circ, "--out", out)
     assert rc == EXIT_SOLUTION
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "kind tautology-rejected" in text and "code 11110000" in text
     assert os.path.exists(out + ".manifest")
 
@@ -298,6 +300,8 @@ def test_solve_find_verify(capsys):
     ["design", "--canonical", "--n", str(10**400)],
     ["design", "--canonical", "--n", "27", "--delta", "1/1000000000000"],
     ["design", "--canonical", "--n", str(10**30), "--delta", "1/3"],
+    ["reduce", "--alpha", "1", "--k", "8", "--c1", "9"],
+    ["reduce", "--alpha", "x1000000000 | ~x1000000000", "--k", "100", "--c0", "4"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"
@@ -310,6 +314,36 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     assert run(*(a.format(**fields) for a in argv)) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_exponents_form_no_power(tmp_path, capsys):
+    # k^c with c = 10^9 does not fit in memory; no path may compute it
+    proof = tmp_path / "one.proof"
+    proof.write_text("proof\n1 1 ; axiom T1\n")
+    outs = []
+    for c in ("3", "1000000000"):
+        out = tmp_path / f"c{c}.proof"
+        argv = ["simulate", "--phi", "1", "--empty-advice", "--proof", str(proof), "--c", c]
+        assert run(*argv, "--out", str(out)) == EXIT_SOLUTION
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+    rc = run("solve", "--task", "find-verify", "--alpha", "x1|~x1", "--beta", "1",
+             "--c1", "1000000000")
+    assert rc == EXIT_UNKNOWN
+    assert capsys.readouterr().err.count("\n") == 1
+    assert run("reduce", "--alpha", "x1 | ~x1", "--k", "8", "--c0", "1000000000") == EXIT_SOLUTION
+
+
+def test_alpha_fitting_is_decided_per_index_width(capsys):
+    # x1000000000 first fits a code at about 5 * 10^8 bits: 100^5 allows it,
+    # 100^4 does not
+    alpha = "x1000000000 | ~x1000000000"
+    t0 = time.perf_counter()
+    assert run("reduce", "--alpha", alpha, "--k", "100", "--c0", "5") == EXIT_SOLUTION
+    assert time.perf_counter() - t0 < 1
+    assert run("reduce", "--alpha", alpha, "--k", "100", "--c0", "4") == EXIT_ERROR
+    assert "alpha does not fit" in capsys.readouterr().err
 
 
 def test_deeply_nested_formula_is_one_named_error(tmp_path, capsys):
@@ -328,7 +362,7 @@ def test_reduce_writes_envelope(tmp_path, capsys):
     assert rc == EXIT_SOLUTION
     from nwtaut.tasks import parse_envelope, sha256_hex
 
-    env = parse_envelope(open(out).read())
+    env = parse_envelope(Path(out).read_text())
     assert env.task == "cert"
     assert env.params["y-width"] == "8"
     assert env.files[0][2] == sha256_hex("x1 | ~x1")
@@ -346,18 +380,18 @@ def test_manifest_output_hashes_reproduce(tmp_path):
     def hashes(path):
         return [
             line.split()[2]
-            for line in open(path + ".manifest")
+            for line in Path(path + ".manifest").read_text().splitlines()
             if line.startswith(("input ", "output "))
         ]
 
     assert hashes(out1) == hashes(out2)
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 def test_manifest_records_argv_and_params(tmp_path):
     out = str(tmp_path / "c.design")
     run("design", "--poly", "--q", "3", "--d", "2", "--out", out)
-    lines = open(out + ".manifest").read().splitlines()
+    lines = Path(out + ".manifest").read_text().splitlines()
     assert any(l.startswith("argv design --poly") for l in lines)
     assert "param tag poly" in lines
     assert any(l.startswith("wallclock ") for l in lines)

@@ -149,6 +149,23 @@ def test_mp_rejects_shape_mismatch():
         fr.mp(pi1, pi2)
 
 
+def test_append_proof_replays_premises_by_line_index():
+    pi = fr.prove_true_sentence(fm.parse("~(0 & 1) | 0"))
+    # lines the builder already holds are deduplicated, so premises move
+    b = fr.ProofBuilder()
+    b.axiom("F1", {})
+    b.hyp(fm.Var(1))
+    b.append_proof(fr.prove_true_sentence(fm.parse("~0")))
+    idx = b.append_proof(pi)
+    assert b.lines[idx].formula == pi.conclusion
+    assert fr.check_derivation(fr.FREGE, b.proof(idx))
+    # a premise that is not an earlier line is a ProofError, not an IndexError
+    for premises in ((3, 5), (0, 0), (-1, 0)):
+        bad = fr.Proof((fr.Line(fm.parse("1"), ("mp", *premises)),))
+        with pytest.raises(fr.ProofError):
+            fr.ProofBuilder().append_proof(bad)
+
+
 # ---------------------------------------------------------------------------
 # deduction theorem and the complete prover
 

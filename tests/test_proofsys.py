@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nwtaut import circuits as cc
@@ -298,3 +300,12 @@ def test_simulate_empty_advice_short_circuit():
     assert res.stage_bits == {"total": fr.proof_size_bits(res.proof)}
     with pytest.raises(fr.ProofError):
         ps.simulate(QS, "", phi, "not a proof")
+
+
+def test_at_most_power_matches_the_power():
+    for n, k, c in itertools.product(range(70), range(6), range(-2, 7)):
+        if k or c >= 0:
+            assert ps._at_most_power(n, k, c) == (n <= k**c), (n, k, c)
+    # c = 10^9: the power itself would not fit in memory
+    assert ps._at_most_power(10**6, 3, 10**9)
+    assert not ps._at_most_power(2, 1, 10**9)

@@ -248,3 +248,82 @@ def test_envelope_rejects_malformed():
         tk.parse_envelope("param k 8\n")
     with pytest.raises(tk.TaskError):
         tk.parse_envelope("envelope find\nbogus line here and more\n")
+
+
+# ---------------------------------------------------------------------------
+# the shared rules against brute force
+
+@pytest.mark.parametrize("make", [
+    lambda: tk.CertInstance(8, 2, const_decider(8, 0)),
+    lambda: tk.CertInstance(8, 2, const_decider(8, 1)),
+    taut_oracle_instance,
+])
+def test_verify_cert_matches_brute_force(make):
+    inst = make()
+    yw = inst.y_width
+    for v in range(256):
+        code = format(v, "08b")
+        phi = fm.decode_k(code)
+        accepted = any(
+            cc.eval_circuit(inst.D, {"x": code, "y": format(y, f"0{yw}b")}, inst.oracles) == "1"
+            for y in range(1 << yw)
+        )
+        for kind in ("falsifiable-accepted", "tautology-rejected"):
+            if phi is None:
+                expected = False
+            elif fm.is_tautology(phi, "brute"):
+                expected = kind == "tautology-rejected" and not accepted
+            else:
+                expected = kind == "falsifiable-accepted" and accepted
+            assert tk.verify_cert(inst, tk.CertSolution(kind, code)) is expected, (code, kind)
+
+
+def test_verify_err_matches_has_witness():
+    spec = four_block_spec()
+    tri = nw.err_triple(spec)
+    for s in range(16):
+        seed = format(s, "04b")
+        L, wits = nw.ttable_from_seed(spec, seed)
+        for w in (format(v, "04b") for v in range(16)):
+            inst = tk.ErrInstance(tri, 2, L, seed, wits, w)
+            for v in range(4):
+                x = format(v, "02b")
+                assert tk.verify_err(inst, x) is not tri.has_witness(int(L[v]), x, w)
+
+
+def test_verify_pair_matches_has_witness_off_the_passthrough():
+    spec = four_block_spec()
+    tri = nw.err_triple(spec)
+    # C(u) = (complement of u, fixed advice 1011)
+    b = cc.CircuitBuilder([("u", 2)])
+    one = b.const(1)
+    zero = b.NOT(one)
+    C = b.build([b.NOT(b.inp("u", 1)), b.NOT(b.inp("u", 2)), one, zero, one, one])
+    for s in range(16):
+        L, _ = nw.ttable_from_seed(spec, format(s, "04b"))
+        A = "".join("1" if ch == "0" else "0" for ch in L)
+        for B in (L, "0000"):
+            pair = tk.PairInstance(A, B, tri, C, tri.c)
+            for v in range(4):
+                u = format(v, "02b")
+                if A[v] == "0" and B[v] == "0":
+                    expected = False
+                else:
+                    expected = not tri.has_witness(int(B[v]), format(3 - v, "02b"), "1011")
+                assert tk.verify_pair(pair, u) is expected
+
+
+@pytest.mark.parametrize("k, c1, accepted", [(12, 2, False), (152, 1, True)])
+def test_reduction_oracle_reads_proofs_of_fewer_than_k_c1_bits(k, c1, accepted):
+    proof = b"proof\n1 1;axiom T1"
+    assert 8 * len(proof) == 144  # exactly 12^2 bits, fewer than 152
+    cert = tk.reduce_find_to_cert(tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), k, 2, c1))
+    y = [int(bit) for byte in proof for bit in format(byte, "08b")]
+    y += [0] * (cert.y_width - len(y))
+    code = [int(ch) for ch in fm.encode_k(fm.parse("1"), k)]
+    assert cert.oracles["provable"](tuple(code + y)) == accepted
+
+
+def test_reduction_rejects_a_y_slot_above_the_limit():
+    with pytest.raises(tk.TaskError, match="8\\^9"):
+        tk.reduce_find_to_cert(tk.FindInstance(fr.FREGE, fm.parse("1"), 8, 2, 9))
