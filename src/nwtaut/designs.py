@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 
 from .gf import GF, SUPPORTED_ORDERS
 
@@ -47,6 +48,8 @@ class DesignParams:
             raise DesignError("need m >= 1")
         if self.d > self.l:
             raise DesignError(f"need d <= l, got d={self.d}, l={self.l}")
+        if self.blocks is not None and len(self.blocks) != self.m:
+            raise DesignError(f"need m={self.m} blocks, got {len(self.blocks)}")
 
 
 def _iroot(n: int, k: int) -> int:
@@ -157,6 +160,29 @@ def block(params: DesignParams, i: int) -> list[int]:
     return list(params.blocks[i - 1])
 
 
+# the largest m whose blocks are tabulated and verified: the table holds m*l
+# points, and verify_design sums l packed columns of up to m fields for each
+# of the m blocks; poly designs cross it only at q in {7, 8, 9} with d >= 6
+SCAN_LIMIT = 100_000
+
+
+def blocks(params: DesignParams) -> tuple[tuple[int, ...], ...]:
+    """J_1, ..., J_m in output order, as block() gives them.  A poly
+    design's table is built from block() once and shared by later calls."""
+    if params.tag == "poly":
+        if params.m > SCAN_LIMIT:
+            raise DesignError(f"m={params.m} exceeds the block table limit {SCAN_LIMIT}")
+        return _poly_table(params)
+    if params.blocks is None:
+        raise DesignError("design has no materialized blocks")
+    return params.blocks
+
+
+@cache  # one entry per poly design in use; SUPPORTED_ORDERS bounds the (q, d) pairs
+def _poly_table(params: DesignParams) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(block(params, i)) for i in range(1, params.m + 1))
+
+
 @dataclass(frozen=True)
 class DesignReport:
     ok: bool
@@ -164,35 +190,68 @@ class DesignReport:
     max_intersection: int = 0
 
 
-# the pairwise scan is quadratic in m
-SCAN_LIMIT = 100_000
+# the most column bits verify_design holds at once (2 MiB)
+_COLUMN_BITS = 1 << 24
 
 
 def verify_design(params: DesignParams) -> DesignReport:
-    """Full pairwise scan of both design clauses (block size, intersections)."""
+    """Check both design clauses: every block has l points and every two
+    blocks share at most d.  The first failing block, or the first pair
+    (i, j) with i < j in lexicographic order, is reported.
+
+    Each point p gets a column, an int whose w-bit field j is 1 when J_j
+    contains p.  The sum of the columns of J_i's points holds every
+    |J_i ∩ J_j| in its fields; adding (2^(w-1) - 1 - t) to each field sets
+    the field's top bit exactly when it exceeds t, so one add and one mask
+    test all j at once, and the lowest set bit names the first j.  Raising t
+    while a field exceeds it gives the largest intersection.  Columns are
+    built for one window of blocks at a time, so that they stay within
+    _COLUMN_BITS on wide sparse designs."""
     if params.m > SCAN_LIMIT:
         raise DesignError(f"m={params.m} exceeds scan limit {SCAN_LIMIT}")
-    masks = []
-    for i in range(1, params.m + 1):
-        b = block(params, i)
+    table = blocks(params)
+    for i, b in enumerate(table, 1):
         if len(b) != params.l:
             return DesignReport(False, f"block {i} has size {len(b)} != l={params.l}")
-        mask = 0
-        for j in b:
-            mask |= 1 << j
-        masks.append(mask)
-    worst = 0
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            inter = (mi & masks[j]).bit_count()
-            if inter > params.d:
-                return DesignReport(
-                    False, f"|J_{i + 1} ∩ J_{j + 1}| = {inter} > d = {params.d}", inter
-                )
-            if inter > worst:
-                worst = inter
-    return DesignReport(True, "", worst)
+    m, w = len(table), params.l.bit_length() + 1  # fields hold 0..l below the top bit
+    top, d = 1 << (w - 1), max(params.d, -1)      # any d < 0 fails every pair, as -1 does
+    npoints = len({p for b in table for p in b})
+    span = max(_COLUMN_BITS // (npoints * w), isqrt(_COLUMN_BITS // (params.l * w)), 1)
+    t = -1         # no field seen so far exceeds t, and t <= d
+    found = None   # the first violating (i, j, |J_i ∩ J_j|), 0-based
+    for lo in range(1, m, span):  # columns for the blocks j in [lo, hi)
+        hi = min(lo + span, m)
+        col: dict[int, int] = {}
+        for j in range(lo, hi):
+            bit = 1 << (w * (j - lo))
+            for p in table[j]:
+                col[p] = col.get(p, 0) | bit
+        ones = ((1 << (w * (hi - lo))) - 1) // ((1 << w) - 1)  # 1 in every field
+        high = ones << (w - 1)
+        thr = (top - 1 - t) * ones
+        rows = hi - 1 if found is None else min(hi - 1, found[0])
+        for i in range(rows):
+            s = 0
+            for p in set(table[i]):
+                s += col.get(p, 0)
+            if not s and t >= 0:
+                continue  # J_i meets no block of the window: no field exceeds t
+            drop = max(i - lo + 1, 0)  # fields of blocks j <= i
+            s >>= w * drop
+            mask = high >> (w * drop)
+            while over := (s + thr) & mask:
+                if t == d:
+                    k = ((over & -over).bit_length() - 1) // w
+                    found = (i, lo + drop + k, (s >> (w * k)) & (2 * top - 1))
+                    break
+                t += 1
+                thr -= ones
+            if found is not None and found[0] == i:
+                break
+    if found is not None:
+        i, j, size = found
+        return DesignReport(False, f"|J_{i + 1} ∩ J_{j + 1}| = {size} > d = {params.d}", size)
+    return DesignReport(True, "", max(t, 0))
 
 
 # ---------------------------------------------------------------------------

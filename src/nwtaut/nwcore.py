@@ -18,7 +18,7 @@ from .circuits import (
     eval_circuit,
     inline,
 )
-from .designs import DesignParams, block
+from .designs import DesignParams, block, blocks
 
 
 class NWError(ValueError):
@@ -193,11 +193,12 @@ class GeneratorSpec:
             )
 
 
-def seed_restriction(x, J: list[int]) -> str:
-    """x(J): the bits of x at the (1-based) sorted positions of J."""
+def seed_restriction(x, J) -> str:
+    """x(J): the bits of x at the (1-based) sorted positions of J, a list
+    from block() or a tuple from the block table."""
     bits = "".join(str(x[j - 1]) for j in J)
     if bits.strip("01"):
-        raise NWError(f"seed bits must be 0 or 1, got {bits!r} at positions {J}")
+        raise NWError(f"seed bits must be 0 or 1, got {bits!r} at positions {list(J)}")
     return bits
 
 
@@ -206,8 +207,13 @@ def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:
     output order."""
     if len(x) != spec.design.n:
         raise NWError(f"seed must have {spec.design.n} bits, got {len(x)}")
-    return [spec.base.evaluate(seed_restriction(x, block(spec.design, i)))
-            for i in range(1, spec.design.m + 1)]
+    table = blocks(spec.design)
+    evaluate = spec.base.evaluate
+    # a binary seed needs no check per block; any other seed goes through
+    # seed_restriction, whose error names the first block reading a bad bit
+    if isinstance(x, str) and not x.strip("01"):
+        return [evaluate("".join([x[j - 1] for j in J])) for J in table]
+    return [evaluate(seed_restriction(x, J)) for J in table]
 
 
 def nw_eval(spec: GeneratorSpec, x: str) -> str:
@@ -263,9 +269,8 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     n = design.n
     next_var = n + 1
     clauses: list[list[int]] = []
-    for i in range(1, design.m + 1):
-        J = block(design, i)
-        checker = base.checker(int(b[i - 1]))
+    for J, bit in zip(blocks(design), b):
+        checker = base.checker(int(bit))
         if checker.has_opaque():
             raise NWError("tau translation needs explicit witness checkers")
         width = base.witness_width + checker.size
@@ -353,7 +358,6 @@ def _index_width(design: DesignParams) -> int:
 def err_triple(spec: GeneratorSpec) -> Triple:
     """The generator-induced triple: F_a(x,y,w) applies the base checker to
     (w(J_x), y), where J_x is the design block selected by index x."""
-    m = spec.design.m
     k = _index_width(spec.design)
     n = spec.design.n
     base = spec.base
@@ -361,9 +365,8 @@ def err_triple(spec: GeneratorSpec) -> Triple:
     def build(a: int) -> Circuit:
         b = CircuitBuilder([("x", k), ("y", base.witness_width), ("w", n)])
         branches = []
-        for i in range(m):
+        for i, J in enumerate(blocks(spec.design)):
             sel = b.equals_const([b.inp("x", j + 1) for j in range(k)], format(i, f"0{k}b"))
-            J = block(spec.design, i + 1)
             u_wires = [b.inp("w", j) for j in J]
             y_wires = [b.inp("y", j + 1) for j in range(base.witness_width)]
             (val,) = inline(b, base.checker(a), u_wires + y_wires)

@@ -321,6 +321,8 @@ class PairInstance:
         k = self.k
         if len(self.A) != 1 << k or len(self.B) != 1 << k:
             raise TaskError(f"membership tables must have {1 << k} bits")
+        if self.A.strip("01") or self.B.strip("01"):
+            raise TaskError("membership tables must be strings of 0 and 1")
         if any(a == "1" and b == "1" for a, b in zip(self.A, self.B)):
             raise TaskError("A and B intersect")
         g = dict(self.C.groups)

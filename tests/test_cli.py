@@ -261,6 +261,22 @@ def test_solve_err_and_pair_agree_on_wrong_advice(tmp_path, capsys):
     assert get(err_out) == get(pair_out)
 
 
+def test_readme_solve_and_simulate_examples(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    proof = fr.prove_tautology(fm.parse("x1 | ~x1"))
+    assert fr.proof_size_bits(proof) == 7600
+    Path("em.proof").write_text(fr.serialize_proof(proof))
+    assert run("design", "--poly", "--q", "4", "--d", "2", "--out", "q4d2.design") == EXIT_SOLUTION
+    seed, w = "1011001110001101", "1011001110001100"
+    solve = ["solve", "--design", "q4d2.design", "--seed", seed, "--w"]
+    assert run(*solve, seed, "--task", "err") == EXIT_NONE
+    assert run(*solve, w, "--task", "pair") == EXIT_SOLUTION
+    simulate = ["simulate", "--phi", "x1 | ~x1", "--empty-advice", "--proof", "em.proof",
+                "--out", "out.proof"]
+    assert run(*simulate) == EXIT_ERROR  # the default --c 2 admits 30^2 bits
+    assert run(*simulate, "--c", "3") == EXIT_SOLUTION
+
+
 def test_solve_find_verify(capsys):
     rc = run(
         "solve", "--task", "find-verify", "--alpha", "x1 | ~x1",

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -62,10 +64,23 @@ def test_poly_design_hand_examples():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_poly_design_verifies(q):
-    d = min(q, 3)
-    p = dg.poly_design(q, d)
-    rep = dg.verify_design(p)
-    assert rep.ok and rep.max_intersection <= d - 1
+    # distinct polynomials of degree < d agree on at most d-1 points, and
+    # some pair agrees on exactly d-1 when d <= q
+    for d in range(1, min(q, 4) + 1):
+        rep = dg.verify_design(dg.poly_design(q, d))
+        assert rep.ok and rep.max_intersection == d - 1
+
+
+def test_block_table_limit_is_named():
+    big = dg.poly_design(7, 6)  # m = 7^6 = 117,649
+    assert big.m > dg.SCAN_LIMIT
+    with pytest.raises(dg.DesignError, match=f"exceeds the block table limit {dg.SCAN_LIMIT}"):
+        dg.blocks(big)
+    with pytest.raises(dg.DesignError, match=f"exceeds scan limit {dg.SCAN_LIMIT}"):
+        dg.verify_design(big)
+    # the single-index rule has no limit
+    assert dg.block(big, big.m) == [7 * t + (6 * sum(t**e for e in range(6))) % 7 + 1
+                                    for t in range(7)]
 
 
 def test_poly_design_bad_params():
@@ -82,6 +97,70 @@ def test_explicit_design_checks_intersections():
     dg.explicit_design([[1, 2], [2, 3], [1, 3], [1, 4]], 4, 2)
     with pytest.raises(dg.DesignError):
         dg.explicit_design([[1, 2, 3], [1, 2, 4]], 4, 1)  # intersection 2 > 1
+
+
+def pairwise_report(params):
+    """The reference scan: block sizes in order, then every pair i < j."""
+    for i, b in enumerate(params.blocks, 1):
+        if len(b) != params.l:
+            return dg.DesignReport(False, f"block {i} has size {len(b)} != l={params.l}")
+    sets = [set(b) for b in params.blocks]
+    worst = 0
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            inter = len(sets[i] & sets[j])
+            if inter > params.d:
+                return dg.DesignReport(
+                    False, f"|J_{i + 1} ∩ J_{j + 1}| = {inter} > d = {params.d}", inter
+                )
+            worst = max(worst, inter)
+    return dg.DesignReport(True, "", worst)
+
+
+@pytest.mark.parametrize("column_bits", [dg._COLUMN_BITS, 64, 1])
+def test_verify_design_matches_pairwise_scan(monkeypatch, column_bits):
+    # small column budgets split the scan into windows of a few blocks
+    monkeypatch.setattr(dg, "_COLUMN_BITS", column_bits)
+    rng = random.Random(10)
+    kinds = set()
+    for _ in range(400):
+        l = rng.randint(1, 5)
+        n = rng.randint(l, 40)
+        m = rng.randint(1, 30)
+        blocks = [rng.sample(range(1, n + 1), l) for _ in range(m)]
+        b = rng.choice(blocks)
+        if l > 1 and rng.random() < 0.2:
+            b[-1] = b[0]  # a repeated point: the block still has l entries
+        elif rng.random() < 0.05:
+            b.append(n + 1)  # a block of another size
+        d = min(rng.choice([0, 0, 1, 2, 3]), l)
+        params = dg.DesignParams(n=n + 1, m=m, l=l, d=d, tag="explicit",
+                                 blocks=tuple(tuple(sorted(b)) for b in blocks))
+        report = dg.verify_design(params)
+        assert report == pairwise_report(params)
+        kinds.add(report.detail.split(" ")[0] if report.detail else report.max_intersection)
+    assert kinds >= {"block", "|J_1", "|J_2", 0, 1, 2}
+
+
+def test_verify_design_memory_is_bounded_on_a_wide_sparse_design():
+    # 20,000 one-point blocks: columns with a field for every block would
+    # take about 50 MB, so they are built a window of blocks at a time
+    m = 20_000
+    params = dg.DesignParams(n=m, m=m, l=1, d=0, tag="explicit",
+                             blocks=tuple((p,) for p in range(1, m + 1)))
+    tracemalloc.start()
+    try:
+        report = dg.verify_design(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == dg.DesignReport(True, "", 0)
+    assert peak < 8 * 2**20
+
+
+def test_design_params_needs_m_blocks():
+    with pytest.raises(dg.DesignError, match="need m=3 blocks, got 2"):
+        dg.DesignParams(n=4, m=3, l=2, d=1, tag="explicit", blocks=((1, 2), (3, 4)))
 
 
 def test_canonical_params_small():

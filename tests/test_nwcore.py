@@ -73,6 +73,29 @@ def test_parity_generator_linear(a, b):
     assert int(gx, 2) ^ int(gy, 2) == int(gz, 2)
 
 
+def test_nw_eval_reads_a_block_table_that_block_does_not_share():
+    spec = parity_spec()
+    expected = nw.nw_eval(nw.GeneratorSpec(
+        dg.explicit_design([dg.block(spec.design, i) for i in range(1, 10)], 9, 2),
+        spec.base), "110100101")
+    for i in range(1, 10):
+        dg.block(spec.design, i)[:] = [1, 2, 3]
+        assert nw.nw_eval(spec, "110100101") == expected
+
+
+def test_nonbinary_seed_error_names_the_first_block_reading_it():
+    q4 = nw.GeneratorSpec(dg.poly_design(4, 2), nw.builtin_base("parity", 4))
+    cases = [
+        (lambda: nw.nw_eval(parity_spec(), "10001x001"), "'0x1' at positions [3, 6, 9]"),
+        (lambda: nw.ttable_from_seed(q4, "1" * 15 + "2"), "'1112' at positions [4, 8, 12, 16]"),
+        (lambda: nw.compute_bit(q4, "0011", "1" * 15 + "2"), "'1112' at positions [4, 8, 12, 16]"),
+    ]
+    for call, tail in cases:
+        with pytest.raises(nw.NWError) as e:
+            call()
+        assert str(e.value) == "seed bits must be 0 or 1, got " + tail
+
+
 def test_range_oracle_and_full_range():
     spec = four_block_spec()
     rng = nw.full_range(spec)

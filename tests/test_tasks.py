@@ -202,6 +202,9 @@ def test_pair_instance_validation():
         tk.PairInstance("1111", "1000", pair.triple, pair.C, pair.c)  # intersect
     with pytest.raises(tk.TaskError):
         tk.PairInstance("000", "111", pair.triple, pair.C, pair.c)
+    for A, B in (("1x0?", "0000"), ("0000", "01 0")):
+        with pytest.raises(tk.TaskError, match="strings of 0 and 1"):
+            tk.PairInstance(A, B, pair.triple, pair.C, pair.c)
 
 
 def test_pair_from_err_consistency_true_seed():
