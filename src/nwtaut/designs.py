@@ -10,7 +10,7 @@ points, so intersections are at most d-1.
 Design description file format:
 
     design <n> <m> <l> <d> <tag>
-    poly <q> <dbound>            (poly-field tag)
+    poly <q> <d>                 (poly-field tag)
     block <i1> <i2> ...          (explicit tag, one line per block)
 """
 
@@ -38,7 +38,6 @@ class DesignParams:
     d: int
     tag: str                      # "poly" | "explicit" | "canonical"
     q: int | None = None
-    dbound: int | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -115,7 +114,7 @@ def poly_design(q: int, d: int) -> DesignParams:
         raise DesignError(f"unsupported field order {q}; supported: {SUPPORTED_ORDERS}")
     if not 1 <= d <= q:
         raise DesignError(f"need 1 <= d <= q, got d={d}")
-    return DesignParams(n=q * q, m=q**d, l=q, d=d, tag="poly", q=q, dbound=d)
+    return DesignParams(n=q * q, m=q**d, l=q, d=d, tag="poly", q=q)
 
 
 def explicit_design(blocks: list[list[int]], n: int, d: int) -> DesignParams:
@@ -145,7 +144,7 @@ def block(params: DesignParams, i: int) -> list[int]:
     if not 1 <= i <= params.m:
         raise DesignError(f"block index {i} out of range [1, {params.m}]")
     if params.tag == "poly":
-        q, d = params.q, params.dbound
+        q, d = params.q, params.d
         field = _field(q)
         coeffs = [(i - 1) // q**e % q for e in range(d)]
         out = []
@@ -260,7 +259,7 @@ def verify_design(params: DesignParams) -> DesignReport:
 def serialize_design(params: DesignParams) -> str:
     lines = [f"design {params.n} {params.m} {params.l} {params.d} {params.tag}"]
     if params.tag == "poly":
-        lines.append(f"poly {params.q} {params.dbound}")
+        lines.append(f"poly {params.q} {params.d}")
     else:
         # a canonical preset without blocks is written as its header alone
         for b in params.blocks or ():

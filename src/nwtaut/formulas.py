@@ -413,6 +413,19 @@ def code_length(f: Formula, w: int) -> int | None:
     return sum(len(p) for p in parts)
 
 
+def code_width(f: Formula) -> int:
+    """Least k >= 8 at which encode_k(f, k) succeeds.  The widths
+    2^(iw-1) < k <= 2^iw share the index width iw, and f fits each of them
+    from its token length plus END on, so one length per index width decides;
+    that length grows with iw, so iw skips widths shorter than it."""
+    iw = max(3, (max(fvars(f), default=1) - 1).bit_length())
+    while True:
+        n = code_length(f, iw) + len(TOK_END)
+        if n <= 1 << iw:
+            return max(8, (1 << (iw - 1)) + 1, n)
+        iw = max(iw + 1, (n - 1).bit_length())
+
+
 def enumerate_fitting(k: int, var_cap: int | None = None) -> list[Formula]:
     """All formulas whose k-bit code exists, with variable indices capped.
 

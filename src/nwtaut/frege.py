@@ -448,3 +448,13 @@ def parse_proof(text: str) -> Proof:
     if not lines:
         raise ProofError("empty proof")
     return Proof(tuple(lines))
+
+
+#: fewest bits of any text that parse_proof reads and check accepts.  Such a
+#: text has the `proof` line and a line break.  Its line 1 passes check
+#: without hypotheses, so it is an axiom line: an mp line cites earlier
+#: lines, and line 1 has none.  An axiom line reads "N F;axiom NAME", at
+#: least 1 + 1 + 1 + 1 + 5 + 1 + 2 characters, NAME being a scheme name.
+#: Each character takes at least one UTF-8 byte, and check_plus_alpha runs
+#: check first, so the floor holds for P+alpha proofs too.
+MIN_PROOF_BITS = 8 * len("proof\n1 1;axiom " + min(AXIOM_SCHEMES, key=len))

@@ -295,10 +295,14 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
         if (y + w).strip("01") or not _at_most_power(len(w), k, QS.c):
             return False
         return cc.eval_circuit(QS.checker, {"x": x, "y": y, "t": w}) == "1"
-    if not _at_most_power(8 * len(y.encode()), k, QS.c):
-        return False
     phi = fm.decode_k(x)
-    if phi is None:
+    return phi is not None and _kernel_proof_within(QS, phi, k, y)
+
+
+def _kernel_proof_within(QS: AdviceSystem, phi: Formula, k: int, y: str) -> bool:
+    """The empty-advice clause for the formula phi of a k-bit code: y has at
+    most k^c bits and serializes a kernel proof of phi."""
+    if not _at_most_power(8 * len(y.encode()), k, QS.c):
         return False
     try:
         return check(FREGE, phi, parse_proof(y))
@@ -429,12 +433,8 @@ def simulate(
     hypothesis instance is then discharged into the single negated disjunct.
     """
     if w_k == "":
-        code = None
-        for k in range(8, 4097):
-            code = fm.encode_k(phi, k)
-            if code is not None:
-                break
-        if code is None or not check_advice(QS, code, pi_Q, ""):
+        # phi's code is never built: a large variable index makes it huge
+        if not _kernel_proof_within(QS, phi, fm.code_width(phi), pi_Q):
             raise ProofError("advice checker rejects the given Q-proof")
         proof = parse_proof(pi_Q)
         return SimulateResult(

@@ -23,15 +23,11 @@ from dataclasses import dataclass, field
 from . import circuits as cc
 from . import formulas as fm
 from .circuits import Circuit, CircuitBuilder
-from .frege import FregeSystem, ProofError, parse_proof
+from .frege import MIN_PROOF_BITS, FregeSystem, ProofError, parse_proof
 from .nwcore import Triple
 from .proofsys import PlusAlphaSystem, _at_most_power, check_plus_alpha
 
 UNKNOWN = "unknown"
-
-#: largest proof-search budget (in bits) for which sound Find verification
-#: enumerates every candidate proof string
-SOUND_BIT_BUDGET = 22
 
 #: largest k for which solvers sweep all 2^k candidate indices
 SWEEP_K_LIMIT = 14
@@ -134,19 +130,6 @@ def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
 # ---------------------------------------------------------------------------
 # Find
 
-def _fits(f: fm.Formula, k: int, c: int) -> bool:
-    """Whether f has a code of some width w with 8 <= w <= k^c.  The widths
-    2^(iw-1) < w <= 2^iw share the index width iw, and f fits each of them
-    from its token length plus END on, so one length per index width decides."""
-    iw = fm.index_width(8)
-    while _at_most_power(lo := max(8, (1 << (iw - 1)) + 1), k, c):
-        n = fm.code_length(f, iw)
-        if n is not None and n + len(fm.TOK_END) <= 1 << iw:
-            return _at_most_power(max(lo, n + len(fm.TOK_END)), k, c)
-        iw += 1
-    return False
-
-
 @dataclass(frozen=True)
 class FindInstance:
     """1^(k) plus an axiom alpha with a code of at most k^c0 bits; sought is
@@ -164,7 +147,7 @@ class FindInstance:
             raise TaskError(f"k={self.k}: no code of fewer than 8 bits decodes")
         if self.c0 < 1 or self.c1 < 1:
             raise TaskError(f"need c0, c1 >= 1, got c0={self.c0}, c1={self.c1}")
-        if not _fits(self.alpha, self.k, self.c0):
+        if not _at_most_power(fm.code_width(self.alpha), self.k, self.c0):
             raise TaskError(f"alpha does not fit {self.k}^{self.c0} code bits")
         # the promise (alpha is a tautology) is decided eagerly when feasible
         checked = len(fm.fvars(self.alpha)) <= 20
@@ -177,43 +160,32 @@ class FindInstance:
         return PlusAlphaSystem(self.P, self.alpha)
 
 
-def _proof_strings(bit_budget: int):
-    """Every byte string shorter than bit_budget bits, lexicographically."""
-    nbytes = 0
-    while 8 * nbytes < bit_budget:
-        yield from (v.to_bytes(nbytes, "big") for v in range(1 << (8 * nbytes)))
-        nbytes += 1
-
-
 def _spells_proof(S: PlusAlphaSystem, phi: fm.Formula, raw: bytes) -> bool:
     """Whether the bytes raw spell a P+alpha proof of phi."""
     try:
-        proof = parse_proof(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ProofError, fm.ParseError):
+        return check_plus_alpha(S, phi, parse_proof(raw.decode("utf-8")))
+    except (UnicodeDecodeError, ProofError, fm.ParseError, RecursionError):
+        # substitute and tuple comparison still recurse once per nesting level
         return False
-    return check_plus_alpha(S, phi, proof)
 
 
 def verify_find_candidate(inst: FindInstance, beta: fm.Formula, mode: str = "sound") -> str:
     """'accepted' | 'rejected' | 'unverified'.
 
-    Sound mode enumerates every proof string of fewer than k^c1 bits and
-    accepts only when none is a P+alpha proof of beta; it therefore exists
-    only under the explicit bit budget.  Heuristic mode stops after the
-    tautology and size gates: proof nonexistence is not certified."""
+    Sound mode decides proof nonexistence only while k^c1 <= MIN_PROOF_BITS:
+    no text that parse_proof and check accept is shorter, so every size-k
+    tautology is accepted; above that floor it raises BudgetError.
+    Heuristic mode stops after the tautology and size gates: proof
+    nonexistence is not certified."""
     if fm.encode_k(beta, inst.k) is None or not fm.is_tautology(beta, mode="auto"):
         return "rejected"
     if mode == "heuristic":
         return "unverified"
     if mode != "sound":
         raise TaskError(f"unknown mode {mode!r}")
-    if _at_most_power(SOUND_BIT_BUDGET + 1, inst.k, inst.c1):
-        raise fm.BudgetError(
-            f"k^c1 = {inst.k}^{inst.c1} bits exceeds sound search budget {SOUND_BIT_BUDGET}"
-        )
-    S = inst.system
-    if any(_spells_proof(S, beta, raw) for raw in _proof_strings(inst.k**inst.c1)):
-        return "rejected"
+    if _at_most_power(MIN_PROOF_BITS + 1, inst.k, inst.c1):
+        raise fm.BudgetError(f"k^c1 = {inst.k}^{inst.c1} bits exceeds the {MIN_PROOF_BITS}-bit "
+                             "floor below which no proof text exists")
     return "accepted"
 
 
@@ -260,6 +232,8 @@ class ErrInstance:
     def __post_init__(self):
         if len(self.L) != 1 << self.k:
             raise TaskError(f"truth table must have {1 << self.k} bits")
+        if self.L.strip("01"):
+            raise TaskError("truth table L must be a string of 0 and 1")
         if len(self.w) != self.triple.advice_width:
             raise TaskError(
                 f"advice must have {self.triple.advice_width} bits, got {len(self.w)}"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +232,35 @@ def test_code_round_trip_deep():
         assert g[0] == "not"
         g = g[1]
     assert g == ("var", 3)
+
+
+def test_code_width_is_the_least_fitting_width():
+    rng = random.Random(5)
+
+    def rand(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            if rng.random() < 0.2:
+                return ("const", rng.randint(0, 1))
+            return fm.Var(rng.choice([1, 2, rng.randint(1, 300), rng.randint(1, 70000)]))
+        if r < 0.5:
+            return fm.Not(rand(depth - 1))
+        return (rng.choice(["and", "or"]), rand(depth - 1), rand(depth - 1))
+
+    checked = 0
+    for _ in range(300):
+        f = rand(rng.randint(0, 6))
+        w = fm.code_width(f)
+        assert fm.encode_k(f, w) is not None
+        brute = next((k for k in range(8, 4097) if fm.encode_k(f, k) is not None), None)
+        if brute is None:
+            assert w > 4096
+        else:
+            assert w == brute, f
+            checked += 1
+    assert checked > 100
+    assert fm.code_width(("const", 1)) == 8
+    assert fm.code_width(fm.Var(70000)) == (1 << 16) + 1  # index width 17
 
 
 def test_match_instance_deep():

@@ -339,3 +339,30 @@ def test_shared_subterms_are_printed_and_sized_once():
 def test_parse_proof_rejects_malformed(bad):
     with pytest.raises((fr.ProofError, fm.ParseError)):
         fr.parse_proof(bad)
+
+
+# ---------------------------------------------------------------------------
+# the shortest proof text
+
+def _spells_a_proof(raw: bytes) -> bool:
+    """Whether raw reads as a kernel proof of its own conclusion."""
+    try:
+        proof = fr.parse_proof(raw.decode("utf-8"))
+    except (UnicodeDecodeError, fr.ProofError, fm.ParseError):
+        return False
+    return fr.check(fr.FREGE, proof.conclusion, proof)
+
+
+def test_shortest_proof_text_has_min_proof_bits():
+    text = "proof\n1 1;axiom T1"
+    assert _spells_a_proof(text.encode())
+    assert 8 * len(text.encode()) == fr.MIN_PROOF_BITS == 144
+    for i in range(len(text)):
+        assert not _spells_a_proof((text[:i] + text[i + 1:]).encode()), i
+
+
+def test_no_byte_string_of_at_most_two_bytes_spells_a_proof():
+    # the byte sweep that sound Find verification once ran below 22 bits
+    for n in range(3):
+        for v in range(1 << (8 * n)):
+            assert not _spells_a_proof(v.to_bytes(n, "big"))

@@ -302,6 +302,19 @@ def test_simulate_empty_advice_short_circuit():
         ps.simulate(QS, "", phi, "not a proof")
 
 
+@pytest.mark.parametrize("v, width", [(5000, 4097), (5 * 10**9, (1 << 32) + 1)])
+def test_simulate_empty_advice_beyond_a_4096_bit_code(monkeypatch, v, width):
+    # x5000 needs a 13-bit index field, so phi's least code has 4,097 bits;
+    # x5000000000 needs 33, and a code that wide is never built
+    monkeypatch.setattr(fm, "encode_k", None)
+    phi = fm.Or(fm.Var(v), fm.Not(fm.Var(v)))
+    assert fm.code_width(phi) == width
+    b = fr.ProofBuilder()
+    b.axiom("EM", {1: fm.Var(v)})
+    res = ps.simulate(ps.AdviceSystem(None, c=2), "", phi, fr.serialize_proof(b.proof()))
+    assert fr.check(fr.FREGE, phi, res.proof)
+
+
 def test_at_most_power_matches_the_power():
     for n, k, c in itertools.product(range(70), range(6), range(-2, 7)):
         if k or c >= 0:

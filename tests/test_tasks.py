@@ -121,9 +121,21 @@ def test_find_heuristic_and_modes():
 
 
 def test_find_sound_budget_guard():
-    inst = tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), 8, 2, 2)
+    inst = tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), 8, 2, 3)
     with pytest.raises(fm.BudgetError):
         tk.verify_find_candidate(inst, ("const", 1), "sound")
+
+
+@pytest.mark.parametrize("k, c1, decided", [(12, 2, True), (13, 2, False)])
+def test_find_sound_mode_is_decided_up_to_the_proof_text_floor(k, c1, decided):
+    # 12^2 = 144 bits admits no proof text; 13^2 = 169 bits admits
+    # "proof\n1 1;axiom T1"
+    inst = tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), k, 2, c1)
+    if decided:
+        assert tk.verify_find_candidate(inst, ("const", 1), "sound") == "accepted"
+    else:
+        with pytest.raises(fm.BudgetError, match="144-bit floor"):
+            tk.verify_find_candidate(inst, ("const", 1), "sound")
 
 
 def test_reduce_find_to_cert_round_trip():
@@ -163,6 +175,13 @@ def test_err_instance_validation():
     flipped = ("1" if L[0] == "0" else "0") + L[1:]
     with pytest.raises(tk.TaskError):
         tk.ErrInstance(tri, 2, flipped, "1010", wits, "1010")
+
+
+def test_err_instance_rejects_a_non_binary_table():
+    tri = nw.err_triple(four_block_spec())
+    _, wits = nw.ttable_from_seed(four_block_spec(), "1010")
+    with pytest.raises(tk.TaskError, match="truth table L"):
+        tk.ErrInstance(tri, 2, "1x01", "1010", wits, "1010")
 
 
 def test_err_true_seed_has_no_error():
@@ -325,6 +344,19 @@ def test_reduction_oracle_reads_proofs_of_fewer_than_k_c1_bits(k, c1, accepted):
     y += [0] * (cert.y_width - len(y))
     code = [int(ch) for ch in fm.encode_k(fm.parse("1"), k)]
     assert cert.oracles["provable"](tuple(code + y)) == accepted
+
+
+def test_reduction_oracle_rejects_a_deep_proof_text():
+    # a 3,630-byte text whose formulas nest 1,201 deep: comparing them
+    # recurses past the interpreter's limit, which the oracle reads as False
+    cert = tk.reduce_find_to_cert(tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), 8, 2, 5))
+    d = "~" * 1200 + "1"
+    text = f"proof\n1 ~({d})|{d};axiom ID [1:={d}]".encode()
+    assert len(text) == 3630 and cert.y_width == 32768
+    y = "".join(format(byte, "08b") for byte in text)
+    y += "0" * (cert.y_width - len(y))
+    code = fm.encode_k(fm.parse("1"), 8)
+    assert cc.eval_circuit(cert.D, {"x": code, "y": y}, cert.oracles) == "0"
 
 
 def test_reduction_rejects_a_y_slot_above_the_limit():
