@@ -188,8 +188,11 @@ def to_text(f: Formula) -> str:
 # A memo maps id(subterm) to the subterm's text (_text) or text length
 # (_text_len); one memo may serve several formulas.  Ids are unique only among
 # live objects, so the caller keeps every formula it passes alive while the
-# memo is in use.  Formulas are not hash-consed, and hashing a nested tuple
-# costs its size, hence ids rather than the tuples as keys.
+# memo is in use.  frege.parse_proof prints candidates it may then discard:
+# it keeps each of them until it returns, since a freed id can pass to a new
+# formula, whose stale memo text would accept a line that spells another.
+# Formulas are not hash-consed, and hashing a nested tuple costs its size,
+# hence ids rather than the tuples as keys.
 
 def _text(f: Formula, memo: dict[int, str]) -> str:
     tag = f[0]

@@ -396,8 +396,19 @@ def _decimal(token: str) -> int | None:
 
 
 def parse_proof(text: str) -> Proof:
+    """Read the line format of serialize_proof.
+
+    A line spelled as the printer spells its justification's formula (the
+    right disjunct of an mp line's second premise, or an axiom instance) is
+    read as that formula without re-parsing: parse(to_text(f)) == f, so the
+    result is the parser's.  Any other spelling goes through fm.parse, with
+    the same result and the same error.  A formula text read once is not
+    read again, so a parsed proof shares subterms between its lines."""
     lines: list[Line] = []
     saw_header = False
+    read: dict[str, Formula] = {}  # text -> formula, over line formulas and sigma values
+    printed: dict[int, str] = {}   # fm._text's memo over the candidates
+    kept: list[Formula | None] = []  # every candidate printed; see the comment above fm._text
     for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -407,47 +418,90 @@ def parse_proof(text: str) -> Proof:
             continue
         if ";" not in s:
             raise ProofError(f"line {lineno}: missing justification separator")
-        head, _, just = s.partition(";")
-        head = head.strip()
-        num, _, ftext = head.partition(" ")
+        head, _, jtext = s.partition(";")
+        num, _, ftext = head.strip().partition(" ")
         if _decimal(num) != len(lines) + 1:
             raise ProofError(f"line {lineno}: expected line number {len(lines) + 1}")
-        f = fm.parse(ftext.strip())
-        jtoks = just.strip().split(None, 1)
-        if not jtoks:
-            raise ProofError(f"line {lineno}: empty justification")
-        if jtoks[0] == "axiom":
-            if len(jtoks) < 2:
-                raise ProofError(f"line {lineno}: axiom needs a scheme name")
-            rest = jtoks[1].split(None, 1)
-            name = rest[0]
-            sigma: dict[int, Formula] = {}
-            if len(rest) > 1:
-                for part in rest[1].split("]"):
-                    part = part.strip()
-                    if not part:
-                        continue
-                    key, sep, val = part[1:].partition(":=")
-                    m = _decimal(key)
-                    if not part.startswith("[") or not sep or m is None:
-                        raise ProofError(f"line {lineno}: bad substitution {part!r}")
-                    sigma[m] = fm.parse(val)
-            lines.append(Line(f, ("axiom", name, sigma)))
-        elif jtoks[0] == "mp":
-            refs = [_decimal(t) for t in jtoks[1].split()] if len(jtoks) > 1 else []
-            if len(refs) != 2 or None in refs:
-                raise ProofError(f"line {lineno}: mp needs two line numbers")
-            a, b = refs
-            lines.append(Line(f, ("mp", a - 1, b - 1)))
-        elif jtoks[0] == "hyp":
-            lines.append(Line(f, ("hyp",)))
+        ftext = ftext.strip()
+        try:
+            just = _justification(jtext, lineno, read)
+        except (ProofError, fm.ParseError) as e:
+            just, err = None, e  # raised after the formula, which the line states first
+        f = None if just is None else _candidate(just, lines)
+        kept.append(f)
+        if f is not None and _spells(f, ftext, printed):
+            read.setdefault(ftext, f)
         else:
-            raise ProofError(f"line {lineno}: unknown justification {jtoks[0]!r}")
+            f = _read(ftext, read)
+        if just is None:
+            raise err
+        lines.append(Line(f, just))
     if not saw_header:
         raise ProofError("missing 'proof' header")
     if not lines:
         raise ProofError("empty proof")
     return Proof(tuple(lines))
+
+
+def _read(text: str, read: dict[str, Formula]) -> Formula:
+    """fm.parse(text), parsing each text once per memo."""
+    f = read.get(text)
+    if f is None:
+        f = read[text] = fm.parse(text)
+    return f
+
+
+def _justification(text: str, lineno: int, read: dict[str, Formula]) -> tuple:
+    """The justification after a line's ';', sigma values read through read."""
+    jtoks = text.strip().split(None, 1)
+    if not jtoks:
+        raise ProofError(f"line {lineno}: empty justification")
+    if jtoks[0] == "axiom":
+        if len(jtoks) < 2:
+            raise ProofError(f"line {lineno}: axiom needs a scheme name")
+        rest = jtoks[1].split(None, 1)
+        sigma: dict[int, Formula] = {}
+        if len(rest) > 1:
+            for part in rest[1].split("]"):
+                part = part.strip()
+                if not part:
+                    continue
+                key, sep, val = part[1:].partition(":=")
+                m = _decimal(key)
+                if not part.startswith("[") or not sep or m is None:
+                    raise ProofError(f"line {lineno}: bad substitution {part!r}")
+                sigma[m] = _read(val, read)
+        return ("axiom", rest[0], sigma)
+    if jtoks[0] == "mp":
+        refs = [_decimal(t) for t in jtoks[1].split()] if len(jtoks) > 1 else []
+        if len(refs) != 2 or None in refs:
+            raise ProofError(f"line {lineno}: mp needs two line numbers")
+        return ("mp", refs[0] - 1, refs[1] - 1)
+    if jtoks[0] == "hyp":
+        return ("hyp",)
+    raise ProofError(f"line {lineno}: unknown justification {jtoks[0]!r}")
+
+
+def _candidate(just: tuple, lines: list[Line]) -> Formula | None:
+    """The formula just derives from the lines before it, where it names
+    one: the right disjunct of an mp line's second premise, or the axiom
+    instance."""
+    if just[0] == "mp":
+        b = just[2]
+        if 0 <= b < len(lines) and lines[b].formula[0] == "or":
+            return lines[b].formula[2]
+    elif just[0] == "axiom" and just[1] in AXIOM_SCHEMES:
+        return fm.substitute(AXIOM_SCHEMES[just[1]], just[2])
+    return None
+
+
+def _spells(f: Formula, text: str, memo: dict[int, str]) -> bool:
+    """Whether the printer spells f as text; False where printing f exceeds
+    the recursion limit, which the parser does not have."""
+    try:
+        return fm._text(f, memo) == text
+    except RecursionError:
+        return False
 
 
 #: fewest bits of any text that parse_proof reads and check accepts.  Such a

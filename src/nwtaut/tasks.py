@@ -177,7 +177,9 @@ def verify_find_candidate(inst: FindInstance, beta: fm.Formula, mode: str = "sou
     tautology is accepted; above that floor it raises BudgetError.
     Heuristic mode stops after the tautology and size gates: proof
     nonexistence is not certified."""
-    if fm.encode_k(beta, inst.k) is None or not fm.is_tautology(beta, mode="auto"):
+    # beta has a size-k code when its tokens and END fit k bits; none is built
+    n = fm.code_length(beta, fm.index_width(inst.k))
+    if n is None or n + len(fm.TOK_END) > inst.k or not fm.is_tautology(beta, mode="auto"):
         return "rejected"
     if mode == "heuristic":
         return "unverified"

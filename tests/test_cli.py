@@ -1,9 +1,13 @@
 import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import nwtaut
 from nwtaut import circuits as cc
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
@@ -289,6 +293,22 @@ def test_solve_find_verify(capsys):
     )
     assert rc == EXIT_NONE
 
+
+
+def test_solve_find_verify_at_a_huge_k_builds_no_code():
+    """k = 10^9 under a 1.5 GB address-space limit: a size gate that built
+    the k-bit code would end in a MemoryError."""
+    limit = 1_500_000 * 1024
+    src = str(Path(nwtaut.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from nwtaut.cli import main; sys.exit(main(sys.argv[1:]))",
+         "solve", "--task", "find-verify", "--k", "1000000000", "--alpha", "x1 | ~x1",
+         "--beta", "1", "--mode", "heuristic", "--c0", "1", "--c1", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_NONE, "candidate: unverified\n"), proc.stderr
 
 # ---------------------------------------------------------------------------
 # inputs that must end in exit 2 with a one-line message, not a traceback

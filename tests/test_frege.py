@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,7 +269,7 @@ def assert_size_is_text_length(proof):
 def test_proof_size_bits_counts_the_text_kalmar(text):
     proof = fr.prove_tautology(fm.parse(text))
     assert_size_is_text_length(proof)
-    # a parsed proof shares no subterm objects
+    # a parsed proof, whose lines share subterm objects
     assert_size_is_text_length(fr.parse_proof(fr.serialize_proof(proof)))
 
 
@@ -339,6 +340,163 @@ def test_shared_subterms_are_printed_and_sized_once():
 def test_parse_proof_rejects_malformed(bad):
     with pytest.raises((fr.ProofError, fm.ParseError)):
         fr.parse_proof(bad)
+
+
+# ---------------------------------------------------------------------------
+# parse_proof against the reader that parsed every line in full
+
+def _reference_parse_proof(text: str) -> fr.Proof:
+    """parse_proof as it was before it read lines through their
+    justifications, kept verbatim as the reference."""
+    lines: list[fr.Line] = []
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        s = raw.strip()
+        if not s or s.startswith("#"):
+            continue
+        if s == "proof":
+            saw_header = True
+            continue
+        if ";" not in s:
+            raise fr.ProofError(f"line {lineno}: missing justification separator")
+        head, _, just = s.partition(";")
+        head = head.strip()
+        num, _, ftext = head.partition(" ")
+        if fr._decimal(num) != len(lines) + 1:
+            raise fr.ProofError(f"line {lineno}: expected line number {len(lines) + 1}")
+        f = fm.parse(ftext.strip())
+        jtoks = just.strip().split(None, 1)
+        if not jtoks:
+            raise fr.ProofError(f"line {lineno}: empty justification")
+        if jtoks[0] == "axiom":
+            if len(jtoks) < 2:
+                raise fr.ProofError(f"line {lineno}: axiom needs a scheme name")
+            rest = jtoks[1].split(None, 1)
+            name = rest[0]
+            sigma: dict[int, fm.Formula] = {}
+            if len(rest) > 1:
+                for part in rest[1].split("]"):
+                    part = part.strip()
+                    if not part:
+                        continue
+                    key, sep, val = part[1:].partition(":=")
+                    m = fr._decimal(key)
+                    if not part.startswith("[") or not sep or m is None:
+                        raise fr.ProofError(f"line {lineno}: bad substitution {part!r}")
+                    sigma[m] = fm.parse(val)
+            lines.append(fr.Line(f, ("axiom", name, sigma)))
+        elif jtoks[0] == "mp":
+            refs = [fr._decimal(t) for t in jtoks[1].split()] if len(jtoks) > 1 else []
+            if len(refs) != 2 or None in refs:
+                raise fr.ProofError(f"line {lineno}: mp needs two line numbers")
+            a, b = refs
+            lines.append(fr.Line(f, ("mp", a - 1, b - 1)))
+        elif jtoks[0] == "hyp":
+            lines.append(fr.Line(f, ("hyp",)))
+        else:
+            raise fr.ProofError(f"line {lineno}: unknown justification {jtoks[0]!r}")
+    if not saw_header:
+        raise fr.ProofError("missing 'proof' header")
+    if not lines:
+        raise fr.ProofError("empty proof")
+    return fr.Proof(tuple(lines))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as e:  # the exception is the outcome being compared
+        return type(e), str(e)
+
+
+def _hyp_proof_text():
+    b = fr.ProofBuilder()
+    idx = b.imply(b.hyp(fm.Var(3)), "N4", {1: fm.Var(3)})
+    return fr.serialize_proof(b.proof(idx))
+
+
+@pytest.mark.parametrize("text", TAUTOLOGY_BATCH)
+def test_parse_proof_agrees_with_reference_on_the_batch(text):
+    proof_text = fr.serialize_proof(fr.prove_tautology(fm.parse(text)))
+    assert fr.parse_proof(proof_text) == _reference_parse_proof(proof_text)
+
+
+def test_parse_proof_agrees_with_reference_on_mutants():
+    """Seeded one-character edits of short texts, some spelled otherwise
+    than the printer spells them: equal proofs, or equal exceptions."""
+    texts = [
+        fr.serialize_proof(fr.prove_tautology(fm.parse("x1 | ~x1"))),
+        fr.serialize_proof(fr.prove_true_sentence(fm.parse("~(0 & 1) | 1"))),
+        _hyp_proof_text(),
+        "proof\n# spelled by hand\n1 x3;hyp\n2 ~x3|~~x3 ; axiom N4 [1:=(x3)]\n"
+        "3 ~~(x3) ; mp 1 2\n4 ~(~x3 & x1) | ~~x3 ; axiom N2 [1:=~x3] [2:= x3]\n",
+    ]
+    # a formula error comes before a justification error on the same line
+    for text in ["proof\n1 x1 | ; axiom ID [1:=(]\n", "proof\n1 x1 | ; mp one two\n",
+                 "proof\n1 ~x1 | x1 ; axiom ID [1:=(]\n", "proof\n1 ( ; frob\n"]:
+        assert _outcome(fr.parse_proof, text) == _outcome(_reference_parse_proof, text), text
+    alphabet = "0123456789x~|&() ;[]:=\n#aimpNT"
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        assert _outcome(fr.parse_proof, text) == _outcome(_reference_parse_proof, text), text
+
+
+def _same_tree(f, g) -> bool:
+    """f == g without recursion, for chains deeper than tuple == allows."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a[0] != b[0] or len(a) != len(b):
+            return False
+        if a[0] in ("const", "var"):
+            if a != b:
+                return False
+        else:
+            stack.extend(zip(a[1:], b[1:]))
+    return True
+
+
+@pytest.mark.parametrize("text", [
+    # line 3's formula is line 2's right disjunct, too deep to print
+    "proof\n1 x2 ; hyp\n2 ~x2 | " + "~" * 5000 + "x1 ; hyp\n3 " + "~" * 5000 + "x1 ; mp 1 2\n",
+    "proof\n1 " + "~" * 5001 + "x1 | " + "~" * 5000 + "x1 ; axiom ID [1:=" + "~" * 5000 + "x1]\n",
+], ids=["mp", "axiom"])
+def test_parse_proof_reads_deep_lines_the_printer_cannot_print(text):
+    got, want = fr.parse_proof(text), _reference_parse_proof(text)
+    assert len(got) == len(want)
+    for a, b in zip(got.lines, want.lines):
+        assert _same_tree(a.formula, b.formula)
+        assert a.just[:2] == b.just[:2]
+        if a.just[0] == "axiom":
+            assert a.just[2].keys() == b.just[2].keys()
+            assert all(_same_tree(a.just[2][m], b.just[2][m]) for m in a.just[2])
+
+
+def test_parse_proof_keeps_rejected_candidates_alive():
+    """Odd lines spell their axiom instance otherwise, so it is rejected;
+    the next line's instance may take a freed subterm's id, and a stale
+    printed text for ~x_i would read ~x_(i+1) | x_(i+1) as ~x_i | x_(i+1)."""
+    lines = ["proof"]
+    for i in range(1, 60):
+        lines.append(f"{2 * i - 1} (~x{i}) | x{i} ; axiom ID [1:=x{i}]")
+        lines.append(f"{2 * i} ~x{i} | x{i + 1} ; axiom ID [1:=x{i + 1}]")
+    text = "\n".join(lines) + "\n"
+    assert fr.parse_proof(text) == _reference_parse_proof(text)
+
+
+def test_parse_proof_reads_an_mp_line_through_its_premise():
+    proof = fr.parse_proof(_hyp_proof_text())
+    assert [ln.just[0] for ln in proof.lines] == ["hyp", "axiom", "mp"]
+    assert proof.lines[2].formula is proof.lines[1].formula[2]
 
 
 # ---------------------------------------------------------------------------

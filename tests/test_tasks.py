@@ -138,6 +138,26 @@ def test_find_sound_mode_is_decided_up_to_the_proof_text_floor(k, c1, decided):
             tk.verify_find_candidate(inst, ("const", 1), "sound")
 
 
+
+def test_find_size_gate_builds_no_code():
+    # a k-bit code at k = 10^10 would take 10 GB
+    inst = tk.FindInstance(fr.FREGE, fm.parse("x1 | ~x1"), 10**10, 1, 1)
+    assert tk.verify_find_candidate(inst, ("const", 1), "heuristic") == "unverified"
+    # index width 34: x_(2^34) fits, x_(2^34 + 1) does not
+    for i, verdict in ((2**34, "unverified"), (2**34 + 1, "rejected")):
+        beta = fm.Or(fm.Var(i), fm.Not(fm.Var(i)))
+        assert tk.verify_find_candidate(inst, beta, "heuristic") == verdict
+
+
+def test_find_size_gate_agrees_with_encode_k():
+    inst_k = {k: tk.FindInstance(fr.FREGE, fm.parse("1"), k, 1, 1) for k in range(8, 41)}
+    for text in ["1", "~0", "x1 | ~x1", "x2 | ~x2", "x3 | ~x3", "~(x1 & ~x1)", "0 | 1"]:
+        beta = fm.parse(text)
+        for k, inst in inst_k.items():
+            fits = fm.encode_k(beta, k) is not None and fm.is_tautology(beta)
+            want = "unverified" if fits else "rejected"
+            assert tk.verify_find_candidate(inst, beta, "heuristic") == want, (text, k)
+
 def test_reduce_find_to_cert_round_trip():
     inst = find_instance()
     cert = tk.reduce_find_to_cert(inst)
