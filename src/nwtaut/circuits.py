@@ -14,7 +14,8 @@ Canonical text format (one item per line):
     opaque <name> <wire...> -> g<i>
     output <wire...>
 
-where a wire is written ``<group>:<j>`` (j 1-based) or ``g<i>``.
+where a wire is written ``<group>:<j>`` (j 1-based) or ``g<i>`` (i 1-based),
+with j and i ASCII decimals.
 """
 
 from __future__ import annotations
@@ -27,6 +28,33 @@ from .cnf import ClauseSet, dpll_solve, gate_clauses
 
 class CircuitError(ValueError):
     pass
+
+
+# length of each gate tuple: the op, then its operands or name and operands
+_GATE_FIELDS = {"not": 2, "and": 3, "or": 3, "opaque": 3}
+
+
+def gate_operands(g: tuple) -> tuple[int, ...]:
+    """The wires gate g reads, in order."""
+    return g[2] if g[0] == "opaque" else g[1:]
+
+
+def _group_offset(groups, name: str) -> tuple[int, int]:
+    """First wire and width of input group name."""
+    off = 0
+    for n, w in groups:
+        if n == name:
+            return off, w
+        off += w
+    raise CircuitError(f"no group {name!r}")
+
+
+def _input_wire(groups, name: str, j: int) -> int:
+    """Wire of the 1-based bit j of input group name."""
+    off, w = _group_offset(groups, name)
+    if not 1 <= j <= w:
+        raise CircuitError(f"bit {j} out of range for group {name}")
+    return off + j - 1
 
 
 @dataclass(frozen=True)
@@ -42,24 +70,16 @@ class Circuit:
         for n, w in self.groups:
             if w < 0:
                 raise CircuitError(f"negative width for group {n}")
-        n_in = self.n_inputs
+        limit = self.n_inputs  # gate i reads wires below n_inputs + i
         for i, g in enumerate(self.gates):
-            limit = n_in + i
-            op = g[0]
-            if op == "not":
-                args = (g[1],)
-            elif op in ("and", "or"):
-                args = (g[1], g[2])
-            elif op == "opaque":
-                args = g[2]
-            else:
-                raise CircuitError(f"gate {i}: unknown op {op!r}")
-            for a in args:
+            if len(g) != _GATE_FIELDS.get(g[0] if g else None):
+                raise CircuitError(f"gate {i}: malformed gate {g!r}")
+            for a in gate_operands(g):
                 if not 0 <= a < limit:
                     raise CircuitError(f"gate {i}: wire {a} not yet defined")
-        top = n_in + len(self.gates)
+            limit += 1
         for o in self.outputs:
-            if not 0 <= o < top:
+            if not 0 <= o < limit:
                 raise CircuitError(f"output wire {o} undefined")
 
     @property
@@ -71,12 +91,7 @@ class Circuit:
         return len(self.gates)
 
     def group_offset(self, name: str) -> tuple[int, int]:
-        off = 0
-        for n, w in self.groups:
-            if n == name:
-                return off, w
-            off += w
-        raise CircuitError(f"no group {name!r}")
+        return _group_offset(self.groups, name)
 
     def has_opaque(self) -> bool:
         return any(g[0] == "opaque" for g in self.gates)
@@ -93,14 +108,7 @@ class CircuitBuilder:
 
     def inp(self, name: str, j: int) -> int:
         """1-based bit j of input group name."""
-        off = 0
-        for n, w in self.groups:
-            if n == name:
-                if not 1 <= j <= w:
-                    raise CircuitError(f"bit {j} out of range for group {name}")
-                return off + j - 1
-            off += w
-        raise CircuitError(f"no group {name!r}")
+        return _input_wire(self.groups, name, j)
 
     def _add(self, gate: tuple) -> int:
         self.gates.append(gate)
@@ -202,6 +210,12 @@ def eval_circuit(
     return "".join(str(vals[o]) for o in circ.outputs)
 
 
+def gate_bits(circ: Circuit, inputs: dict[str, str]) -> str:
+    """Values of the gate wires, in gate order, on the given input bits."""
+    vals = wire_values(circ, inputs)
+    return "".join(str(b) for b in vals[circ.n_inputs:])
+
+
 # ---------------------------------------------------------------------------
 # clause translation / formula translation (explicit circuits only)
 
@@ -235,22 +249,22 @@ class CircuitFormula:
     equivalences over input vars and computation vars, plus the out vars."""
 
     correct: fm.Formula
-    input_vars: tuple[int, ...]
-    gate_vars: tuple[int, ...]
     out_vars: tuple[int, ...]
-    conjuncts: tuple[fm.Formula, ...] = ()
+    conjuncts: tuple[fm.Formula, ...]
 
 
 def equiv(a: fm.Formula, b: fm.Formula) -> fm.Formula:
     return ("and", ("or", ("not", a), b), ("or", ("not", b), a))
 
 
-def circuit_to_formula(
-    circ: Circuit,
-    input_vars: list[int] | None = None,
-    gate_vars: list[int] | None = None,
-) -> CircuitFormula:
-    """Gate-definition equivalences CORRECT(inputs, s) with out variables.
+def _gate_formula(g: tuple, wire) -> fm.Formula:
+    """The gate op applied to the formulas wire[a] of its operands."""
+    return (g[0], *(wire[a] for a in g[1:]))
+
+
+def circuit_to_formula(circ: Circuit, wire_vars: list[int]) -> CircuitFormula:
+    """Gate-definition equivalences CORRECT(inputs, s) with out variables,
+    with a caller-chosen variable for every wire (inputs then gates).
 
     For every fixed input there is exactly one satisfying setting of the
     computation variables s, on which each out var equals the circuit output.
@@ -258,36 +272,14 @@ def circuit_to_formula(
     if circ.has_opaque():
         raise CircuitError("circuit_to_formula requires an explicit circuit")
     n_in = circ.n_inputs
-    if input_vars is None:
-        input_vars = list(range(1, n_in + 1))
-    if gate_vars is None:
-        base = (max(input_vars) if input_vars else 0) + 1
-        gate_vars = list(range(base, base + len(circ.gates)))
-    if len(input_vars) != n_in or len(gate_vars) != len(circ.gates):
-        raise CircuitError("variable map width mismatch")
-
-    def wire_var(w: int) -> fm.Formula:
-        if w < n_in:
-            return ("var", input_vars[w])
-        return ("var", gate_vars[w - n_in])
-
-    conjuncts = []
-    for i, g in enumerate(circ.gates):
-        lhs: fm.Formula = ("var", gate_vars[i])
-        if g[0] == "not":
-            rhs: fm.Formula = ("not", wire_var(g[1]))
-        else:
-            rhs = (g[0], wire_var(g[1]), wire_var(g[2]))
-        conjuncts.append(equiv(lhs, rhs))
-    correct = fm.big_and(conjuncts)
-    outs = []
-    for o in circ.outputs:
-        if o < n_in:
-            outs.append(input_vars[o])
-        else:
-            outs.append(gate_vars[o - n_in])
+    if len(wire_vars) != n_in + len(circ.gates):
+        raise CircuitError("wire variable map has wrong length")
+    wire = [("var", v) for v in wire_vars]
+    conjuncts = tuple(
+        equiv(wire[n_in + i], _gate_formula(g, wire)) for i, g in enumerate(circ.gates)
+    )
     return CircuitFormula(
-        correct, tuple(input_vars), tuple(gate_vars), tuple(outs), tuple(conjuncts)
+        fm.big_and(conjuncts), tuple(wire_vars[o] for o in circ.outputs), conjuncts
     )
 
 
@@ -304,11 +296,7 @@ def gate_formulas(circ: Circuit, wire_formula: dict[int, fm.Formula]) -> dict[in
         if w not in out:
             raise CircuitError(f"input wire {w} has no formula")
     for i, g in enumerate(circ.gates):
-        w = n_in + i
-        if g[0] == "not":
-            out[w] = ("not", out[g[1]])
-        else:
-            out[w] = (g[0], out[g[1]], out[g[2]])
+        out[n_in + i] = _gate_formula(g, out)
     return out
 
 
@@ -317,15 +305,12 @@ def inline(b: CircuitBuilder, circ: Circuit, input_wires: list[int]) -> list[int
     flattened input of circ); returns the wires of circ's outputs."""
     if len(input_wires) != circ.n_inputs:
         raise CircuitError("inline: input wire count mismatch")
-    n_in = circ.n_inputs
-    wmap: list[int] = list(input_wires)
+    # circ's gate i becomes the builder's next gate, wire top + i
+    top = b.n_in + len(b.gates)
+    wmap = [*input_wires, *range(top, top + circ.size)]
     for g in circ.gates:
-        if g[0] == "not":
-            wmap.append(b.NOT(wmap[g[1]]))
-        elif g[0] in ("and", "or"):
-            wmap.append(b._add((g[0], wmap[g[1]], wmap[g[2]])))
-        else:
-            wmap.append(b.opaque(g[1], [wmap[a] for a in g[2]]))
+        args = [wmap[a] for a in gate_operands(g)]
+        b.gates.append(("opaque", g[1], tuple(args)) if g[0] == "opaque" else (g[0], *args))
     return [wmap[o] for o in circ.outputs]
 
 
@@ -413,13 +398,11 @@ def serialize(circ: Circuit) -> str:
     for name, w in circ.groups:
         lines.append(f"group {name} {w}")
     for i, g in enumerate(circ.gates):
+        args = " ".join(wname(a) for a in gate_operands(g))
         if g[0] == "opaque":
-            args = " ".join(wname(a) for a in g[2])
             lines.append(f"opaque {g[1]} {args} -> g{i + 1}")
-        elif g[0] == "not":
-            lines.append(f"g{i + 1} = NOT {wname(g[1])}")
         else:
-            lines.append(f"g{i + 1} = {g[0].upper()} {wname(g[1])} {wname(g[2])}")
+            lines.append(f"g{i + 1} = {g[0].upper()} {args}")
     lines.append("output " + " ".join(wname(o) for o in circ.outputs))
     return "\n".join(lines) + "\n"
 
@@ -434,23 +417,20 @@ def parse_circuit(text: str) -> Circuit:
         return CircuitError(f"line {lineno}: {msg}")
 
     def resolve(tok: str, lineno: int) -> int:
-        if tok.startswith("g") and tok[1:].isdigit():
-            idx = int(tok[1:])
-            if not 1 <= idx <= len(gates):
-                raise err(lineno, f"undefined gate {tok}")
-            return sum(w for _, w in groups) + idx - 1
-        if ":" in tok:
-            name, _, j = tok.partition(":")
-            off = 0
-            for n, w in groups:
-                if n == name:
-                    ji = int(j)
-                    if not 1 <= ji <= w:
-                        raise err(lineno, f"bit {ji} out of range for group {name}")
-                    return off + ji - 1
-                off += w
-            raise err(lineno, f"unknown group {name!r}")
-        raise err(lineno, f"bad wire reference {tok!r}")
+        name, colon, j = tok.partition(":")
+        if not colon and tok.startswith("g"):
+            j = tok[1:]
+        # int() would also read non-ASCII digits, signs and underscores
+        if not (j.isascii() and j.isdigit()):
+            raise err(lineno, f"bad wire reference {tok!r}")
+        if colon:
+            try:
+                return _input_wire(groups, name, int(j))
+            except CircuitError as exc:
+                raise err(lineno, str(exc)) from None
+        if not 1 <= int(j) <= len(gates):
+            raise err(lineno, f"undefined gate {tok}")
+        return sum(w for _, w in groups) + int(j) - 1
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -471,12 +451,10 @@ def parse_circuit(text: str) -> Circuit:
             groups.append((name, width))
             continue
         if toks[0] == "opaque":
-            if "->" not in toks:
+            if len(toks) < 4 or toks[-2] != "->":
                 raise err(lineno, "opaque line needs '-> g<i>'")
-            arrow = toks.index("->")
-            name = toks[1]
-            args = [resolve(t, lineno) for t in toks[2:arrow]]
-            target = toks[arrow + 1]
+            name, target = toks[1], toks[-1]
+            args = [resolve(t, lineno) for t in toks[2:-2]]
             if target != f"g{len(gates) + 1}":
                 raise err(lineno, f"opaque must define g{len(gates) + 1}, got {target}")
             gates.append(("opaque", name, tuple(args)))
@@ -539,7 +517,7 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
     if k > 20:
         raise fm.BudgetError("universal evaluator capped at k <= 20")
     entries = []
-    for f in fm.enumerate_fitting(k, var_cap=k):
+    for f in fm.enumerate_fitting(k):
         code = fm.encode_k(f, k)
         assert code is not None
         entries.append((code, f))

@@ -281,6 +281,8 @@ def parse_design(text: str) -> DesignParams:
                 raise DesignError(f"line {lineno}: bad design header")
             header = (int(toks[1]), int(toks[2]), int(toks[3]), int(toks[4]), toks[5])
         elif toks[0] == "poly":
+            if len(toks) != 3:
+                raise DesignError(f"line {lineno}: poly line needs 'poly q d'")
             poly = (int(toks[1]), int(toks[2]))
         elif toks[0] == "block":
             blocks.append([int(t) for t in toks[1:]])

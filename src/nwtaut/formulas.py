@@ -429,13 +429,13 @@ def code_width(f: Formula) -> int:
         iw = max(iw + 1, (n - 1).bit_length())
 
 
-def enumerate_fitting(k: int, var_cap: int | None = None) -> list[Formula]:
-    """All formulas whose k-bit code exists, with variable indices capped.
+def enumerate_fitting(k: int) -> list[Formula]:
+    """All formulas whose k-bit code exists and whose variables are among
+    x1..xk, the assignment bits a universal evaluator of width k reads.
 
     Deterministic order; used to build desk-scale universal evaluators.
     """
     w = index_width(k)
-    cap = min(var_cap, 1 << w) if var_cap is not None else (1 << w)
     budget = k - 4  # END token
     memo: dict[int, list[Formula]] = {}
 
@@ -447,7 +447,7 @@ def enumerate_fitting(k: int, var_cap: int | None = None) -> list[Formula]:
             out.append(CONST0)
             out.append(CONST1)
         if b >= 4 + w:
-            out.extend(("var", i) for i in range(1, cap + 1))
+            out.extend(("var", i) for i in range(1, k + 1))
         if b >= 8:
             out.extend(("not", g) for g in gen(b - 4))
         if b >= 12:

@@ -105,31 +105,21 @@ class SatEncoding:
 def sat_formula(
     k: int,
     evaluator: cc.Circuit,
-    u_vars: list[int] | None = None,
-    x_vars: list[int] | None = None,
-    v_vars: list[int] | None = None,
+    u_vars: tuple[int, ...],
+    x_vars: tuple[int, ...],
+    v_vars: tuple[int, ...],
 ) -> SatEncoding:
-    """Tseitin-style satisfaction formula from the universal evaluator.
-
-    Default numbering: u = 1..k, x = k+1..2k, v = 2k+1 onward."""
-    groups = dict(evaluator.groups)
-    if set(groups) != {"u", "x"} or groups["u"] != k or groups["x"] != k:
+    """Tseitin-style satisfaction formula from the universal evaluator, with
+    u_vars and x_vars for its input groups and v_vars for its gates."""
+    if evaluator.groups != (("u", k), ("x", k)):
         raise ProofError(f"evaluator must have groups u, x of width {k}")
     if len(evaluator.outputs) != 1:
         raise ProofError("evaluator must have a single output")
-    if u_vars is None:
-        u_vars = list(range(1, k + 1))
-    if x_vars is None:
-        x_vars = list(range(k + 1, 2 * k + 1))
-    if v_vars is None:
-        v_vars = list(range(2 * k + 1, 2 * k + 1 + len(evaluator.gates)))
-    # input order in the circuit is u then x
-    cf = cc.circuit_to_formula(evaluator, list(u_vars) + list(x_vars), list(v_vars))
+    cf = cc.circuit_to_formula(evaluator, u_vars + x_vars + v_vars)
     out = ("var", cf.out_vars[0])
     formula = fm.Implies(cf.correct, out)
     return SatEncoding(
-        k, formula, cf.correct, cf.conjuncts, out,
-        tuple(u_vars), tuple(x_vars), tuple(v_vars), evaluator,
+        k, formula, cf.correct, cf.conjuncts, out, u_vars, x_vars, v_vars, evaluator
     )
 
 
@@ -141,11 +131,7 @@ def _const_map(vars_: tuple[int, ...], bits: str) -> dict[int, Formula]:
 
 def _u_independent(circ: cc.Circuit, u_width: int) -> bool:
     """True if no gate reads a u-wire (wires 0..u_width-1)."""
-    for g in circ.gates:
-        args = g[2] if g[0] == "opaque" else g[1:]
-        if any(a < u_width for a in args):
-            return False
-    return True
+    return all(a >= u_width for g in circ.gates for a in cc.gate_operands(g))
 
 
 def evaluator_run_bits(enc: SatEncoding, code: str) -> str:
@@ -157,8 +143,7 @@ def evaluator_run_bits(enc: SatEncoding, code: str) -> str:
             "evaluator computation depends on the assignment bits u; "
             "no constant run exists at this width"
         )
-    vals = cc.wire_values(enc.evaluator, {"u": "0" * enc.k, "x": code})
-    return "".join(str(b) for b in vals[2 * enc.k:])
+    return cc.gate_bits(enc.evaluator, {"u": "0" * enc.k, "x": code})
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +310,8 @@ class ProvEncoding:
 
 
 def prov_formula(QS: AdviceSystem, k: int) -> ProvEncoding:
-    """Numbering: x = 1..k, then y, t, s consecutively."""
+    """Numbering: x = 1..k, then y, s, t consecutively, so that baking the
+    advice t in as constants leaves x, y, s numbered without a gap."""
     xw, yw, tw = QS.widths()
     if xw != k:
         raise ProofError(f"checker takes {xw}-bit codes, not {k}")
@@ -333,30 +319,32 @@ def prov_formula(QS: AdviceSystem, k: int) -> ProvEncoding:
         raise ProofError(f"checker widths y={yw}, t={tw} exceed k^c = {k}^{QS.c}")
     if len(QS.checker.outputs) != 1:
         raise ProofError("checker must have a single output")
-    x_vars = list(range(1, k + 1))
-    y_vars = list(range(k + 1, k + 1 + yw))
-    t_vars = list(range(k + 1 + yw, k + 1 + yw + tw))
-    s_base = k + 1 + yw + tw
-    s_vars = list(range(s_base, s_base + len(QS.checker.gates)))
-    cf = cc.circuit_to_formula(QS.checker, x_vars + y_vars + t_vars, s_vars)
+    n_s = len(QS.checker.gates)
+    x_vars = tuple(range(1, k + 1))
+    y_vars = tuple(range(k + 1, k + 1 + yw))
+    s_vars = tuple(range(k + 1 + yw, k + 1 + yw + n_s))
+    t_vars = tuple(range(k + 1 + yw + n_s, k + 1 + yw + n_s + tw))
+    # input wires follow the checker's group order, whatever it is
+    named = {"x": x_vars, "y": y_vars, "t": t_vars}
+    cf = cc.circuit_to_formula(
+        QS.checker, [v for n, _ in QS.checker.groups for v in named[n]] + list(s_vars)
+    )
     formula = fm.And(cf.correct, ("var", cf.out_vars[0]))
-    return ProvEncoding(formula, tuple(x_vars), tuple(y_vars), tuple(t_vars), tuple(s_vars))
+    return ProvEncoding(formula, x_vars, y_vars, t_vars, s_vars)
 
 
 @dataclass(frozen=True)
 class AlphaEncoding:
-    """alpha_k = Prov_k(x, y, w_k, s) -> SAT_k(z, x, v), with the advice
-    baked in as constants and the satisfaction side renumbered so that its
-    code slot is the shared x and its assignment slot is fresh z."""
+    """alpha_k = Prov_k(x, y, w_k, s) -> SAT_k(z, x, v): Prov_k's numbering
+    with the advice baked in as constants; the satisfaction side reads the
+    shared x as its code slot and numbers its assignment slot z and its
+    gates v after s."""
 
     alpha: Formula
     antecedent: Formula
-    consequent: Formula
     x_vars: tuple[int, ...]
     y_vars: tuple[int, ...]
     s_vars: tuple[int, ...]
-    z_vars: tuple[int, ...]
-    v_vars: tuple[int, ...]
     sat: SatEncoding
 
 
@@ -373,27 +361,15 @@ def alpha_k(
         )
     if evaluator is None:
         evaluator = cc.universal_evaluator(k, trim=True)
-    # global numbering: x, y, s (advice t substituted away), then z, v
-    n_y, n_s = len(prov.y_vars), len(prov.s_vars)
-    s_start = k + n_y + 1
-    z_start = s_start + n_s
+    antecedent = fm.substitute(prov.formula, _const_map(prov.t_vars, w_k))
+    z_start = k + len(prov.y_vars) + len(prov.s_vars) + 1
     v_start = z_start + k
-    x_vars = tuple(range(1, k + 1))
-    y_vars = tuple(range(k + 1, k + 1 + n_y))
-    s_vars = tuple(range(s_start, s_start + n_s))
-    z_vars = tuple(range(z_start, z_start + k))
-    n_v = len(evaluator.gates)
-    v_vars = tuple(range(v_start, v_start + n_v))
-
-    prov_sub: dict[int, Formula] = _const_map(prov.t_vars, w_k)
-    prov_sub.update({old: ("var", new) for old, new in zip(prov.s_vars, s_vars)})
-    antecedent = fm.substitute(prov.formula, prov_sub)
-
-    sat = sat_formula(k, evaluator, list(z_vars), list(x_vars), list(v_vars))
-    alpha = fm.Implies(antecedent, sat.formula)
-    return AlphaEncoding(
-        alpha, antecedent, sat.formula, x_vars, y_vars, s_vars, z_vars, v_vars, sat
+    sat = sat_formula(
+        k, evaluator, tuple(range(z_start, v_start)), prov.x_vars,
+        tuple(range(v_start, v_start + len(evaluator.gates))),
     )
+    alpha = fm.Implies(antecedent, sat.formula)
+    return AlphaEncoding(alpha, antecedent, prov.x_vars, prov.y_vars, prov.s_vars, sat)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +381,6 @@ class SimulateResult:
     tau: Formula
     alpha: AlphaEncoding | None
     stage_bits: dict[str, int]
-
-    @property
-    def size_bits(self) -> int:
-        return self.stage_bits["total"]
-
-
-def checker_run_bits(QS: AdviceSystem, x: str, y: str, w: str) -> str:
-    vals = cc.wire_values(QS.checker, {"x": x, "y": y, "t": w})
-    return "".join(str(b) for b in vals[QS.checker.n_inputs:])
 
 
 def simulate(
@@ -450,7 +417,7 @@ def simulate(
     alpha = alpha_k(QS, w_k, k, evaluator)
 
     # D2 stage: the provability sentence at the accepting run is true
-    e = checker_run_bits(QS, code, pi_Q, w_k)
+    e = cc.gate_bits(QS.checker, {"x": code, "y": pi_Q, "t": w_k})
     inst: dict[int, Formula] = {}
     inst.update(_const_map(alpha.x_vars, code))
     inst.update(_const_map(alpha.y_vars, pi_Q))
@@ -462,7 +429,7 @@ def simulate(
 
     # the alpha_k instance: z stays variable, v gets the constant run
     run = evaluator_run_bits(alpha.sat, code)
-    inst.update(_const_map(alpha.v_vars, run))
+    inst.update(_const_map(alpha.sat.v_vars, run))
     alpha_inst = fm.substitute(alpha.alpha, inst)
 
     b = ProofBuilder()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,13 +91,13 @@ def test_circuit_to_formula_unique_computation(v):
     b = cc.CircuitBuilder([("a", 2)])
     g = b.XOR(b.inp("a", 1), b.inp("a", 2))
     circ = b.build([g])
-    cf = cc.circuit_to_formula(circ)
+    cf = cc.circuit_to_formula(circ, list(range(1, 3 + circ.size)))
     bits = format(v % 4, "02b")
-    base = {cf.input_vars[i]: int(bits[i]) for i in range(2)}
+    base = {i + 1: int(bits[i]) for i in range(2)}
     good = 0
-    for m in range(1 << len(cf.gate_vars)):
+    for m in range(1 << circ.size):
         a = dict(base)
-        a.update({gv: (m >> i) & 1 for i, gv in enumerate(cf.gate_vars)})
+        a.update({3 + i: (m >> i) & 1 for i in range(circ.size)})
         if fm.evaluate(cf.correct, a) == 1:
             good += 1
             assert str(a[cf.out_vars[0]]) == cc.eval_circuit(circ, {"a": bits})
@@ -139,13 +141,80 @@ def test_inline_composition():
     assert cc.eval_circuit(circ, {"a": "10"}) == "0"
 
 
+def random_circuit(rng):
+    """An explicit NOT/AND/OR circuit over one to three input groups."""
+    b = cc.CircuitBuilder([(name, rng.randint(1, 2)) for name in "abc"[: rng.randint(1, 3)]])
+    for _ in range(rng.randint(1, 5)):
+        top = b.n_in + len(b.gates)
+        op = rng.choice(("NOT", "AND", "OR"))
+        args = [rng.randrange(top) for _ in range(1 if op == "NOT" else 2)]
+        getattr(b, op)(*args)
+    top = b.n_in + len(b.gates)
+    return b.build([rng.randrange(top) for _ in range(rng.randint(1, 2))])
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_circuit_rules_agree_with_evaluation(seed):
+    rng = random.Random(seed)
+    circ = random_circuit(rng)
+    n_in, n = circ.n_inputs, circ.n_inputs + circ.size
+    wire_vars = rng.sample(range(1, 3 * n + 1), n)
+    cf = cc.circuit_to_formula(circ, wire_vars)
+    assert cf.out_vars == tuple(wire_vars[o] for o in circ.outputs)
+    gf = cc.gate_formulas(circ, {w: ("var", w + 1) for w in range(n_in)})
+    # inlined behind a padding group and a gate, so every wire number moves
+    b = cc.CircuitBuilder([("pad", 1), ("in", n_in)])
+    b.NOT(b.inp("pad", 1))
+    inlined = b.build(cc.inline(b, circ, [b.inp("in", j) for j in range(1, n_in + 1)]))
+    for v in range(1 << n_in):
+        bits = format(v, f"0{n_in}b")
+        inputs, pos = {}, 0
+        for name, w in circ.groups:
+            inputs[name], pos = bits[pos : pos + w], pos + w
+        vals = cc.wire_values(circ, inputs)
+        assert cc.gate_bits(circ, inputs) == "".join(map(str, vals[n_in:]))
+        inputs_a = {j + 1: vals[j] for j in range(n_in)}
+        assert [fm.evaluate(gf[w], inputs_a) for w in range(n)] == vals
+        models = []
+        for m in range(1 << circ.size):
+            a = dict(zip(wire_vars, vals[:n_in] + [(m >> i) & 1 for i in range(circ.size)]))
+            if fm.evaluate(cf.correct, a) == 1:
+                models.append([a[x] for x in wire_vars])
+        assert models == [vals]
+        out_bits = "".join(str(vals[o]) for o in circ.outputs)
+        assert cc.eval_circuit(inlined, {"pad": "0", "in": bits}) == out_bits
+
+
+@pytest.mark.parametrize("gate", [("and", 0), ("opaque", "f"), ("not", 0, 0), ("xor", 0, 0), ()])
+def test_circuit_rejects_malformed_gates(gate):
+    with pytest.raises(cc.CircuitError):
+        cc.Circuit((("a", 1),), (gate,), (0,))
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("opaque f a:1 ->", "line 3: opaque line needs '-> g<i>'"),
+    ("opaque f a:1", "line 3: opaque line needs '-> g<i>'"),
+    ("opaque f a:1 -> g1 g2", "line 3: opaque line needs '-> g<i>'"),
+    ("g1 = NOT a:\u00b2", "line 3: bad wire reference 'a:\u00b2'"),
+    ("g1 = NOT a:", "line 3: bad wire reference 'a:'"),
+    ("g1 = NOT g\u00b2", "line 3: bad wire reference 'g\u00b2'"),
+    ("g1 = NOT a:2", "line 3: bit 2 out of range for group a"),
+    ("g1 = NOT b:1", "line 3: no group 'b'"),
+    ("g1 = NOT g1", "line 3: undefined gate g1"),
+])
+def test_parse_circuit_errors_name_their_line(text, msg):
+    with pytest.raises(cc.CircuitError) as exc:
+        cc.parse_circuit(f"circuit\ngroup a 1\n{text}\noutput a:1\n")
+    assert str(exc.value) == msg
+
+
 # ---------------------------------------------------------------------------
 # the universal evaluator
 
 @pytest.mark.parametrize("k,trim", [(8, False), (8, True), (12, False)])
 def test_universal_evaluator_contract(k, trim):
     E = cc.universal_evaluator(k, trim=trim)
-    for f in fm.enumerate_fitting(k, var_cap=k):
+    for f in fm.enumerate_fitting(k):
         code = fm.encode_k(f, k)
         for uv in (0, (1 << k) - 1, 0b0101 % (1 << k)):
             u = format(uv, f"0{k}b")

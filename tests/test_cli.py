@@ -382,6 +382,30 @@ def test_alpha_fitting_is_decided_per_index_width(capsys):
     assert "alpha does not fit" in capsys.readouterr().err
 
 
+def opaque_circuit_text():
+    b = cc.CircuitBuilder([("x", 8), ("y", 1)])
+    g = b.opaque("f", [b.inp("x", 1), b.inp("y", 1)])
+    return cc.serialize(b.build([b.AND(g, b.NOT(b.inp("x", 8)))]))
+
+
+@pytest.mark.parametrize("text, argv", [
+    (dg.serialize_design(dg.poly_design(3, 2)), ["design", "--verify", "{file}"]),
+    (dg.serialize_design(dg.explicit_design([[1, 2], [2, 3], [1, 3], [1, 4]], 4, 2)),
+     ["design", "--verify", "{file}"]),
+    (opaque_circuit_text(), ["solve", "--task", "cert", "--circuit", "{file}"]),
+], ids=["poly-design", "explicit-design", "opaque-circuit"])
+def test_truncated_input_lines_end_in_an_exit_code(tmp_path, text, argv):
+    """Every line of a valid file, cut after each of its tokens in turn."""
+    lines = text.splitlines()
+    path = tmp_path / "input"
+    for i, line in enumerate(lines):
+        toks = line.split()
+        for n in range(len(toks) - 1, -1, -1):
+            path.write_text("\n".join(lines[:i] + [" ".join(toks[:n])] + lines[i + 1:]) + "\n")
+            rc = run(*(a.format(file=path) for a in argv))
+            assert rc in (EXIT_SOLUTION, EXIT_ERROR, EXIT_NONE, EXIT_UNKNOWN), (i, n)
+
+
 def test_deeply_nested_formula_is_one_named_error(tmp_path, capsys):
     proof = tmp_path / "one.proof"
     proof.write_text("proof\n1 1 ; axiom T1\n")

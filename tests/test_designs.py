@@ -224,3 +224,9 @@ def test_parse_design_rejects_inconsistent_header():
     text = "design 9 8 3 2 poly\npoly 3 2\n"
     with pytest.raises(dg.DesignError):
         dg.parse_design(text)
+
+
+@pytest.mark.parametrize("line", ["poly", "poly 3", "poly 3 2 1"])
+def test_parse_design_poly_line_is_exactly_q_and_d(line):
+    with pytest.raises(dg.DesignError, match="^line 2: poly line needs 'poly q d'$"):
+        dg.parse_design(f"design 9 9 3 2 poly\n{line}\n")

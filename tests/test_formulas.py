@@ -281,8 +281,8 @@ def test_match_instance_deep():
 
 
 def test_enumerate_fitting_small_widths():
-    assert {f for f in fm.enumerate_fitting(8, var_cap=8)} == {("const", 0), ("const", 1)}
-    fits12 = set(fm.enumerate_fitting(12, var_cap=12))
+    assert {f for f in fm.enumerate_fitting(8)} == {("const", 0), ("const", 1)}
+    fits12 = set(fm.enumerate_fitting(12))
     assert ("var", 1) in fits12 and ("not", ("const", 1)) in fits12
 
 

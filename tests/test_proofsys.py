@@ -20,6 +20,12 @@ def tiny_system(k=8):
     return ps.AdviceSystem(tiny_checker(k), schedule={k: "1"}, c=2)
 
 
+def sat_enc(k, E):
+    """SAT_k numbered u = 1..k, x = k+1..2k, v = 2k+1 onward."""
+    return ps.sat_formula(k, E, tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1)),
+                          tuple(range(2 * k + 1, 2 * k + 1 + len(E.gates))))
+
+
 def mock_evaluator():
     """Two gates, one of which reads an assignment wire: exercises the
     free-computation-variables extraction route."""
@@ -34,7 +40,7 @@ def mock_evaluator():
 
 def test_sat_formula_default_numbering():
     E = cc.universal_evaluator(8, trim=True)
-    enc = ps.sat_formula(8, E)
+    enc = sat_enc(8, E)
     assert enc.u_vars == tuple(range(1, 9))
     assert enc.x_vars == tuple(range(9, 17))
     assert enc.v_vars == tuple(range(17, 17 + len(E.gates)))
@@ -43,8 +49,8 @@ def test_sat_formula_default_numbering():
 
 def test_sat_formula_truth_on_actual_runs():
     E = cc.universal_evaluator(8, trim=True)
-    enc = ps.sat_formula(8, E)
-    for f in fm.enumerate_fitting(8, var_cap=8):
+    enc = sat_enc(8, E)
+    for f in fm.enumerate_fitting(8):
         code = fm.encode_k(f, 8)
         for u in ("00000000", "11111111"):
             vals = cc.wire_values(E, {"u": u, "x": code})
@@ -61,11 +67,11 @@ def test_sat_formula_truth_on_actual_runs():
 
 def test_sat_formula_rejects_wrong_shape():
     with pytest.raises(fr.ProofError):
-        ps.sat_formula(9, cc.universal_evaluator(8, trim=True))
+        sat_enc(9, cc.universal_evaluator(8, trim=True))
 
 
 def test_evaluator_run_bits_constant_at_small_k():
-    enc = ps.sat_formula(8, cc.universal_evaluator(8, trim=True))
+    enc = sat_enc(8, cc.universal_evaluator(8, trim=True))
     code = fm.encode_k(("const", 1), 8)
     run = ps.evaluator_run_bits(enc, code)
     assert len(run) == len(enc.v_vars)
@@ -75,7 +81,7 @@ def test_evaluator_run_bits_constant_at_small_k():
 
 
 def test_evaluator_run_bits_refuses_u_dependent():
-    enc = ps.sat_formula(2, mock_evaluator())
+    enc = sat_enc(2, mock_evaluator())
     with pytest.raises(fr.ProofError):
         ps.evaluator_run_bits(enc, "00")
 
@@ -84,7 +90,7 @@ def test_evaluator_run_bits_refuses_u_dependent():
 # D4, both routes
 
 def test_d4_free_route_extracts_formula():
-    enc = ps.sat_formula(2, mock_evaluator())
+    enc = sat_enc(2, mock_evaluator())
     code = "01"
     xmap = {v: ("const", int(b)) for v, b in zip(enc.x_vars, code)}
     free_shape = fm.substitute(enc.formula, xmap)
@@ -96,7 +102,7 @@ def test_d4_free_route_extracts_formula():
 
 
 def test_d4_free_route_with_bridge():
-    enc = ps.sat_formula(2, mock_evaluator())
+    enc = sat_enc(2, mock_evaluator())
     code = "10"
     xmap = {v: ("const", int(b)) for v, b in zip(enc.x_vars, code)}
     pi_sat = fr.prove_tautology(fm.substitute(enc.formula, xmap))
@@ -106,7 +112,7 @@ def test_d4_free_route_with_bridge():
 
 
 def test_d4_const_route_extracts_constant_formula():
-    enc = ps.sat_formula(8, cc.universal_evaluator(8, trim=True))
+    enc = sat_enc(8, cc.universal_evaluator(8, trim=True))
     phi = ("const", 1)
     code = fm.encode_k(phi, 8)
     run = ps.evaluator_run_bits(enc, code)
@@ -119,7 +125,7 @@ def test_d4_const_route_extracts_constant_formula():
 
 
 def test_d4_rejects_wrong_conclusion():
-    enc = ps.sat_formula(8, cc.universal_evaluator(8, trim=True))
+    enc = sat_enc(8, cc.universal_evaluator(8, trim=True))
     code = fm.encode_k(("const", 1), 8)
     pi = fr.prove_true_sentence(("const", 1))
     with pytest.raises(fr.ProofError):
@@ -227,10 +233,11 @@ def test_prov_formula_numbering_and_truth():
     QS = tiny_system()
     enc = ps.prov_formula(QS, 8)
     assert enc.x_vars == tuple(range(1, 9))
-    assert enc.y_vars == (9,) and enc.t_vars == (10,)
-    assert enc.s_vars[0] == 11
+    assert enc.y_vars == (9,)
+    assert enc.s_vars == tuple(range(10, 10 + len(QS.checker.gates)))
+    assert enc.t_vars == (10 + len(QS.checker.gates),)
     code = fm.encode_k(("const", 1), 8)
-    run = ps.checker_run_bits(QS, code, "1", "1")
+    run = cc.gate_bits(QS.checker, {"x": code, "y": "1", "t": "1"})
     a = {v: int(b) for v, b in zip(enc.x_vars + enc.y_vars + enc.t_vars, code + "11")}
     a.update({v: int(b) for v, b in zip(enc.s_vars, run)})
     assert fm.evaluate(enc.formula, a) == 1
@@ -246,10 +253,14 @@ def test_prov_formula_rejects_width_mismatch():
 def test_alpha_k_shape():
     QS = tiny_system()
     enc = ps.alpha_k(QS, "1", 8)
-    assert enc.alpha == fm.Implies(enc.antecedent, enc.consequent)
-    groups = [enc.x_vars, enc.y_vars, enc.s_vars, enc.z_vars, enc.v_vars]
+    assert enc.alpha == fm.Implies(enc.antecedent, enc.sat.formula)
+    # Prov_k's numbering is kept, and SAT_k reads the shared x
+    prov = ps.prov_formula(QS, 8)
+    assert (enc.x_vars, enc.y_vars, enc.s_vars) == (prov.x_vars, prov.y_vars, prov.s_vars)
+    assert enc.sat.x_vars == enc.x_vars
+    groups = [enc.x_vars, enc.y_vars, enc.s_vars, enc.sat.u_vars, enc.sat.v_vars]
     flat = [v for g in groups for v in g]
-    assert len(flat) == len(set(flat))  # numbering is disjoint
+    assert flat == list(range(1, len(flat) + 1))  # numbering is gapless and disjoint
     # the advice is baked in: no t variables remain
     assert set(fm.fvars(enc.antecedent)) <= set(enc.x_vars) | set(enc.y_vars) | set(enc.s_vars)
 
@@ -275,7 +286,19 @@ def test_simulate_nonempty_advice():
     S = ps.PlusAlphaSystem(fr.FREGE, res.alpha.alpha)
     assert ps.check_plus_alpha(S, phi, res.proof)
     assert set(res.stage_bits) == {"prov_d2", "sat_mp", "d4", "total"}
-    assert res.size_bits == res.stage_bits["total"] > 0
+    assert res.stage_bits["total"] > 0
+
+
+def test_simulate_reads_checker_inputs_by_group_name():
+    # the same checker with its groups declared y, x, t: Prov_k numbers the
+    # inputs by name, so the pipeline builds the same proof
+    b = cc.CircuitBuilder([("y", 1), ("x", 8), ("t", 1)])
+    out = b.AND(b.inp("x", 4), b.AND(b.inp("y", 1), b.inp("t", 1)))
+    QS = ps.AdviceSystem(b.build([out]), schedule={8: "1"}, c=2)
+    res = ps.simulate(QS, "1", ("const", 1), "1")
+    ref = ps.simulate(tiny_system(), "1", ("const", 1), "1")
+    assert res.alpha.alpha == ref.alpha.alpha
+    assert fr.serialize_proof(res.proof) == fr.serialize_proof(ref.proof)
 
 
 def test_simulate_rejects_tampered_proof():
