@@ -6,7 +6,8 @@ is built, the constant-1 formula is proved through it, and the pipeline's
 stage sizes (bits of the provability D2 proof, the modus-ponens step, the
 extraction, and the final P+alpha proof) are tabulated.  A log-log least
 squares fit of total size against input size is printed at the end; the
-shipped corpus stays under exponent 4.
+shipped corpus stays under exponent 4, and the script exits 1 when the fit
+is above MAX_EXPONENT.
 """
 
 import argparse
@@ -18,6 +19,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from nwtaut import circuits as cc  # noqa: E402
 from nwtaut import proofsys as ps  # noqa: E402
+
+# the growth claim: total size grows at most like (input size)^4
+MAX_EXPONENT = 4.0
 
 
 def chain_checker(k: int, yw: int, tw: int) -> cc.Circuit:
@@ -59,6 +63,9 @@ def main() -> int:
         (x - mx) ** 2 for x, _ in points
     )
     print(f"\nfitted size exponent (log total vs log input size): {slope:.2f}")
+    if slope > MAX_EXPONENT:
+        print(f"size exponent {slope:.2f} exceeds {MAX_EXPONENT}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as fm
-from .cnf import ClauseSet, dpll_solve, gate_clauses
+from .cnf import ClauseSet, _decimal, dpll_solve, gate_clauses
 
 
 class CircuitError(ValueError):
@@ -420,17 +420,17 @@ def parse_circuit(text: str) -> Circuit:
         name, colon, j = tok.partition(":")
         if not colon and tok.startswith("g"):
             j = tok[1:]
-        # int() would also read non-ASCII digits, signs and underscores
-        if not (j.isascii() and j.isdigit()):
+        j = _decimal(j)
+        if j is None:
             raise err(lineno, f"bad wire reference {tok!r}")
         if colon:
             try:
-                return _input_wire(groups, name, int(j))
+                return _input_wire(groups, name, j)
             except CircuitError as exc:
                 raise err(lineno, str(exc)) from None
-        if not 1 <= int(j) <= len(gates):
+        if not 1 <= j <= len(gates):
             raise err(lineno, f"undefined gate {tok}")
-        return sum(w for _, w in groups) + int(j) - 1
+        return sum(w for _, w in groups) + j - 1
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -445,7 +445,9 @@ def parse_circuit(text: str) -> Circuit:
                 raise err(lineno, "group after gates")
             if len(toks) != 3:
                 raise err(lineno, "group needs name and width")
-            name, width = toks[1], int(toks[2])
+            name, width = toks[1], _decimal(toks[2])
+            if width is None:
+                raise err(lineno, f"bad group width {toks[2]!r}")
             if any(n == name for n, _ in groups):
                 raise err(lineno, f"duplicate group name {name!r}")
             groups.append((name, width))

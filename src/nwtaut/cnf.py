@@ -31,6 +31,17 @@ class CnfError(ValueError):
     pass
 
 
+def _decimal(token: str) -> int | None:
+    """The value of an ASCII decimal numeral; None for anything else.
+
+    The rule of every reader for counts, widths and indices: int() would
+    also take signs, underscores and non-ASCII digits."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 @dataclass
 class ClauseSet:
     """A list of clauses (nonzero integer literals) over variables 1..nvars."""

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cache
 from math import isqrt
 
+from .cnf import _decimal
 from .gf import GF, SUPPORTED_ORDERS
 
 _field = cache(GF)  # one field per order; at most len(SUPPORTED_ORDERS) entries
@@ -271,6 +272,14 @@ def parse_design(text: str) -> DesignParams:
     header = None
     poly = None
     blocks: list[list[int]] = []
+
+    def numbers(toks: list[str], lineno: int) -> list[int]:
+        vals = [_decimal(t) for t in toks]
+        if None in vals:
+            bad = toks[vals.index(None)]
+            raise DesignError(f"line {lineno}: bad number {bad!r}")
+        return vals
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -279,13 +288,13 @@ def parse_design(text: str) -> DesignParams:
         if toks[0] == "design":
             if len(toks) != 6:
                 raise DesignError(f"line {lineno}: bad design header")
-            header = (int(toks[1]), int(toks[2]), int(toks[3]), int(toks[4]), toks[5])
+            header = (*numbers(toks[1:5], lineno), toks[5])
         elif toks[0] == "poly":
             if len(toks) != 3:
                 raise DesignError(f"line {lineno}: poly line needs 'poly q d'")
-            poly = (int(toks[1]), int(toks[2]))
+            poly = tuple(numbers(toks[1:], lineno))
         elif toks[0] == "block":
-            blocks.append([int(t) for t in toks[1:]])
+            blocks.append(numbers(toks[1:], lineno))
         else:
             raise DesignError(f"line {lineno}: unrecognized {line!r}")
     if header is None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import formulas as fm
+from .cnf import _decimal
 from .formulas import Formula
 
 
@@ -126,19 +127,22 @@ def check_derivation(P: FregeSystem, proof: Proof) -> bool:
 # proof construction
 
 class ProofBuilder:
-    """Accumulates lines with formula-level deduplication."""
+    """Accumulates lines with formula-level deduplication.
+
+    One hash per push: a line formula is looked up and, if new, indexed by
+    one dict operation.  Formulas are nested tuples, whose hash Python does
+    not cache, so each hash walks the whole formula."""
 
     def __init__(self):
         self.lines: list[Line] = []
         self._index: dict[Formula, int] = {}
 
     def _push(self, line: Line) -> int:
-        prev = self._index.get(line.formula)
-        if prev is not None:
-            return prev
-        self.lines.append(line)
-        idx = len(self.lines) - 1
-        self._index[line.formula] = idx
+        # every indexed line is in self.lines, so only a new formula gets
+        # len(self.lines); proof()'s tail copy stays outside the index
+        idx = self._index.setdefault(line.formula, len(self.lines))
+        if idx == len(self.lines):
+            self.lines.append(line)
         return idx
 
     def axiom(self, name: str, sigma: dict[int, Formula]) -> int:
@@ -365,7 +369,13 @@ def proof_size_bits(proof: Proof) -> int:
     Counts the bytes of serialize_proof's layout without building the text:
     formula lengths come from one memo over the proof, and the text is ASCII
     apart from scheme names, which are counted as UTF-8."""
-    memo: dict[int, int] = {}
+    return _size_bits(proof, {})
+
+
+def _size_bits(proof: Proof, memo: dict[int, int]) -> int:
+    """proof_size_bits(proof), with formula lengths from a caller's memo,
+    which may serve several proofs; the caller keeps them all alive while
+    the memo is in use (see the comment above fm._text)."""
     n = len("proof\n")
     for i, ln in enumerate(proof.lines, 1):
         # "<i> <formula> ; <just>\n"
@@ -385,14 +395,6 @@ def proof_size_bits(proof: Proof) -> int:
         else:
             n += len("hyp")
     return 8 * n
-
-
-def _decimal(token: str) -> int | None:
-    """The value of an ASCII decimal numeral; None for anything else."""
-    try:
-        return int(token) if token.isascii() and token.isdigit() else None
-    except ValueError:  # more digits than int() converts
-        return None
 
 
 def parse_proof(text: str) -> Proof:

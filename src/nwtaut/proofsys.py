@@ -35,6 +35,7 @@ from .frege import (
     Proof,
     ProofBuilder,
     ProofError,
+    _size_bits,
     check,
     discharge,
     parse_proof,
@@ -444,12 +445,15 @@ def simulate(
     S = PlusAlphaSystem(FREGE, alpha.alpha)
     if not check_plus_alpha(S, phi, final):
         raise ProofError("internal error: pipeline output fails check_plus_alpha")
+    # pi_sat replays pi_prov, d4 replays pi_sat and final wraps d4, so one
+    # length memo sizes all four (see the comment above fm._text)
+    memo: dict[int, int] = {}
     return SimulateResult(
         final, phi, alpha,
         {
-            "prov_d2": proof_size_bits(pi_prov),
-            "sat_mp": proof_size_bits(pi_sat),
-            "d4": proof_size_bits(pi_phi),
-            "total": proof_size_bits(final),
+            "prov_d2": _size_bits(pi_prov, memo),
+            "sat_mp": _size_bits(pi_sat, memo),
+            "d4": _size_bits(pi_phi, memo),
+            "total": _size_bits(final, memo),
         },
     )

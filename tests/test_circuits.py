@@ -201,6 +201,9 @@ def test_circuit_rejects_malformed_gates(gate):
     ("g1 = NOT a:2", "line 3: bit 2 out of range for group a"),
     ("g1 = NOT b:1", "line 3: no group 'b'"),
     ("g1 = NOT g1", "line 3: undefined gate g1"),
+    ("group x \u00b2", "line 3: bad group width '\u00b2'"),
+    ("group x -1", "line 3: bad group width '-1'"),
+    ("group x 1_0", "line 3: bad group width '1_0'"),
 ])
 def test_parse_circuit_errors_name_their_line(text, msg):
     with pytest.raises(cc.CircuitError) as exc:

@@ -406,6 +406,24 @@ def test_truncated_input_lines_end_in_an_exit_code(tmp_path, text, argv):
             assert rc in (EXIT_SOLUTION, EXIT_ERROR, EXIT_NONE, EXIT_UNKNOWN), (i, n)
 
 
+@pytest.mark.parametrize("text, argv, msg", [
+    ("circuit\ngroup x \u00b2\noutput x:1\n", ["solve", "--task", "cert", "--circuit", "{file}"],
+     "line 2: bad group width '\u00b2'"),
+    ("circuit\ngroup x -1\noutput x:1\n", ["solve", "--task", "cert", "--circuit", "{file}"],
+     "line 2: bad group width '-1'"),
+    ("design 9 9 3 2 poly\npoly 3 x\n", ["design", "--verify", "{file}"], "line 2: bad number 'x'"),
+    ("design 9 9 three 2 poly\npoly 3 2\n", ["design", "--verify", "{file}"],
+     "line 1: bad number 'three'"),
+    ("design 4 2 2 1 explicit\nblock 1 2\nblock 1 a\n", ["design", "--verify", "{file}"],
+     "line 3: bad number 'a'"),
+], ids=["width-superscript", "width-negative", "poly-q-d", "design-header", "block"])
+def test_bad_numbers_in_input_files_name_their_line(tmp_path, capsys, text, argv, msg):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(*(a.format(file=path) for a in argv)) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
 def test_deeply_nested_formula_is_one_named_error(tmp_path, capsys):
     proof = tmp_path / "one.proof"
     proof.write_text("proof\n1 1 ; axiom T1\n")

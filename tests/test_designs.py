@@ -230,3 +230,18 @@ def test_parse_design_rejects_inconsistent_header():
 def test_parse_design_poly_line_is_exactly_q_and_d(line):
     with pytest.raises(dg.DesignError, match="^line 2: poly line needs 'poly q d'$"):
         dg.parse_design(f"design 9 9 3 2 poly\n{line}\n")
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("design 9 9 3 2 poly\npoly 3 x\n", "line 2: bad number 'x'"),
+    ("design 9 9 3 2 poly\npoly \u00b3 2\n", "line 2: bad number '\u00b3'"),
+    ("design 9 nine 3 2 poly\npoly 3 2\n", "line 1: bad number 'nine'"),
+    ("design 9 9 3 -2 poly\npoly 3 2\n", "line 1: bad number '-2'"),
+    ("design 4 2 2 1 explicit\nblock 1 2\nblock 1 a\n", "line 3: bad number 'a'"),
+    ("design 4 1 2 1 explicit\nblock 1 " + "9" * 5000 + "\n", "line 2: bad number '9999"),
+], ids=["poly-letter", "poly-superscript", "header-word", "header-sign", "block-letter",
+        "block-5000-digits"])
+def test_parse_design_bad_numbers_name_their_line(text, msg):
+    with pytest.raises(dg.DesignError) as exc:
+        dg.parse_design(text)
+    assert str(exc.value).startswith(msg)

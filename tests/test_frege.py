@@ -282,14 +282,16 @@ def test_proof_size_bits_counts_the_text_with_hyp():
 
 def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
     """Every stage proof simulate sizes, and its final proof, on the
-    pipeline corpus of the acceptance gate (checker: x4 and all y, t bits)."""
+    pipeline corpus of the acceptance gate (checker: x4 and all y, t bits).
+    simulate sizes its four stages through one shared length memo."""
     sized = []
 
-    def size_and_keep(proof):
-        sized.append(proof)
-        return fr.proof_size_bits(proof)
+    def size_and_keep(proof, memo):
+        bits = fr._size_bits(proof, memo)
+        sized.append((proof, memo, bits))
+        return bits
 
-    monkeypatch.setattr(ps, "proof_size_bits", size_and_keep)
+    monkeypatch.setattr(ps, "_size_bits", size_and_keep)
     for k in (8, 9, 10):
         for yw in (1, 2, 3):
             for tw in (1, 2):
@@ -302,9 +304,36 @@ def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
                 QS = ps.AdviceSystem(b.build([out]), {k: "1" * tw}, c=2)
                 res = ps.simulate(QS, "1" * tw, ("const", 1), "1" * yw)
                 assert res.stage_bits["total"] == 8 * len(fr.serialize_proof(res.proof))
+                stages = sized[-4:]
+                assert len({id(memo) for _, memo, _ in stages}) == 1
+                assert [bits for _, _, bits in stages] == [
+                    res.stage_bits[s] for s in ("prov_d2", "sat_mp", "d4", "total")
+                ]
     assert len(sized) == 4 * 18
-    for proof in sized:
+    for proof, _, bits in sized:
         assert_size_is_text_length(proof)
+        assert bits == fr.proof_size_bits(proof)
+
+
+def test_proof_builder_hashes_each_pushed_formula_once():
+    """A new line and a dedup hit each cost one hash of the line formula;
+    an equal but distinct formula lands on the earlier line."""
+    calls = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            calls.append(self)
+            return tuple.__hash__(self)
+
+    f = Counted(("or", ("var", 1), ("not", ("var", 2))))
+    b = fr.ProofBuilder()
+    b.hyp(fm.Var(3))
+    assert b.hyp(f) == 1 and len(calls) == 1
+    assert b.hyp(f) == 1 and len(calls) == 2
+    twin = Counted(("or", ("var", 1), ("not", ("var", 2))))
+    assert twin is not f
+    assert b.hyp(twin) == 1 and len(calls) == 3
+    assert len(b.lines) == 2 and b.lines[1].formula is f
 
 
 def test_shared_subterms_are_printed_and_sized_once():
