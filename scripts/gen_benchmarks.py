@@ -8,8 +8,9 @@ Writes, under --outdir:
   default), with a verdict summary in sweep_summary.txt;
 * for each tautology of the sweep, the solver's DRUP refutation of the
   negation as tau_<b>.drup (one lemma per line, DIMACS literals ending in 0,
-  the form DRAT-trim reads), checked by cnf.check_rup; its lemma count and
-  total literals are added to that b's summary line.
+  the form DRAT-trim reads), checked by cnf.check_rup against the written
+  tau_<b>.cnf as cnf.parse_dimacs reads it back; its lemma count and total
+  literals are added to that b's summary line.
 
 Everything is produced through the library, so the output agrees byte for
 byte with `nwtaut design` / `nwtaut gen-tau` runs of the same parameters.
@@ -58,13 +59,17 @@ def main() -> int:
     for v in range(1 << params.m):
         b = format(v, f"0{params.m}b")
         tau = nw.tau_of(spec, b)
-        with open(os.path.join(taudir, f"tau_{b}.cnf"), "w") as fh:
+        cnf_path = os.path.join(taudir, f"tau_{b}.cnf")
+        with open(cnf_path, "w") as fh:
             fh.write(tau.clauses.to_dimacs())
         lemmas: list[list[int]] = []
         if cnf.dpll_solve(tau.clauses, lemmas=lemmas) is not None:
             summary.append(f"{b} sat")
             continue
-        if not cnf.check_rup(tau.clauses, lemmas):
+        # the refutation must refute the shipped file, not the clauses in memory
+        with open(cnf_path) as fh:
+            written = cnf.parse_dimacs(fh.read())
+        if not cnf.check_rup(written, lemmas):
             print(f"error: the refutation of tau_{b} does not check", file=sys.stderr)
             return 1
         with open(os.path.join(taudir, f"tau_{b}.drup"), "w") as fh:

@@ -80,13 +80,23 @@ def gate_clauses(op: str, v: int, a: int, b: int) -> list[list[int]]:
     return [[-v, a, b], [v, -a], [v, -b]]
 
 
+def _literal(token: str) -> int | None:
+    """A DIMACS literal: an optional '-' and an ASCII decimal, nonzero when
+    signed (0 ends a clause); None for anything else."""
+    negative = token.startswith("-")
+    value = _decimal(token[1:] if negative else token)
+    if value is None or (negative and not value):
+        return None
+    return -value if negative else value
+
+
 def parse_dimacs(text: str) -> ClauseSet:
     nvars = None
     nclauses = None
     clauses: list[list[int]] = []
     comments: list[str] = []
     pending: list[int] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -96,11 +106,15 @@ def parse_dimacs(text: str) -> ClauseSet:
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise CnfError(f"bad header line: {line!r}")
-            nvars, nclauses = int(parts[2]), int(parts[3])
+                raise CnfError(f"line {lineno}: bad header {line!r}")
+            nvars, nclauses = _decimal(parts[2]), _decimal(parts[3])
+            if nvars is None or nclauses is None:
+                raise CnfError(f"line {lineno}: bad count in header {line!r}")
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = _literal(tok)
+            if lit is None:
+                raise CnfError(f"line {lineno}: bad literal {tok!r}")
             if lit == 0:
                 clauses.append(pending)
                 pending = []

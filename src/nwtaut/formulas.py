@@ -62,16 +62,6 @@ def Implies(f: Formula, g: Formula) -> Formula:
     return ("or", ("not", f), g)
 
 
-def big_or(parts: list[Formula]) -> Formula:
-    """Right-nested disjunction of a nonempty list."""
-    if not parts:
-        raise ValueError("big_or of empty list")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = ("or", p, out)
-    return out
-
-
 def big_and(parts: list[Formula]) -> Formula:
     """Right-nested conjunction; empty list yields constant 1."""
     if not parts:
@@ -544,29 +534,18 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
         full = (1 << total) - 1
         masks = {}
         for pos, v in enumerate(vs):
-            # bit j of the mask = value of v in assignment number j
-            block = 1 << pos
-            period = 2 * block
-            ones = (1 << block) - 1
-            repeats = total // period
-            comb = (1 << (period * repeats)) - 1
-            masks[v] = (comb // ((1 << period) - 1)) * (ones << block)
+            # bit j of the mask = value of v in assignment number j, i.e. bit
+            # pos of j: one period of 2^pos zeros then 2^pos ones, doubled
+            # until it covers all 2^n assignments, in time linear in 2^n
+            width = 2 << pos
+            mask = ((1 << (1 << pos)) - 1) << (1 << pos)
+            while width < total:
+                mask |= mask << width
+                width *= 2
+            masks[v] = mask
         return _value(f, masks, full) == full
     if mode == "dpll":
         cs, out = to_clauses(("not", f))
         cs.clauses.append([out])
         return dpll_solve(cs) is None
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def satisfying_assignment(f: Formula) -> dict[int, int] | None:
-    """Lex-least satisfying assignment of f's variables via the DPLL engine."""
-    cs, out = to_clauses(f)
-    cs.clauses.append([out])
-    vs = sorted(fvars(f))
-    top = vs[-1] if vs else 0
-    order = vs + list(range(top + 1, cs.nvars + 1))
-    model = dpll_solve(cs, decision_order=order)
-    if model is None:
-        return None
-    return {v: model[v] for v in vs}

@@ -1,6 +1,6 @@
 """NW generator core: pluggable base functions with unique witnesses, the
-generator map, range oracles, the tau_b tautology translation, error-task
-triples and the advice-baked circuits.
+generator map and its full range, the tau_b tautology translation, the
+error-task triples and truth tables from seeds.
 
 Bit strings are python strings of '0'/'1'; seed bit j of x is x[j-1].
 """
@@ -18,7 +18,7 @@ from .circuits import (
     eval_circuit,
     inline,
 )
-from .designs import DesignParams, block, blocks
+from .designs import DesignParams, blocks
 
 
 class NWError(ValueError):
@@ -48,11 +48,6 @@ class BaseFunction:
 
     def checker(self, a: int) -> Circuit:
         return self.f1 if a else self.f0
-
-    def verify(self, a: int, u: str, y: str) -> bool:
-        if len(y) != self.witness_width:
-            return False
-        return eval_circuit(self.checker(a), {"u": u, "y": y}) == "1"
 
 
 def _parity_base(l: int) -> BaseFunction:
@@ -223,20 +218,6 @@ def nw_eval(spec: GeneratorSpec, x: str) -> str:
 RANGE_ORACLE_LIMIT = 22
 
 
-def range_oracle(spec: GeneratorSpec, b: str) -> str | None:
-    """Lexicographically least preimage seed of b, or None (exhaustive)."""
-    n = spec.design.n
-    if n > RANGE_ORACLE_LIMIT:
-        raise fm.BudgetError(f"n={n} exceeds range oracle budget {RANGE_ORACLE_LIMIT}")
-    if len(b) != spec.design.m:
-        raise NWError(f"b must have {spec.design.m} bits")
-    for val in range(1 << n):
-        x = format(val, f"0{n}b")
-        if nw_eval(spec, x) == b:
-            return x
-    return None
-
-
 def full_range(spec: GeneratorSpec) -> set[str]:
     n = spec.design.n
     if n > RANGE_ORACLE_LIMIT:
@@ -257,8 +238,6 @@ class TauResult:
     variables."""
 
     clauses: ClauseSet
-    b: str
-    n: int
 
 
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
@@ -286,7 +265,7 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
         f"b={b}",
         "vars: x=1.." + str(n) + " then per-block witness and computation vars",
     ]
-    return TauResult(cs, b, n)
+    return TauResult(cs)
 
 
 def tau_verdict(tau: TauResult) -> bool:
@@ -294,16 +273,8 @@ def tau_verdict(tau: TauResult) -> bool:
     return dpll_solve(tau.clauses) is None
 
 
-def tau_preimage(tau: TauResult) -> str | None:
-    """Seed projected from the lex-least model of the negation clauses."""
-    model = dpll_solve(tau.clauses)
-    if model is None:
-        return None
-    return "".join(str(model[v]) for v in range(1, tau.n + 1))
-
-
 # ---------------------------------------------------------------------------
-# triples, D_k circuits, truth tables from seeds
+# triples and truth tables from seeds
 
 @dataclass(frozen=True)
 class Triple:
@@ -313,7 +284,6 @@ class Triple:
 
     f0: Circuit
     f1: Circuit
-    c: int
 
     def __post_init__(self):
         if self.f0.groups != self.f1.groups:
@@ -327,23 +297,12 @@ class Triple:
         return dict(self.f0.groups)["x"]
 
     @property
-    def witness_width(self) -> int:
-        return dict(self.f0.groups)["y"]
-
-    @property
     def advice_width(self) -> int:
         return dict(self.f0.groups)["w"]
 
     def accepts(self, a: int, x: str, y: str, w: str) -> bool:
         circ = self.f1 if a else self.f0
         return eval_circuit(circ, {"x": x, "y": y, "w": w}) == "1"
-
-    def has_witness(self, a: int, x: str, w: str) -> bool:
-        yw = self.witness_width
-        return any(
-            self.accepts(a, x, format(v, f"0{yw}b") if yw else "", w)
-            for v in range(1 << yw)
-        )
 
 
 def _index_width(design: DesignParams) -> int:
@@ -373,37 +332,7 @@ def err_triple(spec: GeneratorSpec) -> Triple:
             branches.append(b.AND(sel, val))
         return b.build([b.or_list(branches)])
 
-    return Triple(build(0), build(1), c=spec.base.l)
-
-
-def dk_circuit(t: Triple, w_k: str) -> Circuit:
-    """D_k(x,y): the F1 checker with the advice baked in as constants."""
-    if len(w_k) > t.advice_width:
-        raise NWError(
-            f"advice of length {len(w_k)} exceeds bound {t.advice_width}"
-        )
-    w_bits = w_k + "0" * (t.advice_width - len(w_k))
-    b = CircuitBuilder([("x", t.k), ("y", t.witness_width)])
-    c1 = b.const(1)
-    c0 = b.NOT(c1)
-    x_wires = [b.inp("x", j + 1) for j in range(t.k)]
-    y_wires = [b.inp("y", j + 1) for j in range(t.witness_width)]
-    w_wires = [c1 if bit == "1" else c0 for bit in w_bits]
-    (out,) = inline(b, t.f1, x_wires + y_wires + w_wires)
-    return b.build([out])
-
-
-def compute_bit(spec: GeneratorSpec, i: str, a) -> tuple[int, str]:
-    """Bit at k-bit index i of NW(a), reading only the positions of the
-    selected block from a (advice-style local computation)."""
-    k = _index_width(spec.design)
-    if len(a) != spec.design.n:
-        raise NWError(f"seed must have {spec.design.n} bits, got {len(a)}")
-    if len(i) != k:
-        raise NWError(f"index must have {k} bits")
-    idx = int(i, 2) + 1
-    u = seed_restriction(a, block(spec.design, idx))
-    return spec.base.evaluate(u)
+    return Triple(build(0), build(1))
 
 
 def ttable_from_seed(spec: GeneratorSpec, a: str) -> tuple[str, list[str]]:

@@ -1,9 +1,10 @@
 """The four search tasks: Cert, Find, Err, Pair.
 
-Instance records, solution verifiers, exhaustive desk-scale solvers, and the
-Find-to-Cert reduction.  Solvers sweep candidates in lexicographic order and
-return the least solution, so none-results are certified by a complete sweep
-and reruns are deterministic.  Universal ("for all y") clauses go through
+Instance records, solution verifiers, exhaustive desk-scale solvers, the
+Find-to-Cert reduction, and the writer of the instance envelope that
+``nwtaut reduce`` outputs.  Solvers sweep candidates in lexicographic order
+and return the least solution, so none-results are certified by a complete
+sweep and reruns are deterministic.  Universal ("for all y") clauses go through
 the DPLL engine on explicit circuits and bounded enumeration on opaque ones;
 when a budget is too small the verdict is the distinct token ``unknown``,
 never ``False``.
@@ -133,14 +134,14 @@ def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
 @dataclass(frozen=True)
 class FindInstance:
     """1^(k) plus an axiom alpha with a code of at most k^c0 bits; sought is
-    a size-k tautology without a P+alpha proof of fewer than k^c1 bits."""
+    a size-k tautology without a P+alpha proof of fewer than k^c1 bits.
+    The promise that alpha is a tautology is decided on construction."""
 
     P: FregeSystem
     alpha: fm.Formula
     k: int
     c0: int
     c1: int
-    promise_checked: bool = field(init=False)
 
     def __post_init__(self):
         if self.k < 8:
@@ -149,11 +150,8 @@ class FindInstance:
             raise TaskError(f"need c0, c1 >= 1, got c0={self.c0}, c1={self.c1}")
         if not _at_most_power(fm.code_width(self.alpha), self.k, self.c0):
             raise TaskError(f"alpha does not fit {self.k}^{self.c0} code bits")
-        # the promise (alpha is a tautology) is decided eagerly when feasible
-        checked = len(fm.fvars(self.alpha)) <= 20
-        if checked and not fm.is_tautology(self.alpha, mode="auto"):
+        if not fm.is_tautology(self.alpha, mode="auto"):
             raise TaskError("alpha is not a tautology")
-        object.__setattr__(self, "promise_checked", checked)
 
     @property
     def system(self) -> PlusAlphaSystem:
@@ -290,7 +288,6 @@ class PairInstance:
     B: str
     triple: Triple
     C: Circuit
-    c: int
     oracles: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -346,21 +343,14 @@ def pair_from_err(inst: ErrInstance) -> PairInstance:
     A = "".join("1" if ch == "0" else "0" for ch in inst.L)
     B = inst.L
     C = passthrough_circuit(k, inst.w)
-    return PairInstance(A, B, inst.triple, C, inst.triple.c)
+    return PairInstance(A, B, inst.triple, C)
 
 
 # ---------------------------------------------------------------------------
-# instance envelopes
+# the instance envelope that `reduce` writes
 
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class Envelope:
-    task: str
-    params: dict[str, str]
-    files: tuple[tuple[str, str, str], ...]  # (role, name, sha256)
 
 
 def envelope_text(task: str, params: dict[str, str],
@@ -372,25 +362,3 @@ def envelope_text(task: str, params: dict[str, str],
     for role, name, content in files:
         lines.append(f"file {role} {name} {sha256_hex(content)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_envelope(text: str) -> Envelope:
-    task = None
-    params: dict[str, str] = {}
-    files: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] == "envelope" and len(toks) == 2:
-            task = toks[1]
-        elif toks[0] == "param" and len(toks) == 3:
-            params[toks[1]] = toks[2]
-        elif toks[0] == "file" and len(toks) == 4:
-            files.append((toks[1], toks[2], toks[3]))
-        else:
-            raise TaskError(f"envelope line {lineno}: unrecognized {line!r}")
-    if task is None:
-        raise TaskError("missing envelope header")
-    return Envelope(task, params, tuple(files))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import resource
 import subprocess
@@ -294,6 +295,16 @@ def test_solve_find_verify(capsys):
     assert rc == EXIT_NONE
 
 
+def test_find_promise_is_checked_for_every_alpha(capsys):
+    """alpha must be a tautology however many variables it has: a conjunction
+    of 21 variables is refused as one of 20 is."""
+    for n in (20, 21):
+        alpha = " & ".join(f"x{i}" for i in range(1, n + 1))
+        rc = run("solve", "--task", "find-verify", "--alpha", alpha, "--beta", "x1 | ~x1",
+                 "--k", "30", "--c0", "2", "--c1", "1")
+        assert rc == EXIT_ERROR, n
+        assert capsys.readouterr().err == "error: alpha is not a tautology\n"
+
 
 def test_solve_find_verify_at_a_huge_k_builds_no_code():
     """k = 10^9 under a 1.5 GB address-space limit: a size gate that built
@@ -438,12 +449,10 @@ def test_reduce_writes_envelope(tmp_path, capsys):
     out = str(tmp_path / "cert.envelope")
     rc = run("reduce", "--alpha", "x1 | ~x1", "--out", out)
     assert rc == EXIT_SOLUTION
-    from nwtaut.tasks import parse_envelope, sha256_hex
-
-    env = parse_envelope(Path(out).read_text())
-    assert env.task == "cert"
-    assert env.params["y-width"] == "8"
-    assert env.files[0][2] == sha256_hex("x1 | ~x1")
+    lines = Path(out).read_text().splitlines()
+    assert lines[0] == "envelope cert"
+    assert "param y-width 8" in lines
+    assert lines[-1] == "file alpha alpha.txt " + hashlib.sha256(b"x1 | ~x1").hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,20 @@ def test_dimacs_rejects_malformed():
         parse_dimacs("1 -2 0\n")  # missing header
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p cnf x 1\n1 0\n", "line 1: bad count in header 'p cnf x 1'"),
+    ("c meta\np cnf 1 1\na 0\n", "line 3: bad literal 'a'"),
+    ("p cnf 1 1\n1.0 0\n", "line 2: bad literal '1.0'"),
+    ("p cnf 1 1\n+1 0\n", "line 2: bad literal '+1'"),
+    ("p cnf 1 1\n\u0661 0\n", "line 2: bad literal '\u0661'"),  # Arabic-Indic one
+    ("p cnf 1 1\n1 -0\n", "line 2: bad literal '-0'"),  # -0 does not end a clause
+])
+def test_dimacs_bad_numbers_name_their_line(text, message):
+    with pytest.raises(CnfError) as e:
+        parse_dimacs(text)
+    assert str(e.value) == message
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(CnfError):
         ClauseSet([[3]], 2).validate()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,11 +35,6 @@ def assignments(max_var=6):
 def test_constructors_shape():
     f = fm.Implies(fm.Var(1), fm.Or(fm.Var(2), fm.CONST0))
     assert f == ("or", ("not", ("var", 1)), ("or", ("var", 2), ("const", 0)))
-
-
-def test_big_or_right_nested():
-    f = fm.big_or([fm.Var(1), fm.Var(2), fm.Var(3)])
-    assert f == ("or", ("var", 1), ("or", ("var", 2), ("var", 3)))
 
 
 def test_parse_examples():
@@ -273,8 +269,10 @@ def test_match_instance_deep():
     assert fm.match_instance(cand, pattern) == {1: ("var", 7)}
     assert fm.match_instance(cand[1], pattern) is None
     # a right-nested disjunction binds its variables left to right
-    pattern = fm.big_or([fm.Var(i) for i in range(1, n + 1)])
-    cand = fm.big_or([fm.CONST1 if i % 2 else fm.Var(i) for i in range(1, n + 1)])
+    pattern, cand = fm.Var(n), fm.Var(n)
+    for i in range(n - 1, 0, -1):
+        pattern = fm.Or(fm.Var(i), pattern)
+        cand = fm.Or(fm.CONST1 if i % 2 else fm.Var(i), cand)
     sigma = fm.match_instance(cand, pattern)
     assert list(sigma) == list(range(1, n + 1))
     assert all(sigma[i] == (fm.CONST1 if i % 2 else ("var", i)) for i in sigma)
@@ -293,6 +291,19 @@ def test_enumerate_fitting_small_widths():
 @settings(max_examples=200)
 def test_brute_vs_dpll_agree(f):
     assert fm.is_tautology(f, "brute") == fm.is_tautology(f, "dpll")
+
+
+def test_is_tautology_brute_force_at_24_variables():
+    """The brute-force sweep covers 2^24 assignments in time linear in 2^24:
+    building its variable masks by division took time quadratic in it."""
+    conj = fm.Var(24)
+    for i in range(23, 0, -1):
+        conj = fm.And(fm.Var(i), conj)
+    t0 = time.monotonic()
+    assert fm.is_tautology(conj, "brute") is False
+    assert fm.is_tautology(fm.Or(conj, fm.Not(conj)), "brute") is True
+    assert time.monotonic() - t0 < 2.0
+    assert fm.is_tautology(conj, "dpll") is False
 
 
 def test_is_tautology_basics():
@@ -314,9 +325,3 @@ def test_to_clauses_equisatisfiable(f):
         for m in range(16)
     )
     assert (model is not None) == sat
-
-
-def test_satisfying_assignment_lex_least():
-    f = fm.parse("x1 & x2 | x3")
-    assert fm.satisfying_assignment(f) == {1: 0, 2: 0, 3: 1}
-    assert fm.satisfying_assignment(fm.parse("x1 & ~x1")) is None

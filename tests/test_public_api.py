@@ -1,0 +1,73 @@
+"""Every public name of the package has a caller outside the tests.
+
+A public top-level function or class of ``src/nwtaut`` must be used by the
+package, ``scripts/`` or ``perfbench/`` somewhere outside its own
+definition, and no module-level import of the package may go unused.  Code
+that only tests call is deleted, or moved into the test that needs it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "nwtaut").glob("*.py"))
+CALLERS = [*PACKAGE, *sorted((ROOT / "scripts").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+ALLOWED = {
+    # the formula constructors that tests build terms with
+    "Var", "Not", "Or",
+    # Cert's solution verifier, which defines the task
+    "verify_cert",
+}
+
+# a string such as "nw_eval" or "ClauseSet.to_dimacs": perfbench's tracer
+# reaches the functions it wraps through such names
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names node reads: plain names, attributes and dotted strings."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.match(n.value):
+            out.update(n.value.split("."))
+    return out
+
+
+def _unused_definitions() -> list[str]:
+    statements = [(path, stmt) for path in CALLERS for stmt in ast.parse(path.read_text()).body]
+    uses = [(stmt, _names(stmt)) for _, stmt in statements]
+    return [
+        f"{path.name}: {stmt.name}"
+        for path, stmt in statements
+        if path in PACKAGE
+        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in ALLOWED
+        and not any(stmt.name in names for other, names in uses if other is not stmt)
+    ]
+
+
+def _unused_imports() -> list[str]:
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+                unused += [f"{path.name}: import {name}" for name in bound if name not in read]
+    return unused
+
+
+def test_no_test_only_public_code():
+    unused = _unused_definitions() + _unused_imports()
+    assert not unused, "nothing outside the tests uses " + ", ".join(unused)
