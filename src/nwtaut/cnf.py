@@ -12,14 +12,23 @@ order is completed by the variables it leaves out, in index order.  Each
 learned clause is RUP, so the log of an unsatisfiable run is a DRUP
 refutation that ``check_rup`` verifies (Goldberg & Novikov, DATE 2003).
 
+The fixings and the input unit clauses are put on the trail at level 0,
+before the first decision (MiniSat, Een & Sorensson, SAT 2003, does the
+same), so a conflict among their consequences is a refutation by itself.
+The output unit that ``tau_of`` adds for each block is thus propagated
+before the seed is decided, not found through a conflict after it.
+
 Propagation scans, for each literal that becomes false, every clause that
 contains it.  Every clause the package builds has at most three literals,
 and for those a scan reads no more than moving a watch would, without the
-watch bookkeeping.  Learned clauses are longer, but they are few: clauses of
-more than three literals take 0.5% of the clause visits over the 512 q=3 tau
-formulas and 39% over unsatisfiable q=4 parity ones, so watched literals
-could only speed up that share.  Clauses are only looked at then, so input
-unit clauses are not propagated ahead of the search.
+watch bookkeeping.  Learned clauses are longer; with units at level 0 they
+are 2,030 over the 318 refutations of the 512 q=3 tabular tau formulas and
+6,144 over the 384 of the parity ones.  With units at level 0 in both, a
+prototype that watched two literals of every clause took 1.5-1.9x this
+scan's time on the q=3 sweeps and on uniform q=4 parity b.  Watching only
+the clauses of more than three literals took 1.1-1.3x there, and about half
+the scan's time on uniform q=5 parity b, where long learned clauses are most
+of the work.
 """
 
 from __future__ import annotations
@@ -131,6 +140,19 @@ def parse_dimacs(text: str) -> ClauseSet:
     return cs
 
 
+def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
+    """The unit literals of a ``fixed`` map: variables in 1..nvars, bits 0, 1,
+    "0" or "1"."""
+    units = []
+    for var, bit in (fixed or {}).items():
+        if not 1 <= var <= nvars:
+            raise CnfError(f"fixed variable {var} out of range")
+        if bit not in (0, 1, "0", "1"):
+            raise CnfError(f"fixed variable {var}: bit {bit!r} is not 0 or 1")
+        units.append(var if bit in (1, "1") else -var)
+    return units
+
+
 def dpll_solve(
     cs: ClauseSet,
     fixed: dict[int, int] | None = None,
@@ -139,12 +161,15 @@ def dpll_solve(
 ) -> dict[int, int] | None:
     """Return the lex-least (over decision_order, 0 before 1) total model, or None.
 
-    ``fixed`` pre-assigns variables; a conflicting fixing yields None.  The
-    variables a given ``decision_order`` leaves out are decided after it, in
-    index order; the default order is 1..nvars.  When a ``lemmas`` list is
-    given, every learned clause is appended to it, and ``[]`` at the final
-    conflict, so an unsatisfiable answer leaves a DRUP refutation that
-    ``check_rup`` accepts.
+    ``fixed`` pre-assigns variables (bits 0, 1, "0" or "1").  The fixings
+    and the unit clauses of ``cs`` are level-0 units: they are propagated
+    before the first decision, and a conflict among them yields None with
+    ``[]`` as the whole log.  The variables a given ``decision_order``
+    (entries in 1..nvars) leaves out are decided after it, in index order;
+    the default order is 1..nvars.  Bad arguments raise ``CnfError``.  When
+    a ``lemmas`` list is given, every learned clause is appended to it, and
+    ``[]`` at the final conflict, so an unsatisfiable answer leaves a DRUP
+    refutation that ``check_rup`` accepts.
 
     The first model found is the lex-least one over the (completed) order.
     A decision at level L sets the first unassigned order variable to 0, so
@@ -156,11 +181,20 @@ def dpll_solve(
     where M and M* agree; M* satisfies all of them, a contradiction.
     """
     nvars = cs.nvars
-    order = range(1, nvars + 1) if decision_order is None else decision_order
+    units = _fixed_literals(fixed, nvars)
+    if decision_order is None:
+        order = range(1, nvars + 1)
+    else:
+        order = decision_order
+        for var in order:
+            if not 1 <= var <= nvars:
+                raise CnfError(f"decision order entry {var} out of range")
     # value and occurrence lists are indexed by literal: -v wraps to the back
     value: list[int | None] = [None] * (2 * nvars + 1)
     occ: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
     for clause in cs.clauses:
+        if len(clause) == 1:
+            units.append(clause[0])
         for lit in clause:
             occ[lit].append(clause)
     # per variable: decision level and the clause that implied it (None for
@@ -236,20 +270,16 @@ def dpll_solve(
             lemmas.append([])
         return None
 
-    if fixed:
-        for var, bit in fixed.items():
-            if not 1 <= var <= nvars:
-                raise CnfError(f"fixed variable {var} out of range")
-            lit = var if int(bit) else -var
-            if value[lit] is None:
-                value[lit], value[-lit] = 1, 0
-                trail.append(lit)
-                if propagate() is not None:
-                    return refuted()
-            elif not value[lit]:
-                return refuted()
     if any(not clause for clause in cs.clauses):
         return refuted()
+    # level 0: the fixings and the input unit clauses; the first propagate()
+    # below reads them all before the first decision
+    for lit in units:
+        if value[lit] is None:
+            value[lit], value[-lit] = 1, 0
+            trail.append(lit)
+        elif not value[lit]:
+            return refuted()
 
     pos = 0
     while True:
@@ -301,12 +331,13 @@ def check_rup(
     Novikov, DATE 2003): unit propagation over the clauses, the ``fixed``
     units and the earlier lemmas, with every literal of the lemma made
     false, reaches a conflict.  This propagation is written apart from the
-    solver's, so that a fault there cannot hide itself.
+    solver's, so that a fault there cannot hide itself.  ``fixed`` follows
+    ``dpll_solve``'s rule, and a bad one raises ``CnfError``.
     """
+    nvars = cs.nvars
+    clauses = [*cs.clauses, *([lit] for lit in _fixed_literals(fixed, nvars))]
     if not lemmas or lemmas[-1]:
         return False
-    nvars = cs.nvars
-    clauses = [*cs.clauses, *([v if int(bit) else -v] for v, bit in (fixed or {}).items())]
     occ: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
     for clause in clauses:
         for lit in clause:

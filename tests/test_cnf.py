@@ -132,6 +132,41 @@ def test_dpll_fixed_assumptions():
     assert dpll_solve(cs, fixed={1: 0, 2: 0}) is None
 
 
+def test_level0_units_are_propagated_before_the_first_decision():
+    """Input unit clauses and fixings sit at level 0, so a conflict among
+    their consequences is refuted by the empty clause alone."""
+    cs = ClauseSet([[1], [-1, 2], [-2]], 2)
+    lemmas: list[list[int]] = []
+    assert dpll_solve(cs, lemmas=lemmas) is None
+    assert lemmas == [[]] and check_rup(cs, lemmas)
+    cs = ClauseSet([[1, 2], [-2, 1], [2]], 2)
+    lemmas = []
+    assert dpll_solve(cs, fixed={1: 0}, lemmas=lemmas) is None
+    assert lemmas == [[]] and check_rup(cs, lemmas, fixed={1: 0})
+    assert dpll_solve(cs, fixed={1: "1"}) == {1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"decision_order": [3]}, "decision order entry 3 out of range"),
+    ({"decision_order": [5]}, "decision order entry 5 out of range"),
+    ({"decision_order": [0]}, "decision order entry 0 out of range"),
+    ({"decision_order": [2, -1]}, "decision order entry -1 out of range"),
+    ({"fixed": {1: "x"}}, "fixed variable 1: bit 'x' is not 0 or 1"),
+    ({"fixed": {1: 2}}, "fixed variable 1: bit 2 is not 0 or 1"),
+    ({"fixed": {2: "01"}}, "fixed variable 2: bit '01' is not 0 or 1"),
+    ({"fixed": {3: 0}}, "fixed variable 3 out of range"),
+])
+def test_solver_and_checker_reject_bad_arguments(kwargs, message):
+    cs = ClauseSet([[1, 2]], 2)
+    with pytest.raises(CnfError) as e:
+        dpll_solve(cs, **kwargs)
+    assert str(e.value) == message
+    if "fixed" in kwargs:
+        with pytest.raises(CnfError) as e:
+            check_rup(cs, [[]], **kwargs)
+        assert str(e.value) == message
+
+
 def test_dimacs_round_trip():
     cs = ClauseSet([[1, -2], [2, 3], [-1]], 3, comments=["meta x=1"])
     back = parse_dimacs(cs.to_dimacs())
