@@ -62,6 +62,25 @@ def Implies(f: Formula, g: Formula) -> Formula:
     return ("or", ("not", f), g)
 
 
+class HashedFormula(tuple):
+    """A formula node that computes its hash once and keeps it.
+
+    It equals the plain tuple with the same items and hashes like it, so the
+    two are interchangeable as dict keys.  CPython does not cache tuple
+    hashes: hashing a formula walks every subterm.  A large subterm held as
+    one HashedFormula by many formulas, such as the hypothesis that
+    frege.discharge puts into every line, is walked once; each later hash
+    of an enclosing formula reads the kept value."""
+
+    def __new__(cls, f: Formula) -> HashedFormula:
+        self = tuple.__new__(cls, f)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 def big_and(parts: list[Formula]) -> Formula:
     """Right-nested conjunction; empty list yields constant 1."""
     if not parts:
@@ -184,8 +203,9 @@ def to_text(f: Formula) -> str:
 # frege.parse_proof prints candidates it may then discard:
 # it keeps each of them until it returns, since a freed id can pass to a new
 # formula, whose stale memo text would accept a line that spells another.
-# Formulas are not hash-consed, and hashing a nested tuple costs its size,
-# hence ids rather than the tuples as keys.
+# Formulas are not hash-consed, and hashing a nested tuple costs its size
+# (only a HashedFormula keeps its hash, and only the discharged hypothesis
+# is one), hence ids rather than the tuples as keys.
 
 def _text(f: Formula, memo: dict[int, str]) -> str:
     tag = f[0]

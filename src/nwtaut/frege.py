@@ -131,7 +131,8 @@ class ProofBuilder:
 
     One hash per push: a line formula is looked up and, if new, indexed by
     one dict operation.  Formulas are nested tuples, whose hash Python does
-    not cache, so each hash walks the whole formula."""
+    not cache, so each hash walks the whole formula, except that it reads
+    the kept hash of any fm.HashedFormula inside (discharge's hypothesis)."""
 
     def __init__(self):
         self.lines: list[Line] = []
@@ -278,24 +279,36 @@ def mp(pi1: Proof, pi2: Proof) -> Proof:
 
 def discharge(proof: Proof, hypothesis: Formula) -> Proof:
     """Deduction-theorem transformation: remove one hypothesis H, turning a
-    derivation of phi from hypotheses into one of H -> phi."""
+    derivation of phi from hypotheses into one of H -> phi.
+
+    Every output line contains H, so H is held as one fm.HashedFormula and
+    hashing a line costs the same whatever the size of H.  The input is
+    checked for shape only (at least one line, known justification kinds,
+    mp premises on earlier lines); the builder's mp rejects premises whose
+    formulas do not fit."""
+    if not proof.lines:
+        raise ProofError("discharge: empty proof")
     b = ProofBuilder()
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
     H = hypothesis
+    if not isinstance(H, fm.HashedFormula):
+        H = fm.HashedFormula(H)
     for i, ln in enumerate(proof.lines):
         f, just = ln.formula, ln.just
         kind = just[0]
         if kind == "hyp" and f == H:
             mapped[i] = b.axiom("ID", {1: H})
-        elif kind in ("axiom", "hyp"):
+        elif kind == "hyp" or (kind == "axiom" and len(just) == 3):
             base = b.axiom(just[1], just[2]) if kind == "axiom" else b.hyp(f)
             mapped[i] = b.imply(base, "P1", {1: f, 2: H})
-        else:
+        elif kind == "mp" and len(just) == 3 and 0 <= just[1] < i and 0 <= just[2] < i:
             _, a, c = just
             fa = proof.lines[a].formula
             step = b.axiom("P2", {1: H, 2: fa, 3: f})
             step2 = b.mp(mapped[c], step)
             mapped[i] = b.mp(mapped[a], step2)
+        else:
+            raise ProofError(f"discharge: line {i + 1} has a malformed justification {just!r}")
     return b.proof(mapped[len(proof.lines) - 1])
 
 

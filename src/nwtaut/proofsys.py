@@ -431,7 +431,9 @@ def simulate(
     # the alpha_k instance: z stays variable, v gets the constant run
     run = evaluator_run_bits(alpha.sat, code)
     inst.update(_const_map(alpha.sat.v_vars, run))
-    alpha_inst = fm.substitute(alpha.alpha, inst)
+    # one hash-keeping node, shared by every line of pi_sat, pi_phi and final
+    # that contains it (see discharge)
+    alpha_inst = fm.HashedFormula(fm.substitute(alpha.alpha, inst))
 
     b = ProofBuilder()
     hyp_idx = b.hyp(alpha_inst)

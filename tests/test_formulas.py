@@ -123,6 +123,18 @@ def test_text_round_trip(f):
     assert fm.parse(fm.to_text(f)) == f
 
 
+@given(formulas())
+def test_hashed_formula_is_interchangeable_with_its_tuple(f):
+    h = fm.HashedFormula(f)
+    assert h == f and f == h and hash(h) == hash(f)
+    assert fm.to_text(h) == fm.to_text(f)
+    # either one finds the entry the other made, inside a larger key too
+    table = {f: 1, ("not", h): 2}
+    assert table[h] == 1 and table[("not", f)] == 2
+    table[h] = 3
+    assert table == {f: 3, ("not", f): 2}
+
+
 @given(formulas(), assignments())
 def test_evaluate_matches_python_semantics(f, a):
     def ref(g):

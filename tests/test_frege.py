@@ -192,6 +192,46 @@ def test_discharge_keeps_other_hypotheses():
     assert fr.check_derivation(fr.FREGE, out)
 
 
+def test_discharge_rejects_malformed_input():
+    one = fm.parse("1")
+    for bad in (
+        fr.Proof(()),
+        fr.Proof((fr.Line(one, ("mp", 0, 1)),)),                          # a later line
+        fr.Proof((fr.Line(one, ("axiom", "T1", {})), fr.Line(one, ("mp", 0, 7)))),  # missing
+        fr.Proof((fr.Line(one, ("foo",)),)),
+    ):
+        with pytest.raises(fr.ProofError):
+            fr.discharge(bad, fm.Var(1))
+
+
+def test_discharge_hashes_the_hypothesis_once():
+    """Every discharged line contains H; hashing one reads H's kept hash
+    instead of walking H again."""
+    calls = []
+
+    class Counted(tuple):
+        def __hash__(self):
+            calls.append(self)
+            return tuple.__hash__(self)
+
+    H = ("not", Counted(fm.parse("x1 & (x2 | ~x3)")))
+    b = fr.ProofBuilder()
+    b.hyp(H)
+    for s in ("x2 | ~x2", "~x2 | x2 & x2"):
+        idx = b.append_proof(fr.prove_tautology(fm.parse(s)))
+    for s in ("~(0 | 0 & 1) & (1 | 0) & ~~1", "(~(0 & 1) | 0) & (1 | ~1) & ~(0 | 0)",
+              "~(1 & 0) & (0 | ~0) | 0"):
+        idx = b.append_proof(fr.prove_true_sentence(fm.parse(s)))
+    der = b.proof(idx)
+    assert len(der) >= 75
+    calls.clear()
+    out = fr.discharge(der, H)
+    assert len(calls) <= 1
+    assert out.hypotheses() == []
+    assert fr.check_derivation(fr.FREGE, out)
+    assert out.conclusion == fm.Implies(H, der.conclusion)
+
+
 TAUTOLOGY_BATCH = [
     "x1 | ~x1",
     "~x1 | x1",
