@@ -74,8 +74,12 @@ class ClauseSet:
     def to_dimacs(self) -> str:
         lines = [f"c {c}" for c in self.comments]
         lines.append(f"p cnf {self.nvars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
+        if self.clauses:
+            # one clause per line, each ending in 0, rendered in C: the list
+            # prints as "[[1, -2], [3]]", and an empty clause as "[]", which
+            # the two passes turn into a line reading " 0"
+            body = str(self.clauses)[2:-2].replace("], [", " 0\n").replace(", ", " ")
+            lines.append(body + " 0")
         return "\n".join(lines) + "\n"
 
 
@@ -342,12 +346,16 @@ def check_rup(
     for clause in clauses:
         for lit in clause:
             occ[lit].append(clause)
+    # kept up to date as lemmas are added: the unit clauses, in clause order,
+    # and whether some clause is empty
+    units = [c[0] for c in clauses if len(c) == 1]
+    empty = any(not c for c in clauses)
     for lemma in lemmas:
         if any(not 0 < abs(lit) <= nvars for lit in lemma):
             return False
         value: list[int | None] = [None] * (2 * nvars + 1)
-        queue = [-lit for lit in lemma] + [c[0] for c in clauses if len(c) == 1]
-        conflict = any(not c for c in clauses)
+        queue = [-lit for lit in lemma] + units
+        conflict = empty
         while queue and not conflict:
             lit = queue.pop()
             if value[lit] is not None:
@@ -371,7 +379,9 @@ def check_rup(
                     queue.append(unit)
         if not conflict:
             return False
-        clauses.append(lemma)
+        if len(lemma) == 1:
+            units.append(lemma[0])
+        empty = empty or not lemma
         for lit in lemma:
             occ[lit].append(lemma)
     return True

@@ -197,9 +197,10 @@ def to_text(f: Formula) -> str:
 # A memo maps id(subterm) to the subterm's text (_text) or text length
 # (_text_len); one memo may serve several formulas.  Ids are unique only among
 # live objects, so the caller keeps every formula it passes alive while the
-# memo is in use.  proofsys.simulate sizes its four stage proofs through one
-# length memo, since the stages share line formulas; it holds all four proofs
-# until it returns, so each id stays with its formula while the memo lives.
+# memo is in use.  proofsys.simulate prints its four stage proofs through one
+# text memo, since the stages share line formulas, and sizes each by its text;
+# it holds all four proofs until it returns, so each id stays with its formula
+# while the memo lives.
 # frege.parse_proof prints candidates it may then discard:
 # it keeps each of them until it returns, since a freed id can pass to a new
 # formula, whose stale memo text would accept a line that spells another.

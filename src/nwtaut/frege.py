@@ -61,6 +61,8 @@ class Line:
 
 @dataclass(frozen=True)
 class Proof:
+    """A sequence of lines; serialize_proof keeps its text once printed."""
+
     lines: tuple[Line, ...]
 
     @property
@@ -85,12 +87,12 @@ class FregeSystem:
 
     def line_valid(self, lines: tuple[Line, ...], i: int, allow_hyp: bool = False) -> bool:
         f, just = lines[i].formula, lines[i].just
-        kind = just[0]
-        if kind == "axiom":
+        kind = just[0] if just else None
+        if kind == "axiom" and len(just) == 3:
             _, name, sigma = just
             pattern = AXIOM_SCHEMES.get(name)
             return pattern is not None and fm.substitute(pattern, sigma) == f
-        if kind == "mp":
+        if kind == "mp" and len(just) == 3:
             _, a, b = just
             if not (0 <= a < i and 0 <= b < i):
                 return False
@@ -157,6 +159,9 @@ class ProofBuilder:
         return self._push(Line(f, ("hyp",)))
 
     def mp(self, i: int, j: int) -> int:
+        n = len(self.lines)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ProofError(f"mp premises {i}, {j}: the lines are 0..{n - 1}")
         impl = self.lines[j].formula
         if impl[0] != "or" or impl[1] != ("not", self.lines[i].formula):
             raise ProofError(
@@ -356,8 +361,22 @@ def prove_tautology(F: Formula) -> Proof:
 # serialization
 
 def serialize_proof(proof: Proof) -> str:
-    # one memo for the whole proof; the proof keeps every formula alive
-    memo: dict[int, str] = {}
+    """The proof's text, printed once and then kept by the proof."""
+    return _serialize(proof, {})
+
+
+def _serialize(proof: Proof, memo: dict[int, str]) -> str:
+    """serialize_proof(proof), with formula texts from a caller's memo, which
+    may serve several proofs; the caller keeps them all alive while the memo
+    is in use (see the comment above fm._text).
+
+    The text is kept in the proof's __dict__, beside its one field, so ==,
+    hash and repr ignore it.  Line is frozen, formulas are tuples and
+    ProofBuilder copies each sigma it is given, so the text stays that of
+    the lines unless a caller mutates a sigma dict it put in a Line."""
+    text = proof.__dict__.get("_text")
+    if text is not None:
+        return text
     lines = ["proof"]
     for i, ln in enumerate(proof.lines, 1):
         f = fm._text(ln.formula, memo)
@@ -373,7 +392,8 @@ def serialize_proof(proof: Proof) -> str:
         else:
             just = "hyp"
         lines.append(f"{i} {f} ; {just}")
-    return "\n".join(lines) + "\n"
+    text = proof.__dict__["_text"] = "\n".join(lines) + "\n"
+    return text
 
 
 def proof_size_bits(proof: Proof) -> int:
@@ -382,13 +402,7 @@ def proof_size_bits(proof: Proof) -> int:
     Counts the bytes of serialize_proof's layout without building the text:
     formula lengths come from one memo over the proof, and the text is ASCII
     apart from scheme names, which are counted as UTF-8."""
-    return _size_bits(proof, {})
-
-
-def _size_bits(proof: Proof, memo: dict[int, int]) -> int:
-    """proof_size_bits(proof), with formula lengths from a caller's memo,
-    which may serve several proofs; the caller keeps them all alive while
-    the memo is in use (see the comment above fm._text)."""
+    memo: dict[int, int] = {}
     n = len("proof\n")
     for i, ln in enumerate(proof.lines, 1):
         # "<i> <formula> ; <just>\n"

@@ -35,13 +35,13 @@ from .frege import (
     Proof,
     ProofBuilder,
     ProofError,
-    _size_bits,
+    _serialize,
     check,
     discharge,
     parse_proof,
-    proof_size_bits,
     prove_tautology,
     prove_true_sentence,
+    serialize_proof,
     subst_proof,
 )
 
@@ -406,7 +406,7 @@ def simulate(
             raise ProofError("advice checker rejects the given Q-proof")
         proof = parse_proof(pi_Q)
         return SimulateResult(
-            proof, phi, None, {"total": proof_size_bits(proof)}
+            proof, phi, None, {"total": 8 * len(serialize_proof(proof).encode())}
         )
 
     k, _, _ = QS.widths()
@@ -448,14 +448,15 @@ def simulate(
     if not check_plus_alpha(S, phi, final):
         raise ProofError("internal error: pipeline output fails check_plus_alpha")
     # pi_sat replays pi_prov, d4 replays pi_sat and final wraps d4, so one
-    # length memo sizes all four (see the comment above fm._text)
-    memo: dict[int, int] = {}
+    # text memo prints all four (see the comment above fm._text); each stage
+    # is sized by its text, which final keeps for the caller to write
+    memo: dict[int, str] = {}
     return SimulateResult(
         final, phi, alpha,
         {
-            "prov_d2": _size_bits(pi_prov, memo),
-            "sat_mp": _size_bits(pi_sat, memo),
-            "d4": _size_bits(pi_phi, memo),
-            "total": _size_bits(final, memo),
+            stage: 8 * len(_serialize(proof, memo).encode())
+            for stage, proof in (
+                ("prov_d2", pi_prov), ("sat_mp", pi_sat), ("d4", pi_phi), ("total", final)
+            )
         },
     )

@@ -121,6 +121,18 @@ def test_tau_soundness_sweep_512():
     )
 
 
+def test_parity_tau_dimacs_pinned_512():
+    """The parity q=3 sweep's benchmark files, pinned byte for byte beside
+    the tabular sweep's: parity checkers bring NOT-gate clause shapes."""
+    spec = nw.GeneratorSpec(dg.poly_design(3, 2), nw.builtin_base("parity", 3))
+    dimacs = hashlib.sha256()
+    for v in range(512):
+        dimacs.update(nw.tau_of(spec, format(v, "09b")).clauses.to_dimacs().encode())
+    assert dimacs.hexdigest() == (
+        "e386d097a819929208b3e928d0d412c3dcbdd8df966eecd4af0d3e17369927fd"
+    )
+
+
 def test_tau_refutations_check_512():
     """Every tautology of the 512-b sweep comes with a DRUP refutation that
     check_rup accepts.  Unit propagation alone refutes none of them, a log

@@ -113,6 +113,9 @@ def test_check_rup_rejects_what_unit_propagation_does_not_imply():
     assert not check_rup(cs, [[]])
     assert not check_rup(cs, lemmas[:-1])
     assert check_rup(cs, [[1], []])
+    # a unit lemma and an empty one stay in force for the lemmas after them
+    assert check_rup(cs, [[1], [3], [-2, 3], []])
+    assert check_rup(cs, [[1], [], [-1], []])
     assert not check_rup(cs, [[4], [1], []])
     # [1] follows from [1, 2] and [1, -2], but the clauses are satisfiable,
     # so no log ends in an implied empty clause; the fixing 1 = 0 refutes them
@@ -173,6 +176,24 @@ def test_dimacs_round_trip():
     assert back.clauses == cs.clauses
     assert back.nvars == 3
     assert back.comments == ["meta x=1"]
+
+
+def reference_dimacs(cs: ClauseSet) -> str:
+    """The DIMACS text, clause by clause."""
+    lines = [f"c {c}" for c in cs.comments] + [f"p cnf {cs.nvars} {len(cs.clauses)}"]
+    lines += [" ".join(str(lit) for lit in clause) + " 0" for clause in cs.clauses]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("clauses", [
+    [], [[]], [[], [1]], [[1], []], [[], []], [[1]], [[-1, 2], [], [-2, 1, 3]],
+])
+@pytest.mark.parametrize("comments", [[], ["tau", "b=101"]])
+def test_dimacs_matches_the_clause_by_clause_text(clauses, comments):
+    cs = ClauseSet(clauses, 3, comments)
+    assert cs.to_dimacs() == reference_dimacs(cs)
+    back = parse_dimacs(cs.to_dimacs())
+    assert (back.clauses, back.comments) == (clauses, comments)
 
 
 def test_dimacs_rejects_malformed():

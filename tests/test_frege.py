@@ -83,6 +83,15 @@ def test_check_rejects_unknown_scheme_and_bad_instance():
     assert not fr.check(fr.FREGE, fm.parse("0"), wrong)
 
 
+@pytest.mark.parametrize("just", [("mp",), ("mp", 0), ("axiom", "T1"), ()])
+def test_check_rejects_malformed_justifications(just):
+    """A justification of the wrong length is rejected, not raised on."""
+    one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
+    bad = fr.Proof((one, fr.Line(fm.parse("1"), just)))
+    assert not fr.check(fr.FREGE, fm.parse("1"), bad)
+    assert not fr.check_derivation(fr.FREGE, bad)
+
+
 def test_empty_proof_rejected():
     assert not fr.check(fr.FREGE, fm.parse("1"), fr.Proof(()))
     with pytest.raises(fr.ProofError):
@@ -165,6 +174,16 @@ def test_append_proof_replays_premises_by_line_index():
         bad = fr.Proof((fr.Line(fm.parse("1"), ("mp", *premises)),))
         with pytest.raises(fr.ProofError):
             fr.ProofBuilder().append_proof(bad)
+
+
+def test_builder_mp_rejects_premise_indices_outside_the_lines():
+    b = fr.ProofBuilder()
+    p = b.hyp(fm.Var(1))
+    q = b.hyp(fm.parse("~x1 | x2"))
+    for i, j in ((p, 2), (2, q), (-2, q), (p, -1), (5, 5)):
+        with pytest.raises(fr.ProofError):
+            b.mp(i, j)
+    assert b.lines[b.mp(p, q)].formula == fm.Var(2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +345,16 @@ def test_proof_size_bits_counts_the_text_with_hyp():
 def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
     """Every stage proof simulate sizes, and its final proof, on the
     pipeline corpus of the acceptance gate (checker: x4 and all y, t bits).
-    simulate sizes its four stages through one shared length memo."""
+    simulate prints its four stages through one shared text memo and sizes
+    each by its text."""
     sized = []
 
-    def size_and_keep(proof, memo):
-        bits = fr._size_bits(proof, memo)
-        sized.append((proof, memo, bits))
-        return bits
+    def print_and_keep(proof, memo):
+        text = fr._serialize(proof, memo)
+        sized.append((proof, memo, 8 * len(text.encode())))
+        return text
 
-    monkeypatch.setattr(ps, "_size_bits", size_and_keep)
+    monkeypatch.setattr(ps, "_serialize", print_and_keep)
     for k in (8, 9, 10):
         for yw in (1, 2, 3):
             for tw in (1, 2):
@@ -356,6 +376,28 @@ def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
     for proof, _, bits in sized:
         assert_size_is_text_length(proof)
         assert bits == fr.proof_size_bits(proof)
+
+
+def test_serialize_proof_keeps_its_text():
+    """A proof is printed once: a second call returns the kept text, a fresh
+    proof over the same lines prints the same text, and the kept text leaves
+    ==, hash and repr alone."""
+    proof = fr.prove_tautology(fm.parse("x1 | ~x1"))
+    before = repr(proof)
+    text = fr.serialize_proof(proof)
+    assert fr.serialize_proof(proof) is text
+    twin = fr.Proof(proof.lines)
+    assert fr.serialize_proof(twin) == text
+    assert twin == proof and repr(proof) == before
+    assert fr.parse_proof(text) == proof
+    # a proof without axiom lines (whose sigma dicts do not hash) hashes
+    b = fr.ProofBuilder()
+    idx = b.mp(b.hyp(fm.Var(1)), b.hyp(fm.parse("~x1 | x2")))
+    plain = b.proof(idx)
+    before = (hash(plain), repr(plain))
+    fr.serialize_proof(plain)
+    assert (hash(plain), repr(plain)) == before
+    assert plain == fr.Proof(plain.lines) and hash(plain) == hash(fr.Proof(plain.lines))
 
 
 def test_proof_builder_hashes_each_pushed_formula_once():
