@@ -4,7 +4,9 @@ Wires are integers: inputs occupy 0..n_in-1 flattened in group order, gate i
 produces wire n_in+i.  Gate basis is AND/OR/NOT; opaque blocks name an
 external predicate over declared input wires.  Opaque circuits support
 evaluation and bounded enumeration only; clause translation and
-circuit_to_formula require fully explicit circuits.
+circuit_to_formula require fully explicit circuits.  ``sat_search``
+translates an explicit circuit once and keeps the clause set with the
+circuit, so repeated searches with other fixings reuse it.
 
 Canonical text format (one item per line):
 
@@ -326,8 +328,11 @@ def sat_search(
     """Lexicographically least satisfying completion of the free input groups.
 
     The circuit is read as a predicate through its single output wire.
-    Explicit circuits run through the DPLL engine; opaque ones enumerate the
-    free bits (at most ``budget`` of them).
+    Explicit circuits run through the DPLL engine on their Tseitin clauses
+    plus the output unit, translated on the first search and kept by the
+    circuit for every later one; only the fixings and the decision order
+    are built per call.  Opaque ones enumerate the free bits (at most
+    ``budget`` of them).
     """
     if len(circ.outputs) != 1:
         raise CircuitError("sat_search needs a single-output circuit")
@@ -351,8 +356,14 @@ def sat_search(
                 return {n: inputs[n] for n, _ in free_groups}
         return None
 
-    cs, outs = circuit_clauses(circ)
-    cs.clauses.append([outs[0]])
+    # kept in the circuit's __dict__, beside its fields, so ==, hash and repr
+    # ignore it; the circuit is frozen with tuple gates, and dpll_solve leaves
+    # its input clauses unchanged, so the kept set stays the circuit's
+    cs = circ.__dict__.get("_clauses")
+    if cs is None:
+        cs, outs = circuit_clauses(circ)
+        cs.clauses.append([outs[0]])
+        circ.__dict__["_clauses"] = cs
     fixing: dict[int, int] = {}
     for name, bits in fixed.items():
         off, w = circ.group_offset(name)

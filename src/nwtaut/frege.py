@@ -59,6 +59,21 @@ class Line:
     just: tuple
 
 
+def _just_kind(just: tuple) -> str | None:
+    """The kind of a well-shaped justification: "axiom" with a scheme name
+    and a sigma dict, "mp" with two int line indices, or "hyp" alone; None
+    for any other.  The checker, the printer, the sizer and discharge all
+    read a justification through this one rule."""
+    if len(just) == 3:  # mp and axiom lines, the common case, first
+        kind, a, b = just
+        if kind == "mp":
+            return kind if isinstance(a, int) and isinstance(b, int) else None
+        if kind == "axiom" and isinstance(a, str) and isinstance(b, dict):
+            return kind
+        return None
+    return "hyp" if just == ("hyp",) else None
+
+
 @dataclass(frozen=True)
 class Proof:
     """A sequence of lines; serialize_proof keeps its text once printed."""
@@ -87,19 +102,17 @@ class FregeSystem:
 
     def line_valid(self, lines: tuple[Line, ...], i: int, allow_hyp: bool = False) -> bool:
         f, just = lines[i].formula, lines[i].just
-        kind = just[0] if just else None
-        if kind == "axiom" and len(just) == 3:
+        kind = _just_kind(just)
+        if kind == "axiom":
             _, name, sigma = just
             pattern = AXIOM_SCHEMES.get(name)
             return pattern is not None and fm.substitute(pattern, sigma) == f
-        if kind == "mp" and len(just) == 3:
+        if kind == "mp":
             _, a, b = just
             if not (0 <= a < i and 0 <= b < i):
                 return False
             return lines[b].formula == ("or", ("not", lines[a].formula), f)
-        if kind == "hyp":
-            return allow_hyp
-        return False
+        return kind == "hyp" and allow_hyp
 
 
 FREGE = FregeSystem()
@@ -300,13 +313,13 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
         H = fm.HashedFormula(H)
     for i, ln in enumerate(proof.lines):
         f, just = ln.formula, ln.just
-        kind = just[0]
+        kind = _just_kind(just)
         if kind == "hyp" and f == H:
             mapped[i] = b.axiom("ID", {1: H})
-        elif kind == "hyp" or (kind == "axiom" and len(just) == 3):
+        elif kind == "hyp" or kind == "axiom":
             base = b.axiom(just[1], just[2]) if kind == "axiom" else b.hyp(f)
             mapped[i] = b.imply(base, "P1", {1: f, 2: H})
-        elif kind == "mp" and len(just) == 3 and 0 <= just[1] < i and 0 <= just[2] < i:
+        elif kind == "mp" and 0 <= just[1] < i and 0 <= just[2] < i:
             _, a, c = just
             fa = proof.lines[a].formula
             step = b.axiom("P2", {1: H, 2: fa, 3: f})
@@ -380,7 +393,7 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     lines = ["proof"]
     for i, ln in enumerate(proof.lines, 1):
         f = fm._text(ln.formula, memo)
-        kind = ln.just[0]
+        kind = _just_kind(ln.just)
         if kind == "axiom":
             _, name, sigma = ln.just
             subst = " ".join(
@@ -389,8 +402,10 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
             just = f"axiom {name} {subst}".rstrip()
         elif kind == "mp":
             just = f"mp {ln.just[1] + 1} {ln.just[2] + 1}"
-        else:
+        elif kind == "hyp":
             just = "hyp"
+        else:
+            raise ProofError(f"line {i}: malformed justification {ln.just!r}")
         lines.append(f"{i} {f} ; {just}")
     text = proof.__dict__["_text"] = "\n".join(lines) + "\n"
     return text
@@ -407,7 +422,7 @@ def proof_size_bits(proof: Proof) -> int:
     for i, ln in enumerate(proof.lines, 1):
         # "<i> <formula> ; <just>\n"
         n += len(str(i)) + fm._text_len(ln.formula, memo) + 5
-        kind = ln.just[0]
+        kind = _just_kind(ln.just)
         if kind == "axiom":
             _, name, sigma = ln.just
             if sigma:
@@ -419,8 +434,10 @@ def proof_size_bits(proof: Proof) -> int:
                 n += len(f"axiom {name}".rstrip().encode())
         elif kind == "mp":
             n += len(f"mp {ln.just[1] + 1} {ln.just[2] + 1}")
-        else:
+        elif kind == "hyp":
             n += len("hyp")
+        else:
+            raise ProofError(f"line {i}: malformed justification {ln.just!r}")
     return 8 * n
 
 

@@ -282,20 +282,21 @@ def check_advice(QS: AdviceSystem, x: str, y: str, w: str) -> bool:
             return False
         return cc.eval_circuit(QS.checker, {"x": x, "y": y, "t": w}) == "1"
     phi = fm.decode_k(x)
-    return phi is not None and _kernel_proof_within(QS, phi, k, y)
+    return phi is not None and _kernel_proof_within(QS, phi, k, y) is not None
 
 
-def _kernel_proof_within(QS: AdviceSystem, phi: Formula, k: int, y: str) -> bool:
-    """The empty-advice clause for the formula phi of a k-bit code: y has at
-    most k^c bits and serializes a kernel proof of phi."""
+def _kernel_proof_within(QS: AdviceSystem, phi: Formula, k: int, y: str) -> Proof | None:
+    """The empty-advice clause for the formula phi of a k-bit code: the
+    kernel proof of phi that y serializes in at most k^c bits, or None."""
     if not _at_most_power(8 * len(y.encode()), k, QS.c):
-        return False
+        return None
     try:
-        return check(FREGE, phi, parse_proof(y))
+        proof = parse_proof(y)
+        return proof if check(FREGE, phi, proof) else None
     except (ProofError, fm.ParseError, RecursionError):
         # the printer, substitute and tuple comparison still recurse once
         # per nesting level
-        return False
+        return None
 
 
 @dataclass(frozen=True)
@@ -402,9 +403,9 @@ def simulate(
     """
     if w_k == "":
         # phi's code is never built: a large variable index makes it huge
-        if not _kernel_proof_within(QS, phi, fm.code_width(phi), pi_Q):
+        proof = _kernel_proof_within(QS, phi, fm.code_width(phi), pi_Q)
+        if proof is None:
             raise ProofError("advice checker rejects the given Q-proof")
-        proof = parse_proof(pi_Q)
         return SimulateResult(
             proof, phi, None, {"total": 8 * len(serialize_proof(proof).encode())}
         )

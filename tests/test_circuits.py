@@ -131,6 +131,98 @@ def test_sat_search_opaque_budget():
         cc.sat_search(circ, budget=20, oracles={"f": lambda t: True})
 
 
+def brute_sat(circ, fixed):
+    """The lex-least completion of the free groups, by enumeration."""
+    free = [(n, w) for n, w in circ.groups if n not in fixed]
+    nfree = sum(w for _, w in free)
+    for val in range(1 << nfree):
+        bits = format(val, f"0{nfree}b") if nfree else ""
+        completion, pos = {}, 0
+        for n, w in free:
+            completion[n], pos = bits[pos : pos + w], pos + w
+        if cc.eval_circuit(circ, {**fixed, **completion}) == "1":
+            return completion
+    return None
+
+
+def random_fixing(rng, circ):
+    return {n: format(rng.randrange(1 << w), f"0{w}b") if w else ""
+            for n, w in circ.groups if rng.random() < 0.5}
+
+
+def test_sat_search_keeps_one_clause_set_per_circuit(monkeypatch):
+    """Two parity chains over w + v in opposite orders must equal x1 and x2,
+    so x = 01 or 10 is unsatisfiable and the solver learns before it says
+    so.  Twenty searches translate the circuit once, hand the solver the same
+    clause set each time, and leave it equal to a fresh translation."""
+    b = cc.CircuitBuilder([("x", 2), ("w", 6), ("v", 3)])
+    bits = [b.inp("w", j) for j in range(1, 7)] + [b.inp("v", j) for j in range(1, 4)]
+    p1, p2 = bits[0], bits[-1]
+    for a, c in zip(bits[1:], reversed(bits[:-1])):
+        p1, p2 = b.XOR(p1, a), b.XOR(p2, c)
+    agree1 = b.NOT(b.XOR(p1, b.inp("x", 1)))
+    agree2 = b.NOT(b.XOR(p2, b.inp("x", 2)))
+    circ = b.build([b.AND(agree1, agree2)])
+    translate, solve = cc.circuit_clauses, cc.dpll_solve
+    translated, solved, learned = [], [], []
+
+    def counted_translate(c):
+        translated.append(c)
+        return translate(c)
+
+    def logged_solve(cs, fixed=None, decision_order=None):
+        solved.append(cs)
+        lemmas: list[list[int]] = []
+        model = solve(cs, fixed=fixed, decision_order=decision_order, lemmas=lemmas)
+        learned.append(model is None and len(lemmas) > 1)
+        return model
+
+    monkeypatch.setattr(cc, "circuit_clauses", counted_translate)
+    monkeypatch.setattr(cc, "dpll_solve", logged_solve)
+    rng = random.Random(3)
+    fixings = [{"x": "01"}, {"x": "10", "v": "110"}, {}, {"x": "11"}]
+    fixings += [random_fixing(rng, circ) for _ in range(16)]
+    for fixed in fixings:
+        assert cc.sat_search(circ, fixed=fixed) == brute_sat(circ, fixed)
+    assert len(translated) == 1 and len(solved) == 20
+    assert all(cs is solved[0] for cs in solved)
+    fresh, outs = translate(circ)
+    fresh.clauses.append([outs[0]])
+    assert solved[0] == fresh
+    assert learned[:2] == [True, True]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sat_search_is_lex_least_on_random_circuits(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(5):
+        b = cc.CircuitBuilder(
+            [(name, rng.randint(0, 3)) for name in "abc"[: rng.randint(1, 3)]]
+        )
+        if b.n_in == 0:
+            continue
+        for _ in range(rng.randint(1, 40)):
+            top = b.n_in + len(b.gates)
+            op = rng.choice(("NOT", "AND", "OR", "OR"))
+            # mostly recent wires, so the circuit is deep as well as wide
+            args = [max(0, top - 1 - int(rng.expovariate(0.3))) for _ in range(2)]
+            getattr(b, op)(*args[: 1 if op == "NOT" else 2])
+        circ = b.build([b.n_in + len(b.gates) - 1])
+        for _ in range(6):
+            fixed = random_fixing(rng, circ)
+            assert cc.sat_search(circ, fixed=fixed) == brute_sat(circ, fixed)
+
+
+def test_kept_clause_set_is_outside_eq_hash_and_repr():
+    circ = xor_chain(4)
+    twin = cc.Circuit(circ.groups, circ.gates, circ.outputs)
+    before = (hash(circ), repr(circ))
+    assert cc.sat_search(circ) == {"a": "0001"}
+    assert len(vars(circ)) == len(vars(twin)) + 1  # the kept set
+    assert circ == twin and (hash(circ), repr(circ)) == before
+    assert (hash(twin), repr(twin)) == before
+
+
 def test_inline_composition():
     inner_b = cc.CircuitBuilder([("p", 2)])
     inner = inner_b.build([inner_b.AND(inner_b.inp("p", 1), inner_b.inp("p", 2))])

@@ -79,7 +79,9 @@ def test_dpll_learning_agrees_with_brute_force():
     """Random 3-CNFs near the threshold (12-14 variables, 4.3 clauses per
     variable) make the solver learn and backjump, which the small
     hypothesis instances rarely do.  Models must still be the least over a
-    random full order under random fixings, and refutations must check."""
+    random full order under random fixings, refutations must check, and the
+    input clauses must be left as they were (sat_search hands the solver the
+    clause set a circuit keeps for all its searches)."""
     rng = random.Random(12)
     learned = 0
     for _ in range(30):
@@ -88,7 +90,7 @@ def test_dpll_learning_agrees_with_brute_force():
             [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
             for _ in range(round(4.3 * n))
         ]
-        cs = ClauseSet(clauses, n)
+        cs = ClauseSet([list(c) for c in clauses], n)  # clauses stays the original
         order = rng.sample(range(1, n + 1), n)
         fixed = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(0, 2))}
         models = [
@@ -96,6 +98,7 @@ def test_dpll_learning_agrees_with_brute_force():
         ]
         lemmas: list[list[int]] = []
         got = dpll_solve(cs, fixed=fixed, decision_order=order, lemmas=lemmas)
+        assert cs.clauses == clauses and cs.nvars == n
         learned += any(lemmas)
         if models:
             assert got == min(models, key=lambda a: [a[v] for v in order])

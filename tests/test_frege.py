@@ -83,13 +83,30 @@ def test_check_rejects_unknown_scheme_and_bad_instance():
     assert not fr.check(fr.FREGE, fm.parse("0"), wrong)
 
 
-@pytest.mark.parametrize("just", [("mp",), ("mp", 0), ("axiom", "T1"), ()])
+MALFORMED_JUSTIFICATIONS = [
+    ("mp",), ("mp", 0), ("axiom", "T1"), (), ("foo",), ("hyp", "x"),
+    ("mp", "1", 0), ("axiom", "T1", None),
+]
+
+
+@pytest.mark.parametrize("just", MALFORMED_JUSTIFICATIONS)
 def test_check_rejects_malformed_justifications(just):
-    """A justification of the wrong length is rejected, not raised on."""
+    """A justification of the wrong shape is rejected, not raised on."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
     bad = fr.Proof((one, fr.Line(fm.parse("1"), just)))
     assert not fr.check(fr.FREGE, fm.parse("1"), bad)
     assert not fr.check_derivation(fr.FREGE, bad)
+
+
+@pytest.mark.parametrize("just", MALFORMED_JUSTIFICATIONS)
+def test_printer_and_sizer_name_a_malformed_justification(just):
+    one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
+    bad = fr.Proof((one, fr.Line(fm.parse("1"), just)))
+    message = f"line 2: malformed justification {just!r}"
+    for measure in (fr.serialize_proof, fr.proof_size_bits):
+        with pytest.raises(fr.ProofError) as exc:
+            measure(bad)
+        assert str(exc.value) == message
 
 
 def test_empty_proof_rejected():
@@ -218,6 +235,7 @@ def test_discharge_rejects_malformed_input():
         fr.Proof((fr.Line(one, ("mp", 0, 1)),)),                          # a later line
         fr.Proof((fr.Line(one, ("axiom", "T1", {})), fr.Line(one, ("mp", 0, 7)))),  # missing
         fr.Proof((fr.Line(one, ("foo",)),)),
+        fr.Proof((fr.Line(one, ("hyp", "x")),)),
     ):
         with pytest.raises(fr.ProofError):
             fr.discharge(bad, fm.Var(1))

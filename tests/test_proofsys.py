@@ -325,6 +325,24 @@ def test_simulate_empty_advice_short_circuit():
         ps.simulate(QS, "", phi, "not a proof")
 
 
+def test_simulate_empty_advice_parses_the_proof_once(monkeypatch):
+    """The proof the checker accepted is the one returned, not a second parse."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return fr.parse_proof(text)
+
+    monkeypatch.setattr(ps, "parse_proof", counted)
+    b = fr.ProofBuilder()
+    b.axiom("EM", {1: fm.Var(1)})
+    y = fr.serialize_proof(b.proof())
+    res = ps.simulate(ps.AdviceSystem(None), "", fm.parse("x1 | ~x1"), y)
+    assert calls == [y]
+    assert fr.serialize_proof(res.proof) == y
+    assert res.stage_bits == {"total": 8 * len(y)}
+
+
 @pytest.mark.parametrize("v, width", [(5000, 4097), (5 * 10**9, (1 << 32) + 1)])
 def test_simulate_empty_advice_beyond_a_4096_bit_code(monkeypatch, v, width):
     # x5000 needs a 13-bit index field, so phi's least code has 4,097 bits;
