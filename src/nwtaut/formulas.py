@@ -24,7 +24,9 @@ zero-padded to exactly k bits.  Token table:
     END   0000        AND   0010        VAR   0100
     NOT   0001        OR    0011        CONST0 1110   CONST1 1111
 
-All other 4-bit patterns are rejected by the decoder.
+All other 4-bit patterns are rejected by the decoder.  codes(k) walks the
+k-bit strings that decode, in string order; the Cert solver sweeps them and
+enumerate_fitting filters them for the universal evaluator.
 """
 
 from __future__ import annotations
@@ -443,53 +445,39 @@ def code_width(f: Formula) -> int:
         iw = max(iw + 1, (n - 1).bit_length())
 
 
-def enumerate_fitting(k: int) -> list[Formula]:
-    """All formulas whose k-bit code exists and whose variables are among
-    x1..xk, the assignment bits a universal evaluator of width k reads.
+def codes(k: int):
+    """Every k-bit string that decode_k accepts, in lexicographic order.
 
-    Deterministic order; used to build desk-scale universal evaluators.
-    """
+    A depth-first walk over the token stream.  It tries the tokens in bit
+    order (NOT, AND, OR, VAR by index, CONST0, CONST1) and takes one only
+    when the operands still owed, at 4 bits each, and END fit after it; with
+    no operand owed it appends END and zero padding.  Every prefix it takes
+    completes, so it yields no string twice and skips none that decodes, and
+    the tokens are prefix-free, so walk order is string order.  Below k = 8
+    no token fits beside END."""
     w = index_width(k)
-    budget = k - 4  # END token
-    memo: dict[int, list[Formula]] = {}
+    # each token with the change it makes to the number of operands owed
+    toks = [(TOK_NOT, 0), (TOK_AND, 1), (TOK_OR, 1)]
+    toks += [(TOK_VAR + format(i, f"0{w}b"), -1) for i in range(1 << w)]
+    toks += [(TOK_CONST0, -1), (TOK_CONST1, -1)]
 
-    def gen(b: int) -> list[Formula]:
-        if b in memo:
-            return memo[b]
-        out: list[Formula] = []
-        if b >= 4:
-            out.append(CONST0)
-            out.append(CONST1)
-        if b >= 4 + w:
-            out.extend(("var", i) for i in range(1, k + 1))
-        if b >= 8:
-            out.extend(("not", g) for g in gen(b - 4))
-        if b >= 12:
-            for tag in ("and", "or"):
-                # left subtree consumes exactly lb bits
-                for lb in range(4, b - 4 - 3):
-                    for left in gen_exact(lb):
-                        for right in gen(b - 4 - lb):
-                            out.append((tag, left, right))
-        memo[b] = out
-        return out
+    def walk(prefix: str, owed: int):
+        if not owed:
+            yield prefix + TOK_END + "0" * (k - len(prefix) - 4)
+            return
+        for tok, d in toks:
+            if len(prefix) + len(tok) + 4 * (owed + d) + 4 <= k:
+                yield from walk(prefix + tok, owed + d)
 
-    exact_memo: dict[int, list[Formula]] = {}
+    yield from walk("", 1)
 
-    def gen_exact(b: int) -> list[Formula]:
-        if b in exact_memo:
-            return exact_memo[b]
-        out = [g for g in gen(b) if code_length(g, w) == b]
-        exact_memo[b] = out
-        return out
 
-    seen = set()
-    result = []
-    for g in gen(budget):
-        if g not in seen:
-            seen.add(g)
-            result.append(g)
-    return result
+def enumerate_fitting(k: int) -> list[Formula]:
+    """The formulas of the k-bit codes, in code order, whose variables are
+    among x1..xk, the assignment bits a universal evaluator of width k
+    reads."""
+    fits = [decode_k(s) for s in codes(k)]
+    return [f for f in fits if max(fvars(f), default=0) <= k]
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,11 @@ class Line:
 def _just_kind(just: tuple) -> str | None:
     """The kind of a well-shaped justification: "axiom" with a scheme name
     and a sigma dict, "mp" with two int line indices, or "hyp" alone; None
-    for any other.  The checker, the printer, the sizer and discharge all
-    read a justification through this one rule."""
+    for any other, a non-tuple among them.  The checker, the printer, the
+    sizer, discharge and append_proof all read a justification through this
+    one rule."""
+    if type(just) is not tuple:
+        return None
     if len(just) == 3:  # mp and axiom lines, the common case, first
         kind, a, b = just
         if kind == "mp":
@@ -87,7 +90,7 @@ class Proof:
         return self.lines[-1].formula
 
     def hypotheses(self) -> list[Formula]:
-        return [ln.formula for ln in self.lines if ln.just[0] == "hyp"]
+        return [ln.formula for ln in self.lines if ln.just == ("hyp",)]
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -187,14 +190,20 @@ class ProofBuilder:
         return self.mp(i, self.axiom(name, sigma))
 
     def append_proof(self, proof: Proof) -> int:
-        """Replay an existing proof; returns the index of its conclusion."""
+        """Replay an existing proof; returns the index of its conclusion.
+        A line whose justification is malformed raises ProofError and is
+        not copied."""
         placed: list[int] = []  # where each replayed line landed after dedup
-        for ln in proof.lines:
+        for i, ln in enumerate(proof.lines, 1):
             just = ln.just
-            if just[0] == "mp":
-                if not all(0 <= p < len(placed) for p in just[1:]):
+            kind = _just_kind(just)
+            if kind == "mp":
+                _, a, c = just
+                if not (0 <= a < len(placed) and 0 <= c < len(placed)):
                     raise ProofError("append_proof: dangling modus ponens premise")
-                just = ("mp", placed[just[1]], placed[just[2]])
+                just = ("mp", placed[a], placed[c])
+            elif kind is None:
+                raise ProofError(f"line {i}: malformed justification {just!r}")
             placed.append(self._push(Line(ln.formula, just)))
         return placed[-1] if placed else -1
 

@@ -108,12 +108,6 @@ def _toy_owp_base(l: int) -> BaseFunction:
     t = l // 2
     consts = _feistel_constants(l)
 
-    def h(y: int) -> int:
-        left, right = y >> t, y & ((1 << t) - 1)
-        for k, c in consts:
-            left, right = right, left ^ _feistel_round_fn(right, k, c, t)
-        return (left << t) | right
-
     def h_inv(u: int) -> int:
         left, right = u >> t, u & ((1 << t) - 1)
         for k, c in reversed(consts):
@@ -134,13 +128,9 @@ def _toy_owp_base(l: int) -> BaseFunction:
             for j in range(t):  # bit j of G(right), MSB-first
                 kbit = (k >> (t - 1 - j)) & 1
                 cbit = (c >> (t - 1 - j)) & 1
-                anded = right[j] if kbit else None
                 rotbit = right[(j + 1) % t]
-                if anded is None:
-                    w = rotbit
-                else:
-                    # need (right_j AND k_j) XOR rot: k_j == 1 here
-                    w = b.XOR(anded, rotbit)
+                # (right_j AND k_j) XOR rot, where the AND is right_j or 0
+                w = b.XOR(right[j], rotbit) if kbit else rotbit
                 if cbit:
                     w = b.NOT(w)
                 g.append(w)

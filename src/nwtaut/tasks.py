@@ -10,10 +10,11 @@ when a budget is too small the verdict is the distinct token ``unknown``,
 never ``False``.
 
 "Size k formula" always means: a bit string of length exactly k that decodes
-under the canonical formula code.  Strings that do not decode are skipped by
-solvers and rejected by verifiers.  A Find proof has fewer than k^c1 bits, so
-the Find-to-Cert oracle reads the first floor((k^c1 - 1)/8) bytes of its y slot
-of k^c1 bits, which may hold at most ``Y_WIDTH_LIMIT`` bits.
+under the canonical formula code.  The Cert solver walks only the strings
+that decode (fm.codes), and verifiers reject the others.  A Find proof has
+fewer than k^c1 bits, so the Find-to-Cert oracle reads the first
+floor((k^c1 - 1)/8) bytes of its y slot of k^c1 bits, which may hold at most
+``Y_WIDTH_LIMIT`` bits.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .proofsys import PlusAlphaSystem, _at_most_power, check_plus_alpha
 
 UNKNOWN = "unknown"
 
-#: largest k for which solvers sweep all 2^k candidate indices
+#: largest k the solvers sweep: Err and Pair sweep all 2^k indices, Cert
+#: the decodable k-bit codes
 SWEEP_K_LIMIT = 14
 
 #: largest y slot (k^c1 bits) of the Find-to-Cert reduction
@@ -41,16 +43,17 @@ class TaskError(ValueError):
     pass
 
 
-def _sweep(k: int):
-    """All k-bit strings in lexicographic order; k is capped by SWEEP_K_LIMIT."""
+def _sweepable(k: int) -> int:
+    """k itself; BudgetError above SWEEP_K_LIMIT, the largest k swept."""
     if k > SWEEP_K_LIMIT:
         raise fm.BudgetError(f"k={k} exceeds sweep limit {SWEEP_K_LIMIT}")
-    return (format(v, f"0{k}b") for v in range(1 << k))
+    return k
 
 
 def _first_true(k: int, verify, what: str) -> str | None:
     """Least k-bit string that verify accepts; None after a complete sweep."""
-    for s in _sweep(k):
+    for v in range(1 << _sweepable(k)):
+        s = format(v, f"0{k}b")
         verdict = verify(s)
         if verdict is UNKNOWN:
             raise fm.BudgetError(f"budget exhausted at {what} {s}")
@@ -120,8 +123,8 @@ def verify_cert(inst: CertInstance, sol: CertSolution, budget: int = 20):
 
 def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
     """Least x that decodes to a formula witnessing either clause; None is
-    certified by the complete 2^k sweep."""
-    for code in _sweep(inst.k):
+    certified by the complete walk over the decodable k-bit codes."""
+    for code in fm.codes(_sweepable(inst.k)):
         kind = _cert_kind(inst, code, budget)
         if kind:
             return CertSolution(kind, code)
@@ -288,7 +291,6 @@ class PairInstance:
     B: str
     triple: Triple
     C: Circuit
-    oracles: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         k = self.k
@@ -328,7 +330,7 @@ def verify_pair(inst: PairInstance, u: str, budget: int = 20):
     v = _index(u, inst.k, "candidate")
     if inst.A[v] != "1" and inst.B[v] != "1":
         return False
-    out = cc.eval_circuit(inst.C, {"u": u}, inst.oracles)
+    out = cc.eval_circuit(inst.C, {"u": u})
     return _no_witness(inst.triple, inst.B[v] == "1", out[: inst.k], out[inst.k:], budget)
 
 

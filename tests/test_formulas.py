@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -294,6 +295,36 @@ def test_enumerate_fitting_small_widths():
     assert {f for f in fm.enumerate_fitting(8)} == {("const", 0), ("const", 1)}
     fits12 = set(fm.enumerate_fitting(12))
     assert ("var", 1) in fits12 and ("not", ("const", 1)) in fits12
+
+
+@pytest.mark.parametrize("k", range(19))
+def test_codes_are_the_decodable_strings_in_order(k):
+    strings = ("".join(bits) for bits in itertools.product("01", repeat=k))
+    assert list(fm.codes(k)) == [s for s in strings if fm.decode_k(s) is not None]
+
+
+@pytest.mark.parametrize("k, count", [(24, 506), (30, 14540), (32, 16262)])
+def test_codes_at_widths_past_a_brute_sweep(k, count):
+    got = list(fm.codes(k))
+    assert len(got) == count and got == sorted(set(got))
+    assert all(len(s) == k and fm.decode_k(s) is not None for s in got)
+
+
+def test_enumerate_fitting_is_every_formula_with_a_code_over_x1_to_xk():
+    counts = []
+    for k in range(8, 21):
+        # formulas by token count; a k-bit code holds fewer than k // 4
+        # tokens besides END
+        by_size = {1: [fm.CONST0, fm.CONST1] + [fm.Var(i) for i in range(1, k + 1)]}
+        for n in range(2, k // 4):
+            by_size[n] = [fm.Not(g) for g in by_size[n - 1]] + [
+                (tag, f, g) for tag in ("and", "or") for i in range(1, n - 1)
+                for f in by_size[i] for g in by_size[n - 1 - i]]
+        fits = {f for fs in by_size.values() for f in fs if fm.encode_k(f, k) is not None}
+        got = fm.enumerate_fitting(k)
+        assert len(set(got)) == len(got) and set(got) == fits, k
+        counts.append(len(got))
+    assert counts == [2, 2, 2, 2, 16, 17, 18, 19, 46, 48, 50, 52, 80]
 
 
 # ---------------------------------------------------------------------------

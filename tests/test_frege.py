@@ -109,6 +109,68 @@ def test_printer_and_sizer_name_a_malformed_justification(just):
         assert str(exc.value) == message
 
 
+# shapes no reader accepts, and well-shaped mp lines whose premises are not
+# earlier lines ("fwd" and "neg" are drawn per proof)
+KERNEL_API_SHAPES = MALFORMED_JUSTIFICATIONS + [("mp", 0.0, 0), None, "mp 1 1"]
+KERNEL_API_PREMISES = ["fwd", "neg"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_api_rejects_malformed_lines(seed):
+    """Each entry point of the kernel's public API, fed a derivation with
+    one malformed line (line formulas all well formed), returns False or
+    raises ProofError, never another exception."""
+    rng = random.Random(seed)
+    b = fr.ProofBuilder()
+    h = b.hyp(fm.parse("x1 & x2"))
+    b.append_proof(fr.prove_tautology(fm.parse(rng.choice(["x1 | ~x1", "~(x1 & ~x1)", "x2 | 1"]))))
+    base = b.proof(b.imply(h, "C1", {1: fm.Var(1), 2: fm.Var(2)}))
+    good = fr.prove_true_sentence(fm.parse("~0"))
+    S = ps.PlusAlphaSystem(fr.FREGE, fm.parse("x1 | ~x1"))
+    for just in KERNEL_API_SHAPES + KERNEL_API_PREMISES:
+        lines = list(base.lines)
+        i = rng.randrange(len(lines))
+        shape = just not in KERNEL_API_PREMISES
+        if not shape:
+            stray = rng.randrange(i, len(lines) + 2) if just == "fwd" else -rng.randrange(1, 4)
+            pair = [stray, rng.randrange(len(lines))]
+            rng.shuffle(pair)
+            just = ("mp", *pair)
+        lines[i] = fr.Line(lines[i].formula, just)
+        bad = fr.Proof(tuple(lines))
+        tau = bad.conclusion
+        assert fr.check(fr.FREGE, tau, bad) is False
+        assert fr.check_derivation(fr.FREGE, bad) is False
+        assert fr.FREGE.line_valid(bad.lines, i, allow_hyp=True) is False
+        assert ps.check_plus_alpha(S, tau, bad) is False
+        assert isinstance(bad.hypotheses(), list)
+        for call in (lambda: fr.discharge(bad, fm.parse("x1 & x2")),
+                     lambda: fr.ProofBuilder().append_proof(bad),
+                     lambda: fr.subst_proof(bad, {1: fm.CONST1}),
+                     lambda: fr.mp(bad, good),
+                     lambda: fr.mp(good, bad)):
+            with pytest.raises(fr.ProofError):
+                call()
+        if shape:
+            for measure in (fr.serialize_proof, fr.proof_size_bits):
+                with pytest.raises(fr.ProofError, match=f"^line {i + 1}: malformed"):
+                    measure(bad)
+        else:
+            # premises are the checker's matter: the printer writes them as given
+            text = fr.serialize_proof(bad)
+            assert f"\n{i + 1} " in text and fr.proof_size_bits(bad) == 8 * len(text.encode())
+
+
+def test_append_proof_copies_no_malformed_line():
+    b = fr.ProofBuilder()
+    b.axiom("T1", {})
+    for just in (("axiom", "T1"), ("hyp", "x"), ("mp", 0), None):
+        bad = fr.Proof((fr.Line(fm.parse("~0"), just),))
+        with pytest.raises(fr.ProofError, match=r"^line 1: malformed justification"):
+            b.append_proof(bad)
+        assert len(b.lines) == 1
+
+
 def test_empty_proof_rejected():
     assert not fr.check(fr.FREGE, fm.parse("1"), fr.Proof(()))
     with pytest.raises(fr.ProofError):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -82,6 +83,49 @@ def test_cert_accept_all_decider():
 def test_cert_honest_oracle_has_no_solution():
     inst = taut_oracle_instance()
     assert tk.solve_cert(inst) is None
+
+
+def random_decider(rng, k, decodable):
+    """An explicit D(x, y) with a 2-bit y: a random OR of ANDs of literals,
+    or one that accepts exactly the tautology codes except for a few random
+    decodable codes whose verdict it flips."""
+    b = cc.CircuitBuilder([("x", k), ("y", 2)])
+    xs = [b.inp("x", i + 1) for i in range(k)]
+    if rng.random() < 0.5:
+        wires = xs + [b.inp("y", 1), b.inp("y", 2)]
+        terms = [b.and_list([w if rng.random() < 0.5 else b.NOT(w)
+                             for w in rng.sample(wires, rng.randint(1, 4))])
+                 for _ in range(rng.randint(1, 4))]
+        return b.build([b.or_list(terms)])
+    taut = {s for s in decodable if fm.is_tautology(fm.decode_k(s), "brute")}
+    accepted = taut ^ set(rng.sample(decodable, rng.randint(0, 2)))
+    out = b.or_list([b.equals_const(xs, s) for s in sorted(accepted)] + [b.const(0)])
+    return b.build([out])
+
+
+def test_solve_cert_agrees_with_a_sweep_of_all_strings():
+    rng = random.Random(5)
+    seen = set()
+    for k in range(8, 14):
+        strings = [format(v, f"0{k}b") for v in range(1 << k)]
+        decodable = [s for s in strings if fm.decode_k(s) is not None]
+        for _ in range(8):
+            inst = tk.CertInstance(k, 2, random_decider(rng, k, decodable))
+            expected = None
+            for s in decodable:
+                accepted = any(cc.eval_circuit(inst.D, {"x": s, "y": y}) == "1"
+                               for y in ("00", "01", "10", "11"))
+                if accepted != fm.is_tautology(fm.decode_k(s), "brute"):
+                    kind = "falsifiable-accepted" if accepted else "tautology-rejected"
+                    expected = tk.CertSolution(kind, s)
+                    break
+            assert tk.solve_cert(inst) == expected
+            seen.add(expected and (expected.kind, expected.code[:4]))
+    # the deciders are honest, accept a falsifiable code or reject a
+    # tautology, with the least witness among the leaves or under a connective
+    assert None in seen and {kind for kind, _ in seen - {None}} == {
+        "falsifiable-accepted", "tautology-rejected"}
+    assert {head for _, head in seen - {None}} > {"1110", "1111"}
 
 
 def test_cert_budget_guards():
