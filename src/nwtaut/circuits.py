@@ -330,9 +330,10 @@ def sat_search(
     The circuit is read as a predicate through its single output wire.
     Explicit circuits run through the DPLL engine on their Tseitin clauses
     plus the output unit, translated on the first search and kept by the
-    circuit for every later one; only the fixings and the decision order
-    are built per call.  Opaque ones enumerate the free bits (at most
-    ``budget`` of them).
+    circuit for every later one, which also reuses the solver index that
+    ``dpll_solve`` keeps with the clause set; only the fixings and the
+    decision order are built per call.  Opaque ones enumerate the free bits
+    (at most ``budget`` of them).
     """
     if len(circ.outputs) != 1:
         raise CircuitError("sat_search needs a single-output circuit")
@@ -341,7 +342,12 @@ def sat_search(
     for n in fixed:
         circ.group_offset(n)  # validates the name
 
-    if circ.has_opaque():
+    # kept in the circuit's __dict__, beside its fields, so ==, hash and repr
+    # ignore it; the circuit is frozen with tuple gates, and dpll_solve leaves
+    # its input clauses unchanged, so the kept set stays the circuit's.  A
+    # kept set proves the circuit explicit: has_opaque() runs only without one
+    cs = circ.__dict__.get("_clauses")
+    if cs is None and circ.has_opaque():
         nfree = sum(w for _, w in free_groups)
         if nfree > budget:
             raise fm.BudgetError(f"{nfree} free bits exceed enumeration budget {budget}")
@@ -355,11 +361,6 @@ def sat_search(
             if eval_circuit(circ, inputs, oracles) == "1":
                 return {n: inputs[n] for n, _ in free_groups}
         return None
-
-    # kept in the circuit's __dict__, beside its fields, so ==, hash and repr
-    # ignore it; the circuit is frozen with tuple gates, and dpll_solve leaves
-    # its input clauses unchanged, so the kept set stays the circuit's
-    cs = circ.__dict__.get("_clauses")
     if cs is None:
         cs, outs = circuit_clauses(circ)
         cs.clauses.append([outs[0]])

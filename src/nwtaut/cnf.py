@@ -29,6 +29,15 @@ scan's time on the q=3 sweeps and on uniform q=4 parity b.  Watching only
 the clauses of more than three literals took 1.1-1.3x there, and about half
 the scan's time on uniform q=5 parity b, where long learned clauses are most
 of the work.
+
+A clause set keeps its solver index (the occurrence list of each literal
+over its input clauses, its unit clauses and whether one is empty) from its
+first solve on, since ``sat_search`` asks one circuit's clause set many
+questions; MiniSat likewise keeps its clause database across searches.
+Learned clauses go into per-call copies of the lists they touch, so the
+kept lists hold input clauses only and every call starts from them alone.
+The index is keyed on the variable and clause counts: clauses may be
+appended to a solved set, but editing a clause in place is not supported.
 """
 
 from __future__ import annotations
@@ -53,7 +62,13 @@ def _decimal(token: str) -> int | None:
 
 @dataclass
 class ClauseSet:
-    """A list of clauses (nonzero integer literals) over variables 1..nvars."""
+    """A list of clauses (nonzero integer literals) over variables 1..nvars.
+
+    ``dpll_solve`` keeps its index of the clauses in the instance's
+    ``__dict__``, outside ``==`` and ``repr``, and rebuilds it when ``nvars``
+    or the number of clauses changes.  So a solved set may have clauses
+    appended, but a clause edited in place, or one list swapped for another
+    of the same count, is not seen by later solves."""
 
     clauses: list[list[int]]
     nvars: int
@@ -157,6 +172,24 @@ def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
     return units
 
 
+def _solver_index(cs: ClauseSet) -> tuple[list[list[list[int]]], list[int], bool]:
+    """The index cs keeps (see ClauseSet): the occurrence list of each
+    literal over its input clauses, indexed by literal, its unit literals in
+    clause order, and whether a clause is empty.  Callers never write to it."""
+    key = (cs.nvars, len(cs.clauses))
+    kept = cs.__dict__.get("_index")
+    if kept is None or kept[0] != key:
+        occ: list[list[list[int]]] = [[] for _ in range(2 * cs.nvars + 1)]
+        units = []
+        for clause in cs.clauses:
+            if len(clause) == 1:
+                units.append(clause[0])
+            for lit in clause:
+                occ[lit].append(clause)
+        kept = cs.__dict__["_index"] = (key, occ, units, any(not c for c in cs.clauses))
+    return kept[1:]
+
+
 def dpll_solve(
     cs: ClauseSet,
     fixed: dict[int, int] | None = None,
@@ -174,6 +207,13 @@ def dpll_solve(
     a ``lemmas`` list is given, every learned clause is appended to it, and
     ``[]`` at the final conflict, so an unsatisfiable answer leaves a DRUP
     refutation that ``check_rup`` accepts.
+
+    The occurrence lists of the input clauses are built on the first solve
+    of ``cs`` and kept for later ones (see ``ClauseSet``: clauses may be
+    appended, not edited).  A learned clause is added to per-call copies of
+    the lists of its literals, never to the kept ones, so propagation visits
+    input clauses in input order, then this call's learned clauses in
+    learning order, and no lemma outlives its call.
 
     The first model found is the lex-least one over the (completed) order.
     A decision at level L sets the first unassigned order variable to 0, so
@@ -193,14 +233,12 @@ def dpll_solve(
         for var in order:
             if not 1 <= var <= nvars:
                 raise CnfError(f"decision order entry {var} out of range")
-    # value and occurrence lists are indexed by literal: -v wraps to the back
+    kept, input_units, empty = _solver_index(cs)
+    units += input_units
+    # value and occurrence lists are indexed by literal: -v wraps to the back;
+    # occ shares kept's lists until a learned clause copies one
     value: list[int | None] = [None] * (2 * nvars + 1)
-    occ: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
-    for clause in cs.clauses:
-        if len(clause) == 1:
-            units.append(clause[0])
-        for lit in clause:
-            occ[lit].append(clause)
+    occ = kept[:]
     # per variable: decision level and the clause that implied it (None for
     # decisions and fixings); per level above 0: (trail mark, order position)
     level = [0] * (nvars + 1)
@@ -274,7 +312,7 @@ def dpll_solve(
             lemmas.append([])
         return None
 
-    if any(not clause for clause in cs.clauses):
+    if empty:
         return refuted()
     # level 0: the fixings and the input unit clauses; the first propagate()
     # below reads them all before the first decision
@@ -301,7 +339,10 @@ def dpll_solve(
             del trail[mark:]
             head = mark
             for lit in learned:
-                occ[lit].append(learned)
+                if occ[lit] is kept[lit]:
+                    occ[lit] = [*kept[lit], learned]
+                else:
+                    occ[lit].append(learned)
             if lemmas is not None:
                 lemmas.append(learned)
             lit = learned[0]

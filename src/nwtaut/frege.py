@@ -405,9 +405,12 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
         kind = _just_kind(ln.just)
         if kind == "axiom":
             _, name, sigma = ln.just
-            subst = " ".join(
-                f"[{m}:={fm._text(t, memo)}]" for m, t in sorted(sigma.items())
-            )
+            try:
+                subst = " ".join(
+                    f"[{m}:={fm._text(t, memo)}]" for m, t in sorted(sigma.items())
+                )
+            except (KeyError, TypeError, IndexError):  # a value that is no formula
+                raise ProofError(f"line {i}: malformed substitution {sigma!r}") from None
             just = f"axiom {name} {subst}".rstrip()
         elif kind == "mp":
             just = f"mp {ln.just[1] + 1} {ln.just[2] + 1}"
@@ -436,9 +439,12 @@ def proof_size_bits(proof: Proof) -> int:
             _, name, sigma = ln.just
             if sigma:
                 # "axiom <name> " then "[m:=<t>]" joined by single spaces
-                n += 7 + len(name.encode()) + len(sigma) - 1 + sum(
-                    len(str(m)) + 4 + fm._text_len(t, memo) for m, t in sigma.items()
-                )
+                try:
+                    n += 7 + len(name.encode()) + len(sigma) - 1 + sum(
+                        len(str(m)) + 4 + fm._text_len(t, memo) for m, t in sigma.items()
+                    )
+                except (KeyError, TypeError, IndexError):  # a value that is no formula
+                    raise ProofError(f"line {i}: malformed substitution {sigma!r}") from None
             else:
                 n += len(f"axiom {name}".rstrip().encode())
         elif kind == "mp":

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -105,6 +106,98 @@ def test_dpll_learning_agrees_with_brute_force():
         else:
             assert got is None and check_rup(cs, lemmas, fixed)
     assert learned >= 20
+
+
+def random_3cnf(rng, n, ratio=4.3):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        for _ in range(round(ratio * n))
+    ]
+
+
+def solve_logged(cs, **kwargs):
+    lemmas: list[list[int]] = []
+    return dpll_solve(cs, lemmas=lemmas, **kwargs), lemmas
+
+
+def test_kept_index_gives_each_solve_the_answer_of_a_fresh_set():
+    """One clause set solved again and again, under random fixings and
+    decision orders (full, partial or default), answers each call with the
+    model and lemma log of a fresh copy solved once.  The 3-CNFs are near
+    the threshold, so calls learn, and a lemma that leaked from one call's
+    search into the kept index would change a later call's log or, under
+    other fixings, its model.  The digest pins the answers themselves, so
+    the order in which propagation visits input and learned clauses, which
+    decides the lemmas, cannot change unnoticed."""
+    rng = random.Random(22)
+    learned = refuted = 0
+    digest = hashlib.sha256()
+    for _ in range(16):
+        n = rng.randint(20, 30)
+        clauses = random_3cnf(rng, n, rng.choice((4.0, 4.3, 4.6)))
+        clauses += [[rng.choice((1, -1)) * rng.randint(1, n)] for _ in range(rng.randint(0, 1))]
+        kept = ClauseSet([list(c) for c in clauses], n)
+        for _ in range(6):
+            fixed = {v: rng.randint(0, 1) for v in rng.sample(range(1, n + 1), rng.randint(0, 3))}
+            order = rng.choice((None, rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n // 2)))
+            got = solve_logged(kept, fixed=fixed, decision_order=order)
+            fresh = ClauseSet([list(c) for c in clauses], n)
+            assert got == solve_logged(fresh, fixed=fixed, decision_order=order)
+            digest.update(repr(got).encode())
+            learned += len(got[1]) > 1
+            refuted += got[0] is None and len(got[1]) > 1
+        assert kept.clauses == clauses
+    assert learned >= 40 and refuted >= 10
+    assert digest.hexdigest() == "ec0e94200b7bebbb8d453b7afabbe7fbc26c602918da99d5569db048229b7af2"
+
+
+def test_repeated_refutation_logs_the_same_lemmas():
+    rng = random.Random(5)
+    logs = []
+    while len(logs) < 5:
+        cs = ClauseSet(random_3cnf(rng, 14, 5.0), 14)
+        first = solve_logged(cs)
+        if first[0] is None and len(first[1]) > 3:
+            assert solve_logged(cs) == solve_logged(cs) == first
+            assert check_rup(cs, first[1])
+            logs.append(first[1])
+
+
+def test_clauses_appended_after_a_solve_are_seen():
+    cs = ClauseSet([[1, 2], [-1, 2]], 2)
+    assert dpll_solve(cs) == {1: 0, 2: 1}
+    cs.clauses.append([-2])
+    assert solve_logged(cs) == (None, [[]])
+    cs.clauses.pop()
+    assert dpll_solve(cs) == {1: 0, 2: 1}  # same count as the first solve
+    cs.clauses.append([])
+    assert solve_logged(cs) == (None, [[]])
+    cs = ClauseSet([[1, 2], [-1, 2]], 2)
+    assert dpll_solve(cs) == {1: 0, 2: 1}
+    cs.nvars = 5
+    assert dpll_solve(cs) == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0}
+    # random sets: blocking each model found moves the next solve on to the
+    # next least model, as a fresh copy of the grown set finds it
+    rng = random.Random(9)
+    for _ in range(8):
+        n = rng.randint(8, 12)
+        cs = ClauseSet(random_3cnf(rng, n, 3.8), n)
+        model = dpll_solve(cs)
+        while model is not None:
+            cs.clauses.append([-v if model[v] else v for v in range(1, n + 1)])
+            got = solve_logged(cs)
+            assert got == solve_logged(ClauseSet([list(c) for c in cs.clauses], n))
+            assert got[0] != model
+            model = got[0]
+
+
+def test_kept_index_is_outside_eq_and_repr():
+    clauses = random_3cnf(random.Random(3), 10)
+    solved = ClauseSet([list(c) for c in clauses], 10, ["solved"])
+    twin = ClauseSet([list(c) for c in clauses], 10, ["solved"])
+    dpll_solve(solved, lemmas=[])
+    assert solved == twin and repr(solved) == repr(twin)
+    assert solved.to_dimacs() == twin.to_dimacs()
 
 
 def test_check_rup_rejects_what_unit_propagation_does_not_imply():

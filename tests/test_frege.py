@@ -109,6 +109,18 @@ def test_printer_and_sizer_name_a_malformed_justification(just):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("value", ["x", 5])
+def test_printer_and_sizer_name_a_malformed_substitution(value):
+    """check ignores a sigma entry for a variable the scheme does not use, so
+    a non-formula there passes it; the printer and sizer must name the line."""
+    one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
+    bad = fr.Proof((one, fr.Line(fm.parse("1"), ("axiom", "T1", {1: value}))))
+    assert fr.check(fr.FREGE, fm.parse("1"), bad)
+    for measure in (fr.serialize_proof, fr.proof_size_bits):
+        with pytest.raises(fr.ProofError, match=r"^line 2: malformed substitution"):
+            measure(bad)
+
+
 # shapes no reader accepts, and well-shaped mp lines whose premises are not
 # earlier lines ("fwd" and "neg" are drawn per proof)
 KERNEL_API_SHAPES = MALFORMED_JUSTIFICATIONS + [("mp", 0.0, 0), None, "mp 1 1"]
