@@ -91,14 +91,9 @@ def cmd_design(args, argv) -> int:
     t0 = time.time()
     if args.verify:
         params = dg.parse_design(_read(args.verify))
-        if params.tag == "canonical" and not params.blocks:
-            # a parameter-only record: check its header, there is nothing to scan
-            n, m, l, d = params.n, params.m, params.l, params.d
-            if l**3 != n:
-                raise dg.DesignError(f"canonical record fails l^3 = n (l={l}, n={n})")
-            if m & (m - 1) or m.bit_length() - 1 != d:
-                raise dg.DesignError(f"canonical record fails m = 2^d (m={m}, d={d})")
-            print(f"design n={n} m={m} l={l} d={d}: header ok, no blocks to scan")
+        if params.tag == "canonical" and not params.blocks:  # parse_design checked the header
+            print(f"design n={params.n} m={params.m} l={params.l} d={params.d}: "
+                  "header ok, no blocks to scan")
             return EXIT_SOLUTION
         report = dg.verify_design(params)
         print(

@@ -308,9 +308,13 @@ def parse_design(text: str) -> DesignParams:
             raise DesignError("poly header numbers disagree with construction")
         return params
     if not blocks:
-        if tag == "canonical":
-            return DesignParams(n=n, m=m, l=l, d=d, tag="canonical")
-        raise DesignError("explicit tag without block lines")
+        if tag != "canonical":
+            raise DesignError("explicit tag without block lines")
+        if l**3 != n:
+            raise DesignError(f"canonical record fails l^3 = n (l={l}, n={n})")
+        if m & (m - 1) or m.bit_length() - 1 != d:
+            raise DesignError(f"canonical record fails m = 2^d (m={m}, d={d})")
+        return DesignParams(n=n, m=m, l=l, d=d, tag="canonical")
     params = explicit_design(blocks, n, d)
     if (params.m, params.l) != (m, l):
         raise DesignError("header numbers disagree with block lines")

@@ -59,22 +59,49 @@ class Line:
     just: tuple
 
 
-def _just_kind(just: tuple) -> str | None:
-    """The kind of a well-shaped justification: "axiom" with a scheme name
-    and a sigma dict, "mp" with two int line indices, or "hyp" alone; None
-    for any other, a non-tuple among them.  The checker, the printer, the
-    sizer, discharge and append_proof all read a justification through this
-    one rule."""
-    if type(just) is not tuple:
-        return None
-    if len(just) == 3:  # mp and axiom lines, the common case, first
+_TAGS = tuple(fm._PREC)  # tested with ==, so an unhashable root tag is no error
+
+
+def _line_fault(lines: tuple[Line, ...], i: int) -> str | None:
+    """Why lines[i] is not well formed, or None: the kernel's one line-shape
+    rule.  A well-formed line has a rooted formula (a tuple whose root tag
+    is in fm._PREC; deeper shape is not read) and the justification
+    ("hyp",), ("mp", a, b) with ints 0 <= a, b < i, or ("axiom", name, sigma)
+    with name a scheme and sigma a dict from ints >= 1 to rooted formulas:
+    the lines the printer writes and parse_proof reads back."""
+    ln = lines[i]
+    f, just = ln.formula, ln.just
+    if not (isinstance(f, tuple) and f and f[0] in _TAGS):
+        return f"malformed formula {f!r}"
+    if type(just) is tuple and len(just) == 3:
         kind, a, b = just
-        if kind == "mp":
-            return kind if isinstance(a, int) and isinstance(b, int) else None
-        if kind == "axiom" and isinstance(a, str) and isinstance(b, dict):
-            return kind
+        if kind == "mp" and type(a) is type(b) is int and 0 <= a < i and 0 <= b < i:
+            return None
+        if kind == "axiom" and type(a) is str and a in AXIOM_SCHEMES and type(b) is dict:
+            for m, t in b.items():
+                if not (type(m) is int and m > 0 and isinstance(t, tuple) and t and t[0] in _TAGS):
+                    return f"malformed substitution {b!r}"
+            return None
+    elif just == ("hyp",):
         return None
-    return "hyp" if just == ("hyp",) else None
+    return f"malformed justification {just!r}"
+
+
+def _proof_fault(proof: Proof) -> str | None:
+    """Why proof is not well formed ("empty proof", or "line N: why" for its
+    first malformed line), or None; a well-formed proof records so in its
+    __dict__, beside its kept text (see _serialize), so each is walked once."""
+    if "_formed" in proof.__dict__:
+        return None
+    lines = proof.lines
+    if not lines:
+        return "empty proof"
+    for i in range(len(lines)):
+        why = _line_fault(lines, i)
+        if why is not None:
+            return f"line {i + 1}: {why}"
+    proof.__dict__["_formed"] = True
+    return None
 
 
 @dataclass(frozen=True)
@@ -104,31 +131,29 @@ class FregeSystem:
     of the paper, while the proof builders always build kernel proofs."""
 
     def line_valid(self, lines: tuple[Line, ...], i: int, allow_hyp: bool = False) -> bool:
+        return _line_fault(lines, i) is None and self._follows(lines, i, allow_hyp)
+
+    def _follows(self, lines: tuple[Line, ...], i: int, allow_hyp: bool) -> bool:
+        """Whether the well-formed line lines[i] follows from the lines before it."""
         f, just = lines[i].formula, lines[i].just
-        kind = _just_kind(just)
-        if kind == "axiom":
-            _, name, sigma = just
-            pattern = AXIOM_SCHEMES.get(name)
-            return pattern is not None and fm.substitute(pattern, sigma) == f
-        if kind == "mp":
-            _, a, b = just
-            if not (0 <= a < i and 0 <= b < i):
-                return False
-            return lines[b].formula == ("or", ("not", lines[a].formula), f)
-        return kind == "hyp" and allow_hyp
+        if just[0] == "axiom":
+            return fm.substitute(AXIOM_SCHEMES[just[1]], just[2]) == f
+        if just[0] == "mp":
+            return lines[just[2]].formula == ("or", ("not", lines[just[1]].formula), f)
+        return allow_hyp
 
 
 FREGE = FregeSystem()
 
 
 def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
-    """True iff every line is justified (no hypotheses) and the conclusion
-    is tau."""
+    """True iff the proof is well formed, every line is justified (no
+    hypotheses) and the conclusion is tau."""
     lines = proof.lines
-    if not lines:
+    if _proof_fault(proof) is not None:
         return False
     for i in range(len(lines)):
-        if not P.line_valid(lines, i):
+        if not P._follows(lines, i, False):
             return False
     return lines[-1].formula == tau
 
@@ -136,8 +161,8 @@ def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
 def check_derivation(P: FregeSystem, proof: Proof) -> bool:
     """Like check but hypothesis lines are allowed (internal use)."""
     lines = proof.lines
-    return bool(lines) and all(
-        P.line_valid(lines, i, allow_hyp=True) for i in range(len(lines))
+    return _proof_fault(proof) is None and all(
+        P._follows(lines, i, True) for i in range(len(lines))
     )
 
 
@@ -191,21 +216,17 @@ class ProofBuilder:
 
     def append_proof(self, proof: Proof) -> int:
         """Replay an existing proof; returns the index of its conclusion.
-        A line whose justification is malformed raises ProofError and is
-        not copied."""
+        A proof that is not well formed (see _proof_fault) raises ProofError
+        naming its first malformed line, and none of its lines is copied."""
+        if (fault := _proof_fault(proof)) is not None:
+            raise ProofError(fault)
         placed: list[int] = []  # where each replayed line landed after dedup
-        for i, ln in enumerate(proof.lines, 1):
+        for ln in proof.lines:
             just = ln.just
-            kind = _just_kind(just)
-            if kind == "mp":
-                _, a, c = just
-                if not (0 <= a < len(placed) and 0 <= c < len(placed)):
-                    raise ProofError("append_proof: dangling modus ponens premise")
-                just = ("mp", placed[a], placed[c])
-            elif kind is None:
-                raise ProofError(f"line {i}: malformed justification {just!r}")
+            if just[0] == "mp":
+                just = ("mp", placed[just[1]], placed[just[2]])
             placed.append(self._push(Line(ln.formula, just)))
-        return placed[-1] if placed else -1
+        return placed[-1]
 
     def proof(self, conclusion_index: int | None = None) -> Proof:
         if conclusion_index is not None and conclusion_index != len(self.lines) - 1:
@@ -224,13 +245,10 @@ def subst_proof(proof: Proof, sigma: dict[int, Formula]) -> Proof:
         raise ProofError("input proof does not check")
     out: list[Line] = []
     for ln in proof.lines:
-        f = fm.substitute(ln.formula, sigma)
-        if ln.just[0] == "axiom":
-            _, name, s = ln.just
-            s2 = {m: fm.substitute(t, sigma) for m, t in s.items()}
-            out.append(Line(f, ("axiom", name, s2)))
-        else:
-            out.append(Line(f, ln.just))
+        just = ln.just
+        if just[0] == "axiom":
+            just = ("axiom", just[1], {m: fm.substitute(t, sigma) for m, t in just[2].items()})
+        out.append(Line(fm.substitute(ln.formula, sigma), just))
     return Proof(tuple(out))
 
 
@@ -291,17 +309,12 @@ def prove_true_sentence(psi: Formula) -> Proof:
 
 
 def mp(pi1: Proof, pi2: Proof) -> Proof:
-    """D3: from proofs of psi and psi -> eta, a proof of eta."""
+    """D3: from proofs of psi and psi -> eta, a proof of eta; ProofBuilder.mp
+    rejects conclusions that do not fit."""
     if not check_derivation(FREGE, pi1) or not check_derivation(FREGE, pi2):
         raise ProofError("input proof does not check")
-    impl = pi2.conclusion
-    if impl[0] != "or" or impl[1] != ("not", pi1.conclusion):
-        raise ProofError("conclusion shapes do not match for modus ponens")
     b = ProofBuilder()
-    i = b.append_proof(pi1)
-    j = b.append_proof(pi2)
-    idx = b.mp(i, j)
-    return b.proof(idx)
+    return b.proof(b.mp(b.append_proof(pi1), b.append_proof(pi2)))
 
 
 def discharge(proof: Proof, hypothesis: Formula) -> Proof:
@@ -310,32 +323,27 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
 
     Every output line contains H, so H is held as one fm.HashedFormula and
     hashing a line costs the same whatever the size of H.  The input is
-    checked for shape only (at least one line, known justification kinds,
-    mp premises on earlier lines); the builder's mp rejects premises whose
-    formulas do not fit."""
-    if not proof.lines:
-        raise ProofError("discharge: empty proof")
+    checked for shape only: a proof that is not well formed (see
+    _proof_fault) raises ProofError naming its first malformed line; the
+    builder's mp rejects premises whose formulas do not fit."""
+    if (fault := _proof_fault(proof)) is not None:
+        raise ProofError(fault)
     b = ProofBuilder()
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
-    H = hypothesis
-    if not isinstance(H, fm.HashedFormula):
-        H = fm.HashedFormula(H)
+    H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
     for i, ln in enumerate(proof.lines):
         f, just = ln.formula, ln.just
-        kind = _just_kind(just)
-        if kind == "hyp" and f == H:
-            mapped[i] = b.axiom("ID", {1: H})
-        elif kind == "hyp" or kind == "axiom":
-            base = b.axiom(just[1], just[2]) if kind == "axiom" else b.hyp(f)
-            mapped[i] = b.imply(base, "P1", {1: f, 2: H})
-        elif kind == "mp" and 0 <= just[1] < i and 0 <= just[2] < i:
+        if just[0] == "mp":
             _, a, c = just
             fa = proof.lines[a].formula
             step = b.axiom("P2", {1: H, 2: fa, 3: f})
             step2 = b.mp(mapped[c], step)
             mapped[i] = b.mp(mapped[a], step2)
+        elif just[0] == "hyp" and f == H:
+            mapped[i] = b.axiom("ID", {1: H})
         else:
-            raise ProofError(f"discharge: line {i + 1} has a malformed justification {just!r}")
+            base = b.axiom(just[1], just[2]) if just[0] == "axiom" else b.hyp(f)
+            mapped[i] = b.imply(base, "P1", {1: f, 2: H})
     return b.proof(mapped[len(proof.lines) - 1])
 
 
@@ -392,67 +400,60 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     may serve several proofs; the caller keeps them all alive while the memo
     is in use (see the comment above fm._text).
 
-    The text is kept in the proof's __dict__, beside its one field, so ==,
-    hash and repr ignore it.  Line is frozen, formulas are tuples and
-    ProofBuilder copies each sigma it is given, so the text stays that of
-    the lines unless a caller mutates a sigma dict it put in a Line."""
+    A proof that is not well formed (see _proof_fault), or has a formula
+    malformed below its root, raises ProofError naming the line.  The text
+    is kept in the proof's __dict__, so ==, hash and repr ignore it.  Line is
+    frozen, formulas are tuples and ProofBuilder copies each sigma it is
+    given, so the text stays that of the lines unless a caller mutates a
+    sigma dict it put in a Line."""
     text = proof.__dict__.get("_text")
     if text is not None:
         return text
+    if (fault := _proof_fault(proof)) is not None:
+        raise ProofError(fault)
     lines = ["proof"]
-    for i, ln in enumerate(proof.lines, 1):
-        f = fm._text(ln.formula, memo)
-        kind = _just_kind(ln.just)
-        if kind == "axiom":
-            _, name, sigma = ln.just
-            try:
-                subst = " ".join(
-                    f"[{m}:={fm._text(t, memo)}]" for m, t in sorted(sigma.items())
+    try:
+        for i, ln in enumerate(proof.lines, 1):
+            just = ln.just
+            if just[0] == "axiom":
+                just = f"axiom {just[1]}" + "".join(
+                    f" [{m}:={fm._text(t, memo)}]" for m, t in sorted(just[2].items())
                 )
-            except (KeyError, TypeError, IndexError):  # a value that is no formula
-                raise ProofError(f"line {i}: malformed substitution {sigma!r}") from None
-            just = f"axiom {name} {subst}".rstrip()
-        elif kind == "mp":
-            just = f"mp {ln.just[1] + 1} {ln.just[2] + 1}"
-        elif kind == "hyp":
-            just = "hyp"
-        else:
-            raise ProofError(f"line {i}: malformed justification {ln.just!r}")
-        lines.append(f"{i} {f} ; {just}")
+            elif just[0] == "mp":
+                just = f"mp {just[1] + 1} {just[2] + 1}"
+            else:
+                just = "hyp"
+            lines.append(f"{i} {fm._text(ln.formula, memo)} ; {just}")
+    except (KeyError, TypeError, IndexError):  # a formula malformed below its root
+        raise ProofError(f"line {i}: malformed formula") from None
     text = proof.__dict__["_text"] = "\n".join(lines) + "\n"
     return text
 
 
 def proof_size_bits(proof: Proof) -> int:
-    """Proof size = bit length of the serialized string form.
-
-    Counts the bytes of serialize_proof's layout without building the text:
-    formula lengths come from one memo over the proof, and the text is ASCII
-    apart from scheme names, which are counted as UTF-8."""
+    """Proof size = bit length of the serialized string form, counted without
+    building the text (formula lengths come from one memo over the proof);
+    raises ProofError where serialize_proof does."""
+    if (fault := _proof_fault(proof)) is not None:
+        raise ProofError(fault)
     memo: dict[int, int] = {}
     n = len("proof\n")
-    for i, ln in enumerate(proof.lines, 1):
-        # "<i> <formula> ; <just>\n"
-        n += len(str(i)) + fm._text_len(ln.formula, memo) + 5
-        kind = _just_kind(ln.just)
-        if kind == "axiom":
-            _, name, sigma = ln.just
-            if sigma:
-                # "axiom <name> " then "[m:=<t>]" joined by single spaces
-                try:
-                    n += 7 + len(name.encode()) + len(sigma) - 1 + sum(
-                        len(str(m)) + 4 + fm._text_len(t, memo) for m, t in sigma.items()
-                    )
-                except (KeyError, TypeError, IndexError):  # a value that is no formula
-                    raise ProofError(f"line {i}: malformed substitution {sigma!r}") from None
+    try:
+        for i, ln in enumerate(proof.lines, 1):
+            # "<i> <formula> ; <just>\n"
+            n += len(str(i)) + fm._text_len(ln.formula, memo) + 5
+            just = ln.just
+            if just[0] == "axiom":
+                # "axiom <name>", then " [m:=<t>]" per sigma entry
+                n += 6 + len(just[1]) + sum(
+                    len(str(m)) + 5 + fm._text_len(t, memo) for m, t in just[2].items()
+                )
+            elif just[0] == "mp":
+                n += len(f"mp {just[1] + 1} {just[2] + 1}")
             else:
-                n += len(f"axiom {name}".rstrip().encode())
-        elif kind == "mp":
-            n += len(f"mp {ln.just[1] + 1} {ln.just[2] + 1}")
-        elif kind == "hyp":
-            n += len("hyp")
-        else:
-            raise ProofError(f"line {i}: malformed justification {ln.just!r}")
+                n += len("hyp")
+    except (KeyError, TypeError, IndexError):  # a formula malformed below its root
+        raise ProofError(f"line {i}: malformed formula") from None
     return 8 * n
 
 

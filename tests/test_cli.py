@@ -90,6 +90,27 @@ def test_design_verify_checks_a_parameter_record(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and relation in err
 
 
+@pytest.mark.parametrize("header, relation", [
+    ("27 8 4 3", "l^3 = n"), ("27 9 3 3", "m = 2^d"),
+])
+def test_design_readers_reject_a_bad_canonical_header_alike(tmp_path, capsys, header, relation):
+    """gen-tau --design and solve --design read a canonical record through
+    the check design --verify makes, and fail with its one-line message."""
+    bad = tmp_path / "bad.design"
+    bad.write_text(f"design {header} canonical\n")
+    errs = []
+    for argv in (["design", "--verify", str(bad)],
+                 ["gen-tau", "--design", str(bad), "--base", "parity", "--b", "000",
+                  "--outdir", str(tmp_path / "t")],
+                 ["solve", "--task", "err", "--design", str(bad), "--base", "parity",
+                  "--seed", "000", "--w", "000"]):
+        assert run(*argv) == EXIT_ERROR
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    assert errs[0].startswith("error: canonical record fails ") and errs[0].count("\n") == 1
+    assert relation in errs[0]
+
+
 # ---------------------------------------------------------------------------
 # gen-tau
 
@@ -135,6 +156,16 @@ def test_check_proof_accepts_and_rejects(tmp_path):
     assert run(
         "check-proof", "--tau", "x1 | ~x1", "--proof", path, "--alpha", "1"
     ) == EXIT_SOLUTION
+
+
+def test_check_proof_names_a_malformed_line(tmp_path, capsys):
+    """A text parse_proof reads whose line is not well formed (sigma key 0
+    names no variable) is not sized: the error names the line."""
+    path = tmp_path / "k0.proof"
+    path.write_text("proof\n1 1 ; axiom T1 [0:=x1]\n")
+    assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 1: malformed substitution {0: ('var', 1)}\n"
 
 
 def test_check_proof_missing_file(tmp_path):

@@ -85,7 +85,7 @@ def test_check_rejects_unknown_scheme_and_bad_instance():
 
 MALFORMED_JUSTIFICATIONS = [
     ("mp",), ("mp", 0), ("axiom", "T1"), (), ("foo",), ("hyp", "x"),
-    ("mp", "1", 0), ("axiom", "T1", None),
+    ("mp", "1", 0), ("axiom", "T1", None), ("mp", -5, 0),
 ]
 
 
@@ -109,20 +109,29 @@ def test_printer_and_sizer_name_a_malformed_justification(just):
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("value", ["x", 5])
-def test_printer_and_sizer_name_a_malformed_substitution(value):
-    """check ignores a sigma entry for a variable the scheme does not use, so
-    a non-formula there passes it; the printer and sizer must name the line."""
+@pytest.mark.parametrize("formula, sigma, part", [
+    pytest.param(fm.parse("1"), {1: "x"}, "substitution", id="x"),
+    pytest.param(fm.parse("1"), {1: 5}, "substitution", id="5"),
+    pytest.param(fm.parse("1"), {1: fm.Var(1), "a": fm.Var(2)}, "substitution", id="str-key"),
+    pytest.param(fm.parse("1"), {-1: fm.Var(1)}, "substitution", id="key-1"),
+    pytest.param(fm.parse("1"), {0: fm.Var(1)}, "substitution", id="key0"),
+    pytest.param(("x",), {}, "formula", id="formula"),
+])
+def test_printer_and_sizer_name_a_malformed_substitution(formula, sigma, part):
+    """A T1 line is malformed when its sigma is no map from variable indices
+    to formulas, even though T1 uses no variable, or when its formula has
+    no formula root: check rejects it and the printer and sizer name it."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
-    bad = fr.Proof((one, fr.Line(fm.parse("1"), ("axiom", "T1", {1: value}))))
-    assert fr.check(fr.FREGE, fm.parse("1"), bad)
+    bad = fr.Proof((one, fr.Line(formula, ("axiom", "T1", sigma))))
+    assert not fr.check(fr.FREGE, formula, bad)
+    assert not fr.check_derivation(fr.FREGE, bad)
     for measure in (fr.serialize_proof, fr.proof_size_bits):
-        with pytest.raises(fr.ProofError, match=r"^line 2: malformed substitution"):
+        with pytest.raises(fr.ProofError, match=rf"^line 2: malformed {part}"):
             measure(bad)
 
 
-# shapes no reader accepts, and well-shaped mp lines whose premises are not
-# earlier lines ("fwd" and "neg" are drawn per proof)
+# shapes no reader accepts, and mp lines whose premises are not earlier lines
+# ("fwd" and "neg" are drawn per proof)
 KERNEL_API_SHAPES = MALFORMED_JUSTIFICATIONS + [("mp", 0.0, 0), None, "mp 1 1"]
 KERNEL_API_PREMISES = ["fwd", "neg"]
 
@@ -163,14 +172,9 @@ def test_kernel_api_rejects_malformed_lines(seed):
                      lambda: fr.mp(good, bad)):
             with pytest.raises(fr.ProofError):
                 call()
-        if shape:
-            for measure in (fr.serialize_proof, fr.proof_size_bits):
-                with pytest.raises(fr.ProofError, match=f"^line {i + 1}: malformed"):
-                    measure(bad)
-        else:
-            # premises are the checker's matter: the printer writes them as given
-            text = fr.serialize_proof(bad)
-            assert f"\n{i + 1} " in text and fr.proof_size_bits(bad) == 8 * len(text.encode())
+        for measure in (fr.serialize_proof, fr.proof_size_bits):
+            with pytest.raises(fr.ProofError, match=f"^line {i + 1}: malformed"):
+                measure(bad)
 
 
 def test_append_proof_copies_no_malformed_line():
@@ -413,6 +417,44 @@ def test_proof_text_round_trip_with_hyp():
     proof = b.proof(idx)
     back = fr.parse_proof(fr.serialize_proof(proof))
     assert back == proof
+
+
+def test_print_then_parse_is_the_identity_on_well_formed_lines():
+    """Every well-formed line, whether or not it follows from the lines
+    before it, prints as text that parse_proof reads back as that line, and
+    the sizer counts that text: every scheme, sigma keys in 1..2^20 that the
+    scheme may ignore, mp premises on any earlier line, 0 included, and
+    hypotheses."""
+    rng = random.Random(23)
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice([fm.parse(rng.choice("01")), fm.Var(rng.randint(1, 2**20))])
+        op = rng.choice([fm.Not, fm.And, fm.Or])
+        return op(formula(depth - 1)) if op is fm.Not else op(formula(depth - 1), formula(depth - 1))
+
+    schemes = set()
+    for _ in range(200):
+        lines = []
+        for i in range(rng.randint(1, 8)):
+            kind = rng.choice(["axiom", "axiom", "hyp"] + ["mp"] * (i > 0))
+            if kind == "axiom":
+                name = rng.choice(sorted(fr.AXIOM_SCHEMES))
+                keys = rng.sample(range(1, 4), rng.randint(0, 3)) + [
+                    rng.randint(1, 2**20) for _ in range(rng.randint(0, 2))
+                ]
+                just = ("axiom", name, {m: formula(3) for m in keys})
+                schemes.add(name)
+            elif kind == "mp":
+                just = ("mp", rng.randrange(i), rng.randrange(i))
+            else:
+                just = ("hyp",)
+            lines.append(fr.Line(formula(4), just))
+        proof = fr.Proof(tuple(lines))
+        text = fr.serialize_proof(proof)
+        assert fr.parse_proof(text) == proof
+        assert fr.proof_size_bits(proof) == 8 * len(text.encode())
+    assert schemes == set(fr.AXIOM_SCHEMES)
 
 
 def assert_size_is_text_length(proof):
