@@ -3,17 +3,16 @@
 Wires are integers: inputs occupy 0..n_in-1 flattened in group order, gate i
 produces wire n_in+i.  Gate basis is AND/OR/NOT; opaque blocks name an
 external predicate over declared input wires.  Opaque circuits support
-evaluation and bounded enumeration only; clause translation and
-circuit_to_formula require fully explicit circuits.  ``sat_search``
-translates an explicit circuit once and keeps the clause set with the
-circuit, so repeated searches with other fixings reuse it.
+evaluation and bounded enumeration only; clause translation (the package's
+one Tseitin rule), circuit_to_formula and the text format require explicit
+circuits.  ``sat_search`` translates an explicit circuit once and keeps the
+clause set with the circuit, so repeated searches with other fixings reuse it.
 
 Canonical text format (one item per line):
 
     circuit
     group <name> <width>
     g<i> = AND|OR|NOT <wire> [<wire>]
-    opaque <name> <wire...> -> g<i>
     output <wire...>
 
 where a wire is written ``<group>:<j>`` (j 1-based) or ``g<i>`` (i 1-based),
@@ -391,6 +390,8 @@ def sat_search(
 # text serialization
 
 def serialize(circ: Circuit) -> str:
+    if circ.has_opaque():
+        raise CircuitError("the text format has no opaque gates")
     n_in = circ.n_inputs
     starts = []
     off = 0
@@ -410,11 +411,8 @@ def serialize(circ: Circuit) -> str:
     for name, w in circ.groups:
         lines.append(f"group {name} {w}")
     for i, g in enumerate(circ.gates):
-        args = " ".join(wname(a) for a in gate_operands(g))
-        if g[0] == "opaque":
-            lines.append(f"opaque {g[1]} {args} -> g{i + 1}")
-        else:
-            lines.append(f"g{i + 1} = {g[0].upper()} {args}")
+        args = " ".join(wname(a) for a in g[1:])
+        lines.append(f"g{i + 1} = {g[0].upper()} {args}")
     lines.append("output " + " ".join(wname(o) for o in circ.outputs))
     return "\n".join(lines) + "\n"
 
@@ -463,15 +461,6 @@ def parse_circuit(text: str) -> Circuit:
             if any(n == name for n, _ in groups):
                 raise err(lineno, f"duplicate group name {name!r}")
             groups.append((name, width))
-            continue
-        if toks[0] == "opaque":
-            if len(toks) < 4 or toks[-2] != "->":
-                raise err(lineno, "opaque line needs '-> g<i>'")
-            name, target = toks[1], toks[-1]
-            args = [resolve(t, lineno) for t in toks[2:-2]]
-            if target != f"g{len(gates) + 1}":
-                raise err(lineno, f"opaque must define g{len(gates) + 1}, got {target}")
-            gates.append(("opaque", name, tuple(args)))
             continue
         if toks[0] == "output":
             outputs = [resolve(t, lineno) for t in toks[1:]]

@@ -14,7 +14,7 @@ then ``&``, then ``|``; binary connectives associate to the right, matching
 the right-nested disjunction convention used by the proof checkers.  The
 parser is one operator-precedence loop over an explicit stack, and the code
 reader and writer below are loops too, so they accept any nesting depth;
-printing, substitution, evaluation and the clause translation recurse.
+printing, substitution and evaluation recurse.
 
 The fixed-width binary code (encode_k/decode_k) is a Polish prefix token
 stream, 4 bits per token, variable tokens followed by a fixed-width index
@@ -26,14 +26,13 @@ zero-padded to exactly k bits.  Token table:
 
 All other 4-bit patterns are rejected by the decoder.  codes(k) walks the
 k-bit strings that decode, in string order; the Cert solver sweeps them and
-enumerate_fitting filters them for the universal evaluator.
+enumerate_fitting filters them for the universal evaluator.  The TAUT oracle
+is_tautology sweeps truth tables, or asks circuits.sat_search about ~f.
 """
 
 from __future__ import annotations
 
 import re
-
-from .cnf import ClauseSet, dpll_solve, gate_clauses
 
 Formula = tuple
 
@@ -481,42 +480,7 @@ def enumerate_fitting(k: int) -> list[Formula]:
 
 
 # ---------------------------------------------------------------------------
-# clause translation and the tautology oracle
-
-def to_clauses(f: Formula) -> tuple[ClauseSet, int]:
-    """Tseitin translation; returns (clauses, output literal).
-
-    Original variables keep their indices; auxiliaries come after.  The
-    clause set together with the unit [output] is satisfiable exactly when f
-    is, and models project to models of f.
-    """
-    top = max(fvars(f), default=0)
-    clauses: list[list[int]] = []
-    counter = [top]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    def tr(g: Formula) -> int:
-        tag = g[0]
-        if tag == "var":
-            return g[1]
-        if tag == "const":
-            v = fresh()
-            clauses.append([v] if g[1] else [-v])
-            return v
-        if tag == "not":
-            return -tr(g[1])
-        a = tr(g[1])
-        b = tr(g[2])
-        v = fresh()
-        clauses.extend(gate_clauses(tag, v, a, b))
-        return v
-
-    out = tr(f)
-    return ClauseSet(clauses, counter[0]), out
-
+# the tautology oracle
 
 class BudgetError(RuntimeError):
     pass
@@ -529,13 +493,14 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
     """Ground-truth tautology oracle.
 
     brute: bit-parallel truth-table sweep, at most BRUTE_VAR_LIMIT variables.
-    dpll:  run the engine on the clause translation of ~f.
+    dpll:  ask circuits.sat_search whether the circuit of ~f, over one
+           input group x whose wire i-1 is x_i, has a satisfying input.
     auto:  brute when it fits, dpll otherwise.
     """
+    vs = sorted(fvars(f))
     if mode == "auto":
-        mode = "brute" if len(fvars(f)) <= BRUTE_VAR_LIMIT else "dpll"
+        mode = "brute" if len(vs) <= BRUTE_VAR_LIMIT else "dpll"
     if mode == "brute":
-        vs = sorted(fvars(f))
         n = len(vs)
         if n > BRUTE_VAR_LIMIT:
             raise BudgetError(f"{n} variables exceeds brute-force limit {BRUTE_VAR_LIMIT}")
@@ -554,7 +519,8 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
             masks[v] = mask
         return _value(f, masks, full) == full
     if mode == "dpll":
-        cs, out = to_clauses(("not", f))
-        cs.clauses.append([out])
-        return dpll_solve(cs) is None
+        from . import circuits as cc  # function-local: circuits imports formulas
+        b = cc.CircuitBuilder([("x", vs[-1] if vs else 1)])
+        leaf = {i: b.inp("x", i) for i in vs}
+        return cc.sat_search(b.build([cc.formula_to_wire(b, ("not", f), leaf)])) is None
     raise ValueError(f"unknown mode {mode!r}")

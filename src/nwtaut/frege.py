@@ -62,24 +62,39 @@ class Line:
 _TAGS = tuple(fm._PREC)  # tested with ==, so an unhashable root tag is no error
 
 
+def _rooted(t) -> bool:
+    """Whether t is a rooted formula: a tuple whose root tag is in fm._PREC,
+    ("var", i) with an int i >= 1 and ("const", c) with c 0 or 1 at a leaf
+    root.  Deeper subterms, leaves among them, are not read."""
+    if not (isinstance(t, tuple) and t):
+        return False
+    tag = t[0]
+    if tag == "var":
+        return len(t) == 2 and type(t[1]) is int and t[1] >= 1
+    if tag == "const":
+        return len(t) == 2 and type(t[1]) is int and 0 <= t[1] <= 1
+    return tag in _TAGS
+
+
 def _line_fault(lines: tuple[Line, ...], i: int) -> str | None:
     """Why lines[i] is not well formed, or None: the kernel's one line-shape
-    rule.  A well-formed line has a rooted formula (a tuple whose root tag
-    is in fm._PREC; deeper shape is not read) and the justification
-    ("hyp",), ("mp", a, b) with ints 0 <= a, b < i, or ("axiom", name, sigma)
+    rule.  A well-formed line has a rooted formula (see _rooted) and the
+    justification ("hyp",), ("mp", a, b) with ints 0 <= a, b < i (a fault
+    quotes them from 1, as the text numbers lines), or ("axiom", name, sigma)
     with name a scheme and sigma a dict from ints >= 1 to rooted formulas:
     the lines the printer writes and parse_proof reads back."""
     ln = lines[i]
     f, just = ln.formula, ln.just
-    if not (isinstance(f, tuple) and f and f[0] in _TAGS):
+    if not _rooted(f):
         return f"malformed formula {f!r}"
     if type(just) is tuple and len(just) == 3:
         kind, a, b = just
-        if kind == "mp" and type(a) is type(b) is int and 0 <= a < i and 0 <= b < i:
-            return None
+        if kind == "mp" and type(a) is type(b) is int:
+            earlier = 0 <= a < i and 0 <= b < i
+            return None if earlier else f"malformed justification mp {a + 1} {b + 1}"
         if kind == "axiom" and type(a) is str and a in AXIOM_SCHEMES and type(b) is dict:
             for m, t in b.items():
-                if not (type(m) is int and m > 0 and isinstance(t, tuple) and t and t[0] in _TAGS):
+                if not (type(m) is int and m > 0 and _rooted(t)):
                     return f"malformed substitution {b!r}"
             return None
     elif just == ("hyp",):
@@ -129,9 +144,6 @@ class FregeSystem:
 
     FREGE is its one instance; the checkers take it as the proof system P
     of the paper, while the proof builders always build kernel proofs."""
-
-    def line_valid(self, lines: tuple[Line, ...], i: int, allow_hyp: bool = False) -> bool:
-        return _line_fault(lines, i) is None and self._follows(lines, i, allow_hyp)
 
     def _follows(self, lines: tuple[Line, ...], i: int, allow_hyp: bool) -> bool:
         """Whether the well-formed line lines[i] follows from the lines before it."""

@@ -240,8 +240,6 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     clauses: list[list[int]] = []
     for J, bit in zip(blocks(design), b):
         checker = base.checker(int(bit))
-        if checker.has_opaque():
-            raise NWError("tau translation needs explicit witness checkers")
         width = base.witness_width + checker.size
         fresh = list(range(next_var, next_var + width))
         next_var += width

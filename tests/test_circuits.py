@@ -56,9 +56,11 @@ def test_opaque_gate_needs_oracle():
 def test_serialize_round_trip():
     b = cc.CircuitBuilder([("a", 2), ("z", 1)])
     g = b.OR(b.XOR(b.inp("a", 1), b.inp("a", 2)), b.inp("z", 1))
-    o = b.opaque("f", [g])
-    circ = b.build([g, o])
+    circ = b.build([g, b.NOT(g)])
     assert cc.parse_circuit(cc.serialize(circ)) == circ
+    b.opaque("f", [g])
+    with pytest.raises(cc.CircuitError, match="opaque"):
+        cc.serialize(b.build([g]))
 
 
 def test_parse_circuit_rejects_malformed():
@@ -284,9 +286,7 @@ def test_circuit_rejects_malformed_gates(gate):
 
 
 @pytest.mark.parametrize("text, msg", [
-    ("opaque f a:1 ->", "line 3: opaque line needs '-> g<i>'"),
-    ("opaque f a:1", "line 3: opaque line needs '-> g<i>'"),
-    ("opaque f a:1 -> g1 g2", "line 3: opaque line needs '-> g<i>'"),
+    ("opaque f a:1 -> g1", "line 3: unrecognized line 'opaque f a:1 -> g1'"),
     ("g1 = NOT a:\u00b2", "line 3: bad wire reference 'a:\u00b2'"),
     ("g1 = NOT a:", "line 3: bad wire reference 'a:'"),
     ("g1 = NOT g\u00b2", "line 3: bad wire reference 'g\u00b2'"),

@@ -168,6 +168,14 @@ def test_check_proof_names_a_malformed_line(tmp_path, capsys):
     assert out.out == "" and out.err == "error: line 1: malformed substitution {0: ('var', 1)}\n"
 
 
+def test_check_proof_quotes_mp_premises_as_the_text_numbers_lines(tmp_path, capsys):
+    path = tmp_path / "fwd.proof"
+    path.write_text("proof\n1 1 ; axiom T1\n2 1 ; mp 5 1\n")
+    assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mp 5 1" in err and "('mp', 4, 0)" not in err
+
+
 def test_check_proof_missing_file(tmp_path):
     assert run("check-proof", "--tau", "1", "--proof", str(tmp_path / "no")) == EXIT_ERROR
 
@@ -337,6 +345,16 @@ def test_find_promise_is_checked_for_every_alpha(capsys):
         assert capsys.readouterr().err == "error: alpha is not a tautology\n"
 
 
+def test_find_above_the_brute_force_limit(capsys):
+    """25-variable alphas: the promise is decided by DPLL, not brute force."""
+    disjuncts = " | ".join(f"x{i}" for i in range(2, 26))
+    rc = run("solve", "--task", "find-verify", "--alpha", f"x1 | ~x1 | {disjuncts}",
+             "--beta", "1", "--k", "8", "--c0", "4")
+    assert (rc, capsys.readouterr().out) == (EXIT_SOLUTION, "candidate: accepted\n")
+    assert run("reduce", "--alpha", f"x1 | {disjuncts}", "--k", "8", "--c0", "4") == EXIT_ERROR
+    assert capsys.readouterr().err == "error: alpha is not a tautology\n"
+
+
 def test_solve_find_verify_at_a_huge_k_builds_no_code():
     """k = 10^9 under a 1.5 GB address-space limit: a size gate that built
     the k-bit code would end in a MemoryError."""
@@ -424,9 +442,9 @@ def test_alpha_fitting_is_decided_per_index_width(capsys):
     assert "alpha does not fit" in capsys.readouterr().err
 
 
-def opaque_circuit_text():
+def xy_circuit_text():
     b = cc.CircuitBuilder([("x", 8), ("y", 1)])
-    g = b.opaque("f", [b.inp("x", 1), b.inp("y", 1)])
+    g = b.OR(b.inp("x", 1), b.inp("y", 1))
     return cc.serialize(b.build([b.AND(g, b.NOT(b.inp("x", 8)))]))
 
 
@@ -434,8 +452,8 @@ def opaque_circuit_text():
     (dg.serialize_design(dg.poly_design(3, 2)), ["design", "--verify", "{file}"]),
     (dg.serialize_design(dg.explicit_design([[1, 2], [2, 3], [1, 3], [1, 4]], 4, 2)),
      ["design", "--verify", "{file}"]),
-    (opaque_circuit_text(), ["solve", "--task", "cert", "--circuit", "{file}"]),
-], ids=["poly-design", "explicit-design", "opaque-circuit"])
+    (xy_circuit_text(), ["solve", "--task", "cert", "--circuit", "{file}"]),
+], ids=["poly-design", "explicit-design", "xy-circuit"])
 def test_truncated_input_lines_end_in_an_exit_code(tmp_path, text, argv):
     """Every line of a valid file, cut after each of its tokens in turn."""
     lines = text.splitlines()

@@ -356,15 +356,9 @@ def test_is_tautology_basics():
     assert not fm.is_tautology(fm.parse("0"), "dpll")
 
 
-@given(formulas(max_var=4))
-def test_to_clauses_equisatisfiable(f):
-    cs, out = fm.to_clauses(f)
-    from nwtaut.cnf import dpll_solve
-
-    cs.clauses.append([out])
-    model = dpll_solve(cs)
-    sat = any(
-        fm.evaluate(f, {v + 1: (m >> v) & 1 for v in range(4)})
-        for m in range(16)
-    )
-    assert (model is not None) == sat
+def test_is_tautology_auto_above_the_brute_force_limit():
+    """25 variables exceed BRUTE_VAR_LIMIT, so "auto" answers by DPLL."""
+    assert fm.BRUTE_VAR_LIMIT < 25
+    disjuncts = " | ".join(f"x{i}" for i in range(2, 26))
+    assert fm.is_tautology(fm.parse(f"x1 | ~x1 | {disjuncts}"), "auto") is True
+    assert fm.is_tautology(fm.parse(f"x1 | {disjuncts}"), "auto") is False

@@ -1,9 +1,10 @@
 """Every public name of the package has a caller outside the tests.
 
-A public top-level function or class of ``src/nwtaut`` must be used by the
-package, ``scripts/`` or ``perfbench/`` somewhere outside its own
-definition, and no module-level import of the package may go unused.  Code
-that only tests call is deleted, or moved into the test that needs it.
+A public top-level function or class of ``src/nwtaut``, and a public method
+or property of such a class, must be used by the package, ``scripts/`` or
+``perfbench/`` somewhere outside its own definition, and no module-level
+import of the package may go unused.  Code that only tests call is deleted,
+or moved into the test that needs it.
 """
 
 import ast
@@ -40,18 +41,35 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
+def _public(stmt: ast.stmt) -> bool:
+    return (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in ALLOWED)
+
+
 def _unused_definitions() -> list[str]:
+    """Public top-level functions and classes that no other top-level
+    statement reads, and public methods and properties of public classes
+    that neither another top-level statement nor a sibling in the class
+    body reads."""
     statements = [(path, stmt) for path in CALLERS for stmt in ast.parse(path.read_text()).body]
     uses = [(stmt, _names(stmt)) for _, stmt in statements]
-    return [
-        f"{path.name}: {stmt.name}"
-        for path, stmt in statements
-        if path in PACKAGE
-        and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and stmt.name not in ALLOWED
-        and not any(stmt.name in names for other, names in uses if other is not stmt)
-    ]
+
+    def used(name: str, owner: ast.stmt, siblings=()) -> bool:
+        return (any(name in names for other, names in uses if other is not owner)
+                or any(name in _names(s) for s in siblings))
+
+    unused = []
+    for path, stmt in statements:
+        if path not in PACKAGE or not _public(stmt):
+            continue
+        if not used(stmt.name, stmt):
+            unused.append(f"{path.name}: {stmt.name}")
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                siblings = [s for s in stmt.body if s is not item]
+                if _public(item) and not used(item.name, stmt, siblings):
+                    unused.append(f"{path.name}: {stmt.name}.{item.name}")
+    return unused
 
 
 def _unused_imports() -> list[str]:
