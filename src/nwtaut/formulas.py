@@ -494,7 +494,8 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
 
     brute: bit-parallel truth-table sweep, at most BRUTE_VAR_LIMIT variables.
     dpll:  ask circuits.sat_search whether the circuit of ~f, over one
-           input group x whose wire i-1 is x_i, has a satisfying input.
+           input group x with a wire per variable of f (wire r-1 is the
+           variable of rank r among them), has a satisfying input.
     auto:  brute when it fits, dpll otherwise.
     """
     vs = sorted(fvars(f))
@@ -520,7 +521,8 @@ def is_tautology(f: Formula, mode: str = "brute") -> bool:
         return _value(f, masks, full) == full
     if mode == "dpll":
         from . import circuits as cc  # function-local: circuits imports formulas
-        b = cc.CircuitBuilder([("x", vs[-1] if vs else 1)])
-        leaf = {i: b.inp("x", i) for i in vs}
+        # as wide as f has variables, not as its largest variable index
+        b = cc.CircuitBuilder([("x", len(vs) or 1)])
+        leaf = {v: b.inp("x", r) for r, v in enumerate(vs, 1)}
         return cc.sat_search(b.build([cc.formula_to_wire(b, ("not", f), leaf)])) is None
     raise ValueError(f"unknown mode {mode!r}")

@@ -14,6 +14,13 @@ proofs by modus ponens, and (in proofsys) extraction of a formula from a
 proof of its satisfaction encoding.  A deduction-theorem transformation and
 a Kalmar-style complete prover are built on top; both are mechanical and
 deterministic.
+
+Each scheme is compiled once, at import, into a function of sigma that
+builds its instance without walking the scheme (_INSTANCE).  The provers
+(D2, discharge, the case-analysis prover) write their lines into a
+ProofBuilder the caller gives them, so a proof built as part of a larger
+one is built there once, not built apart and then replayed; the public
+functions are thin wrappers that give each a fresh builder.
 """
 
 from __future__ import annotations
@@ -46,6 +53,30 @@ AXIOM_SCHEMES: dict[str, Formula] = {
     "EM": fm.parse("x1 | ~x1"),
     "ID": fm.parse("~x1 | x1"),
 }
+
+
+def _instance_function(name: str, scheme: Formula):
+    """sigma -> fm.substitute(scheme, sigma), compiled from the scheme's
+    tree into one tuple expression: each metavariable x_m is looked up in
+    sigma once per instance, and no tree is walked."""
+    def expr(f: Formula) -> str:
+        if f[0] == "var":
+            return f"x{f[1]}"
+        if f[0] == "const":
+            return repr(f)
+        return f"({f[0]!r}, {', '.join(expr(g) for g in f[1:])})"
+
+    lookups = "".join(
+        f"    x{m} = sigma.get({m}, {('var', m)!r})\n" for m in sorted(fm.fvars(scheme))
+    )
+    namespace: dict = {}
+    src = f"def instance(sigma):\n{lookups}    return {expr(scheme)}\n"
+    exec(compile(src, f"<axiom scheme {name}>", "exec"), namespace)
+    return namespace["instance"]
+
+
+#: scheme name -> the instance function of its scheme (see _instance_function)
+_INSTANCE = {name: _instance_function(name, t) for name, t in AXIOM_SCHEMES.items()}
 
 
 class ProofError(ValueError):
@@ -149,7 +180,7 @@ class FregeSystem:
         """Whether the well-formed line lines[i] follows from the lines before it."""
         f, just = lines[i].formula, lines[i].just
         if just[0] == "axiom":
-            return fm.substitute(AXIOM_SCHEMES[just[1]], just[2]) == f
+            return _INSTANCE[just[1]](just[2]) == f
         if just[0] == "mp":
             return lines[just[2]].formula == ("or", ("not", lines[just[1]].formula), f)
         return allow_hyp
@@ -187,7 +218,14 @@ class ProofBuilder:
     One hash per push: a line formula is looked up and, if new, indexed by
     one dict operation.  Formulas are nested tuples, whose hash Python does
     not cache, so each hash walks the whole formula, except that it reads
-    the kept hash of any fm.HashedFormula inside (discharge's hypothesis)."""
+    the kept hash of any fm.HashedFormula inside (discharge's hypothesis).
+
+    The provers write into a builder they are given and return the index
+    of their conclusion.  Dedup makes that equal, line for line, to
+    building the proof apart and replaying it with append_proof: its new
+    lines arrive in the same order, and a formula already present maps to
+    the index the replay would find.  An axiom line's formula comes from
+    its scheme's compiled instance function (_INSTANCE)."""
 
     def __init__(self):
         self.lines: list[Line] = []
@@ -202,11 +240,10 @@ class ProofBuilder:
         return idx
 
     def axiom(self, name: str, sigma: dict[int, Formula]) -> int:
-        pattern = AXIOM_SCHEMES.get(name)
-        if pattern is None:
+        instance = _INSTANCE.get(name)
+        if instance is None:
             raise ProofError(f"unknown axiom scheme {name!r}")
-        f = fm.substitute(pattern, sigma)
-        return self._push(Line(f, ("axiom", name, dict(sigma))))
+        return self._push(Line(instance(sigma), ("axiom", name, dict(sigma))))
 
     def hyp(self, f: Formula) -> int:
         return self._push(Line(f, ("hyp",)))
@@ -311,13 +348,17 @@ def _value_index(b: ProofBuilder, theta: Formula, assignment: dict[int, int]) ->
 
 def prove_true_sentence(psi: Formula) -> Proof:
     """D2: a kernel proof of a true variable-free sentence."""
+    b = ProofBuilder()
+    return b.proof(_prove_true_into(b, psi))
+
+
+def _prove_true_into(b: ProofBuilder, psi: Formula) -> int:
+    """D2 written into b: the index of a line proving the true sentence psi."""
     if fm.fvars(psi):
         raise ProofError("sentence has variables")
     if fm.evaluate(psi, {}) != 1:
         raise ProofError("sentence is false")
-    b = ProofBuilder()
-    idx = _value_index(b, psi, {})
-    return b.proof(idx)
+    return _value_index(b, psi, {})
 
 
 def mp(pi1: Proof, pi2: Proof) -> Proof:
@@ -333,14 +374,24 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
     """Deduction-theorem transformation: remove one hypothesis H, turning a
     derivation of phi from hypotheses into one of H -> phi.
 
-    Every output line contains H, so H is held as one fm.HashedFormula and
-    hashing a line costs the same whatever the size of H.  The input is
-    checked for shape only: a proof that is not well formed (see
-    _proof_fault) raises ProofError naming its first malformed line; the
-    builder's mp rejects premises whose formulas do not fit."""
+    A wrapper over _discharge_into with a fresh builder; the case-analysis
+    prover discharges into its own builder instead.  Every output line
+    contains H, so H is held as one fm.HashedFormula and hashing a line
+    costs the same whatever the size of H.  The input is checked for shape
+    only: a hypothesis that is not a rooted formula (see _rooted), or a
+    proof that is not well formed (see _proof_fault), raises ProofError
+    before any line is built; the builder's mp rejects premises whose
+    formulas do not fit."""
+    b = ProofBuilder()
+    return b.proof(_discharge_into(b, proof, hypothesis))
+
+
+def _discharge_into(b: ProofBuilder, proof: Proof, hypothesis: Formula) -> int:
+    """discharge written into b: the index of the line proving H -> phi."""
+    if not _rooted(hypothesis):
+        raise ProofError(f"malformed hypothesis {hypothesis!r}")
     if (fault := _proof_fault(proof)) is not None:
         raise ProofError(fault)
-    b = ProofBuilder()
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
     H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
     for i, ln in enumerate(proof.lines):
@@ -356,47 +407,56 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
         else:
             base = b.axiom(just[1], just[2]) if just[0] == "axiom" else b.hyp(f)
             mapped[i] = b.imply(base, "P1", {1: f, 2: H})
-    return b.proof(mapped[len(proof.lines) - 1])
+    return mapped[len(proof.lines) - 1]
 
 
 # each variable multiplies proof size by ~6 (two branches, each discharged)
 KALMAR_VAR_LIMIT = 8
 
 
-def _prove_under(F: Formula, vars_left: list[int], assignment: dict[int, int]) -> Proof:
+def _prove_under(
+    b: ProofBuilder, F: Formula, vars_left: list[int], assignment: dict[int, int]
+) -> int:
+    """The index of a line of b proving F from the hypotheses of assignment.
+    Each case branch is built apart, since discharge reads it as a proof, and
+    discharged straight into b."""
     if not vars_left:
-        b = ProofBuilder()
         idx = _value_index(b, F, assignment)
         if fm.evaluate(F, assignment) != 1:
             raise ProofError("formula is falsified; not a tautology")
-        return b.proof(idx)
+        return idx
     z = vars_left[0]
     rest = vars_left[1:]
     zvar: Formula = ("var", z)
-    p1 = _prove_under(F, rest, {**assignment, z: 1})
-    d1 = discharge(p1, zvar)  # z -> F
-    p0 = _prove_under(F, rest, {**assignment, z: 0})
-    d0 = discharge(p0, ("not", zvar))  # ~z -> F
-    b = ProofBuilder()
-    i1 = b.append_proof(d1)
-    i0 = b.append_proof(d0)
+
+    def branch(value: int) -> Proof:
+        sub = ProofBuilder()
+        return sub.proof(_prove_under(sub, F, rest, {**assignment, z: value}))
+
+    i1 = _discharge_into(b, branch(1), zvar)  # z -> F
+    i0 = _discharge_into(b, branch(0), ("not", zvar))  # ~z -> F
     em = b.axiom("EM", {1: zvar})  # z | ~z
     cases = b.axiom("D3", {1: zvar, 2: ("not", zvar), 3: F})
     s1 = b.mp(i1, cases)
     s2 = b.mp(i0, s1)
-    idx = b.mp(em, s2)
-    return b.proof(idx)
+    return b.mp(em, s2)
 
 
 def prove_tautology(F: Formula) -> Proof:
     """A kernel proof of any tautology, by case analysis over its variables
     (exponential in the variable count; desk scale only)."""
+    b = ProofBuilder()
+    return b.proof(_prove_tautology_into(b, F))
+
+
+def _prove_tautology_into(b: ProofBuilder, F: Formula) -> int:
+    """prove_tautology written into b: the index of the line proving F."""
     vs = sorted(fm.fvars(F))
     if len(vs) > KALMAR_VAR_LIMIT:
         raise fm.BudgetError(
             f"{len(vs)} variables exceeds the case-analysis limit {KALMAR_VAR_LIMIT}"
         )
-    return _prove_under(F, vs, {})
+    return _prove_under(b, F, vs, {})
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +624,8 @@ def _candidate(just: tuple, lines: list[Line]) -> Formula | None:
         b = just[2]
         if 0 <= b < len(lines) and lines[b].formula[0] == "or":
             return lines[b].formula[2]
-    elif just[0] == "axiom" and just[1] in AXIOM_SCHEMES:
-        return fm.substitute(AXIOM_SCHEMES[just[1]], just[2])
+    elif just[0] == "axiom" and just[1] in _INSTANCE:
+        return _INSTANCE[just[1]](just[2])
     return None
 
 

@@ -35,11 +35,12 @@ from .frege import (
     Proof,
     ProofBuilder,
     ProofError,
+    _prove_tautology_into,
+    _prove_true_into,
     _serialize,
     check,
     discharge,
     parse_proof,
-    prove_tautology,
     prove_true_sentence,
     serialize_proof,
     subst_proof,
@@ -230,13 +231,12 @@ def d4_from_sat(pi_sat: Proof, phi: Formula, enc: SatEncoding, code: str) -> Pro
             raise ProofError("proof conclusion is not the satisfaction statement")
         correct_sentence = fm.substitute(enc.correct, sub)
         imp_idx = b.append_proof(pi_sat)
-        corr_idx = b.append_proof(prove_true_sentence(correct_sentence))
+        corr_idx = _prove_true_into(b, correct_sentence)
         phi_prime_idx = b.mp(corr_idx, imp_idx)
         phi_prime = fm.substitute(enc.out_formula, sub)
     if phi_prime == phi:
         return b.proof(phi_prime_idx)
-    bridge = prove_tautology(fm.Implies(phi_prime, phi))
-    bridge_idx = b.append_proof(bridge)
+    bridge_idx = _prove_tautology_into(b, fm.Implies(phi_prime, phi))
     final = b.mp(phi_prime_idx, bridge_idx)
     return b.proof(final)
 

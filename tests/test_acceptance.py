@@ -258,20 +258,26 @@ def test_kernel_d1_d3_corpus():
 # ---------------------------------------------------------------------------
 # 5. simulation pipeline corpus
 
-def test_pipeline_corpus_and_size_regression():
-    results = []  # (input bits, stage sizes)
-    proofs = hashlib.sha256()  # serialized pipeline outputs, in corpus order
+def checker_corpus():
+    """The 18 checker runs of the pipeline corpus, in corpus order: simulate
+    on phi = 1 under chain_checker(k, yw, tw); yields (input bits, result)."""
     for k in (8, 9, 10):
         for yw in (1, 2, 3):
             for tw in (1, 2):
                 QS = ps.AdviceSystem(chain_checker(k, yw, tw), {k: "1" * tw}, c=2)
-                phi = ("const", 1)
-                res = ps.simulate(QS, "1" * tw, phi, "1" * yw)
-                S = ps.PlusAlphaSystem(fr.FREGE, res.alpha.alpha)
-                assert ps.check_plus_alpha(S, phi, res.proof)
-                assert set(res.stage_bits) == {"prov_d2", "sat_mp", "d4", "total"}
-                results.append((k + yw + tw, res.stage_bits))
-                proofs.update(fr.serialize_proof(res.proof).encode())
+                yield k + yw + tw, ps.simulate(QS, "1" * tw, ("const", 1), "1" * yw)
+
+
+def test_pipeline_corpus_and_size_regression():
+    results = []  # (input bits, stage sizes)
+    proofs = hashlib.sha256()  # serialized pipeline outputs, in corpus order
+    for bits, res in checker_corpus():
+        phi = ("const", 1)
+        S = ps.PlusAlphaSystem(fr.FREGE, res.alpha.alpha)
+        assert ps.check_plus_alpha(S, phi, res.proof)
+        assert set(res.stage_bits) == {"prov_d2", "sat_mp", "d4", "total"}
+        results.append((bits, res.stage_bits))
+        proofs.update(fr.serialize_proof(res.proof).encode())
 
     # empty-advice instances round out the corpus past 20
     for text in ("x1 | ~x1", "~x1 | x1"):
@@ -297,6 +303,19 @@ def test_pipeline_corpus_and_size_regression():
         (x - mx) ** 2 for x, _ in pts
     )
     assert slope <= 4.0, f"fitted size exponent {slope:.2f}"
+
+
+def test_pipeline_stage_sizes_are_pinned():
+    """simulate's four stage sizes over the checker corpus, in corpus order,
+    have a fixed digest: the proof text pin above covers only the final
+    stage, while prov_d2, sat_mp and d4 are each sized by their own text."""
+    sizes = hashlib.sha256()
+    for _, res in checker_corpus():
+        st = res.stage_bits
+        sizes.update(f"{st['prov_d2']} {st['sat_mp']} {st['d4']} {st['total']}\n".encode())
+    assert sizes.hexdigest() == (
+        "264eaf0f18cb3965bc07c98fff5d86f77ddb2b695fb2d87ffec727ab25b858f7"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nwtaut import circuits as cc
 from nwtaut import formulas as fm
 
 
@@ -362,3 +363,20 @@ def test_is_tautology_auto_above_the_brute_force_limit():
     disjuncts = " | ".join(f"x{i}" for i in range(2, 26))
     assert fm.is_tautology(fm.parse(f"x1 | ~x1 | {disjuncts}"), "auto") is True
     assert fm.is_tautology(fm.parse(f"x1 | {disjuncts}"), "auto") is False
+
+
+def test_is_tautology_dpll_circuit_has_a_wire_per_variable(monkeypatch):
+    """The DPLL oracle's circuit is as wide as the formula has variables:
+    x1000000 costs one input wire, not a million."""
+    widths = []
+    search = cc.sat_search
+
+    def spy(circuit, *args, **kwargs):
+        widths.append(circuit.n_inputs)
+        return search(circuit, *args, **kwargs)
+
+    monkeypatch.setattr(cc, "sat_search", spy)
+    disjuncts = " | ".join(f"x{i}" for i in range(2, 25))
+    assert fm.is_tautology(fm.parse(f"x1 | ~x1 | {disjuncts} | x1000000"), "dpll") is True
+    assert fm.is_tautology(fm.parse(f"x1 | {disjuncts} | x1000000"), "dpll") is False
+    assert widths == [25, 25]

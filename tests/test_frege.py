@@ -47,6 +47,16 @@ def test_axiom_schemes_are_tautologies():
         assert fm.is_tautology(pattern, "brute"), name
 
 
+@given(st.dictionaries(st.integers(1, 4), small_formulas()))
+@settings(max_examples=60, deadline=None)
+def test_compiled_schemes_are_substitution(sigma):
+    """Each scheme's compiled instance function builds what substituting
+    into the scheme builds, sigma partial or with keys the scheme lacks."""
+    assert set(fr._INSTANCE) == set(fr.AXIOM_SCHEMES)
+    for name, pattern in fr.AXIOM_SCHEMES.items():
+        assert fr._INSTANCE[name](sigma) == fm.substitute(pattern, sigma), name
+
+
 def test_check_accepts_a_hand_proof():
     # x1 -> x1 via P1 and P2
     p, q = fm.Var(1), fm.Var(1)
@@ -331,6 +341,14 @@ def test_discharge_rejects_malformed_input():
             fr.discharge(bad, fm.Var(1))
 
 
+@pytest.mark.parametrize("hypothesis", [5, None, "x1", ("var", 0)])
+def test_discharge_rejects_a_hypothesis_that_is_not_a_formula(hypothesis):
+    b = fr.ProofBuilder()
+    der = b.proof(b.imply(b.hyp(fm.Var(1)), "N4", {1: fm.Var(1)}))
+    with pytest.raises(fr.ProofError, match="hypothesis"):
+        fr.discharge(der, hypothesis)
+
+
 def test_discharge_hashes_the_hypothesis_once():
     """Every discharged line contains H; hashing one reads H's kept hash
     instead of walking H again."""
@@ -385,6 +403,58 @@ def test_prove_tautology_text_is_pinned():
     assert len(text) == 687_782
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e701d98e6dcaeb7d599e10e77ef399b198ad16f8c0b3e2a4fc645abfe4f85bc1"
+    )
+
+
+def seeded_formula(rng, leaves, max_var=5):
+    """A formula with the given number of leaves, each a variable among
+    x1..x{max_var} or, one time in ten, a constant (always, when max_var
+    is 0)."""
+    if leaves == 1:
+        if max_var == 0 or rng.random() < 0.1:
+            return ("const", rng.randrange(2))
+        return fm.Var(rng.randint(1, max_var))
+    if rng.random() < 0.25:
+        return fm.Not(seeded_formula(rng, leaves, max_var))
+    left = rng.randint(1, leaves - 1)
+    op = rng.choice((fm.And, fm.Or))
+    return op(seeded_formula(rng, left, max_var), seeded_formula(rng, leaves - left, max_var))
+
+
+def test_prove_tautology_text_is_pinned_on_a_seeded_corpus():
+    """The prover's text over 40 seeded tautologies of up to four variables,
+    concatenated in draw order, has a fixed digest; their two case branches
+    share many lines, so the builder's dedup decides much of the text."""
+    rng = random.Random(25)
+    taus = []
+    while len(taus) < 40:
+        f = seeded_formula(rng, rng.randint(2, 6))
+        if fm.is_tautology(f, "brute"):
+            taus.append(f)
+    assert max(len(fm.fvars(f)) for f in taus) == 4
+    text = hashlib.sha256()
+    for f in taus:
+        text.update(fr.serialize_proof(fr.prove_tautology(f)).encode())
+    assert text.hexdigest() == (
+        "feeffc8cdc84486640a3762ea18e6fa0a6c9767a462c02e84a962e36d5ad8abe"
+    )
+
+
+def test_mp_text_is_pinned_on_seeded_d2_pairs():
+    """D3 on 30 seeded pairs of D2 proofs (of psi and of psi -> eta, both
+    sentences true) gives texts whose concatenation has a fixed digest."""
+    rng = random.Random(25)
+    text = hashlib.sha256()
+    pairs = 0
+    while pairs < 30:
+        psi, eta = (seeded_formula(rng, rng.randint(1, 8), max_var=0) for _ in range(2))
+        if fm.evaluate(psi, {}) == fm.evaluate(eta, {}) == 1:
+            pi1 = fr.prove_true_sentence(psi)
+            pi2 = fr.prove_true_sentence(fm.Implies(psi, eta))
+            text.update(fr.serialize_proof(fr.mp(pi1, pi2)).encode())
+            pairs += 1
+    assert text.hexdigest() == (
+        "d29d29df992d7e86fde15bbf405d34c3b1cd3ecef3b4b46594ea96eb7aa184a9"
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -122,6 +123,28 @@ def test_d4_const_route_extracts_constant_formula():
     pi_sat = fr.prove_true_sentence(sentence)
     out = ps.d4_from_sat(pi_sat, phi, enc, code)
     assert fr.check(fr.FREGE, phi, out)
+
+
+def test_d4_text_is_pinned_on_both_routes():
+    """The three extractions above, the free route with and without its
+    case-analysis bridge and the constant route with its D2 proof, print
+    texts whose concatenation has a fixed digest."""
+    enc = sat_enc(2, mock_evaluator())
+    outs = []
+    for code, phi in (("01", "x1 | ~x1"), ("10", "~x1 | (x1 | 1)")):
+        xmap = {v: ("const", int(b)) for v, b in zip(enc.x_vars, code)}
+        pi_sat = fr.prove_tautology(fm.substitute(enc.formula, xmap))
+        outs.append(ps.d4_from_sat(pi_sat, fm.parse(phi), enc, code))
+    enc = sat_enc(8, cc.universal_evaluator(8, trim=True))
+    code = fm.encode_k(("const", 1), 8)
+    run = ps.evaluator_run_bits(enc, code)
+    sub = {v: ("const", int(b)) for v, b in zip(enc.x_vars + enc.v_vars, code + run)}
+    pi_sat = fr.prove_true_sentence(fm.substitute(enc.formula, sub))
+    outs.append(ps.d4_from_sat(pi_sat, ("const", 1), enc, code))
+    text = "".join(fr.serialize_proof(out) for out in outs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "42be417d5e9faedd12e685c57dc1a2fe06f27e7fda0accd7746fc5af2dfddbe0"
+    )
 
 
 def test_d4_rejects_wrong_conclusion():
