@@ -191,17 +191,19 @@ def to_text(f: Formula) -> str:
 
     This is the one printing rule.  Proof serialization calls its memoized
     form _text with one memo per proof, so a subterm shared by several
-    lines or parents is printed once; _text_len counts by the same rule."""
+    lines or parents is printed once.  A malformed node at any depth (a
+    var payload that is no int >= 1, a const payload that is not the int 0
+    or 1, an unknown tag or the wrong number of operands) raises ValueError,
+    and a node that cannot be indexed raises what indexing it raises."""
     return _text(f, {})
 
 
-# A memo maps id(subterm) to the subterm's text (_text) or text length
-# (_text_len); one memo may serve several formulas.  Ids are unique only among
-# live objects, so the caller keeps every formula it passes alive while the
-# memo is in use.  proofsys.simulate prints its four stage proofs through one
-# text memo, since the stages share line formulas, and sizes each by its text;
-# it holds all four proofs until it returns, so each id stays with its formula
-# while the memo lives.
+# A memo maps id(subterm) to the subterm's text; one memo may serve several
+# formulas.  Ids are unique only among live objects, so the caller keeps
+# every formula it passes alive while the memo is in use.  proofsys.simulate
+# prints its four stage proofs through one memo, since the stages share line
+# formulas, and sizes each by its text; it holds all four proofs until it
+# returns, so each id stays with its formula while the memo lives.
 # frege.parse_proof prints candidates it may then discard:
 # it keeps each of them until it returns, since a freed id can pass to a new
 # formula, whose stale memo text would accept a line that spells another.
@@ -211,17 +213,18 @@ def to_text(f: Formula) -> str:
 
 def _text(f: Formula, memo: dict[int, str]) -> str:
     tag = f[0]
-    if tag == "const":
-        return str(f[1])
-    if tag == "var":
-        return f"x{f[1]}"
+    if tag == "var" or tag == "const":
+        c = f[1]
+        if len(f) == 2 and type(c) is int and (c >= 1 if tag == "var" else 0 <= c <= 1):
+            return f"x{c}" if tag == "var" else str(c)
+        raise ValueError("malformed formula")
     s = memo.get(id(f))
     if s is not None:
         return s
-    if tag == "not":
+    if tag == "not" and len(f) == 2:
         s = _text(f[1], memo)
         s = f"~({s})" if _PREC[f[1][0]] < 3 else "~" + s
-    else:
+    elif (tag == "and" or tag == "or") and len(f) == 3:
         op = "&" if tag == "and" else "|"
         p = _PREC[tag]
         left = _text(f[1], memo)
@@ -233,29 +236,10 @@ def _text(f: Formula, memo: dict[int, str]) -> str:
         if _PREC[f[2][0]] < p:
             right = f"({right})"
         s = f"{left} {op} {right}"
+    else:
+        raise ValueError("malformed formula")
     memo[id(f)] = s
     return s
-
-
-def _text_len(f: Formula, memo: dict[int, int]) -> int:
-    """len(_text(f, ...)), counted by the same parenthesis rule without
-    building the text."""
-    tag = f[0]
-    if tag == "const":
-        return len(str(f[1]))
-    if tag == "var":
-        return 1 + len(str(f[1]))
-    n = memo.get(id(f))
-    if n is not None:
-        return n
-    if tag == "not":
-        n = 1 + _text_len(f[1], memo) + (2 if _PREC[f[1][0]] < 3 else 0)
-    else:
-        p = _PREC[tag]
-        n = _text_len(f[1], memo) + 3 + _text_len(f[2], memo)
-        n += (2 if _PREC[f[1][0]] <= p else 0) + (2 if _PREC[f[2][0]] < p else 0)
-    memo[id(f)] = n
-    return n
 
 
 # ---------------------------------------------------------------------------

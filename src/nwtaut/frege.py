@@ -243,6 +243,8 @@ class ProofBuilder:
         instance = _INSTANCE.get(name)
         if instance is None:
             raise ProofError(f"unknown axiom scheme {name!r}")
+        if type(sigma) is not dict:
+            raise ProofError(f"axiom {name}: the substitution is no dict")
         return self._push(Line(instance(sigma), ("axiom", name, dict(sigma))))
 
     def hyp(self, f: Formula) -> int:
@@ -250,10 +252,10 @@ class ProofBuilder:
 
     def mp(self, i: int, j: int) -> int:
         n = len(self.lines)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ProofError(f"mp premises {i}, {j}: the lines are 0..{n - 1}")
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n):
+            raise ProofError(f"mp premises {i!r}, {j!r}: not lines of {n}")
         impl = self.lines[j].formula
-        if impl[0] != "or" or impl[1] != ("not", self.lines[i].formula):
+        if len(impl) != 3 or impl[0] != "or" or impl[1] != ("not", self.lines[i].formula):
             raise ProofError(
                 f"line {j} is not an implication with antecedent of line {i}"
             )
@@ -278,10 +280,14 @@ class ProofBuilder:
         return placed[-1]
 
     def proof(self, conclusion_index: int | None = None) -> Proof:
-        if conclusion_index is not None and conclusion_index != len(self.lines) - 1:
-            # conclusion must be the last line; replay a tail copy if dedup
-            # left it earlier
-            self.lines.append(self.lines[conclusion_index])
+        if conclusion_index is not None:
+            n = len(self.lines)
+            if not (type(conclusion_index) is int and 0 <= conclusion_index < n):
+                raise ProofError(f"conclusion {conclusion_index!r}: not a line of {n}")
+            if conclusion_index != n - 1:
+                # conclusion must be the last line; replay a tail copy if
+                # dedup left it earlier
+                self.lines.append(self.lines[conclusion_index])
         return Proof(tuple(self.lines))
 
 
@@ -472,12 +478,12 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     may serve several proofs; the caller keeps them all alive while the memo
     is in use (see the comment above fm._text).
 
-    A proof that is not well formed (see _proof_fault), or has a formula
-    malformed below its root, raises ProofError naming the line.  The text
-    is kept in the proof's __dict__, so ==, hash and repr ignore it.  Line is
-    frozen, formulas are tuples and ProofBuilder copies each sigma it is
-    given, so the text stays that of the lines unless a caller mutates a
-    sigma dict it put in a Line."""
+    A proof that is not well formed (see _proof_fault), or has a node below
+    a formula's root that fm._text refuses, raises ProofError naming the
+    line.  The text is kept in the proof's __dict__, so ==, hash and repr
+    ignore it.  Line is frozen, formulas are tuples and ProofBuilder copies
+    each sigma it is given, so the text stays that of the lines unless a
+    caller mutates a sigma dict it put in a Line."""
     text = proof.__dict__.get("_text")
     if text is not None:
         return text
@@ -496,37 +502,16 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
             else:
                 just = "hyp"
             lines.append(f"{i} {fm._text(ln.formula, memo)} ; {just}")
-    except (KeyError, TypeError, IndexError):  # a formula malformed below its root
+    except (ValueError, TypeError, IndexError):  # a formula malformed below its root
         raise ProofError(f"line {i}: malformed formula") from None
     text = proof.__dict__["_text"] = "\n".join(lines) + "\n"
     return text
 
 
 def proof_size_bits(proof: Proof) -> int:
-    """Proof size = bit length of the serialized string form, counted without
-    building the text (formula lengths come from one memo over the proof);
-    raises ProofError where serialize_proof does."""
-    if (fault := _proof_fault(proof)) is not None:
-        raise ProofError(fault)
-    memo: dict[int, int] = {}
-    n = len("proof\n")
-    try:
-        for i, ln in enumerate(proof.lines, 1):
-            # "<i> <formula> ; <just>\n"
-            n += len(str(i)) + fm._text_len(ln.formula, memo) + 5
-            just = ln.just
-            if just[0] == "axiom":
-                # "axiom <name>", then " [m:=<t>]" per sigma entry
-                n += 6 + len(just[1]) + sum(
-                    len(str(m)) + 5 + fm._text_len(t, memo) for m, t in just[2].items()
-                )
-            elif just[0] == "mp":
-                n += len(f"mp {just[1] + 1} {just[2] + 1}")
-            else:
-                n += len("hyp")
-    except (KeyError, TypeError, IndexError):  # a formula malformed below its root
-        raise ProofError(f"line {i}: malformed formula") from None
-    return 8 * n
+    """Proof size = bit length of the proof's text (see serialize_proof),
+    which the proof keeps for a caller that then writes it."""
+    return 8 * len(serialize_proof(proof).encode())
 
 
 def parse_proof(text: str) -> Proof:

@@ -41,8 +41,8 @@ from .frege import (
     check,
     discharge,
     parse_proof,
+    proof_size_bits,
     prove_true_sentence,
-    serialize_proof,
     subst_proof,
 )
 
@@ -406,9 +406,7 @@ def simulate(
         proof = _kernel_proof_within(QS, phi, fm.code_width(phi), pi_Q)
         if proof is None:
             raise ProofError("advice checker rejects the given Q-proof")
-        return SimulateResult(
-            proof, phi, None, {"total": 8 * len(serialize_proof(proof).encode())}
-        )
+        return SimulateResult(proof, phi, None, {"total": proof_size_bits(proof)})
 
     k, _, _ = QS.widths()
     code = fm.encode_k(phi, k)

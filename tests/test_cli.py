@@ -158,6 +158,15 @@ def test_check_proof_accepts_and_rejects(tmp_path):
     ) == EXIT_SOLUTION
 
 
+def test_check_proof_reports_the_size_of_the_canonical_text(tmp_path, capsys):
+    """The size is that of the proof's printed text, not of the file: the
+    hand-spelled line reprints as "1 x1 | ~x1 ; axiom EM [1:=x1]"."""
+    path = tmp_path / "em.proof"
+    path.write_text("proof\n# excluded middle, spelled by hand\n\n1 x1|~x1 ;axiom EM [1:=(x1)]\n")
+    assert run("check-proof", "--tau", "x1 | ~x1", "--proof", str(path)) == EXIT_SOLUTION
+    assert capsys.readouterr().out == "P proof of x1 | ~x1: ACCEPTED (1 lines, 288 bits)\n"
+
+
 def test_check_proof_names_a_malformed_line(tmp_path, capsys):
     """A text parse_proof reads whose line is not well formed (sigma key 0
     names no variable) is not sized: the error names the line."""
