@@ -248,6 +248,10 @@ class ProofBuilder:
         return self._push(Line(instance(sigma), ("axiom", name, dict(sigma))))
 
     def hyp(self, f: Formula) -> int:
+        """A hypothesis line; one that is not a rooted formula (see _rooted)
+        raises ProofError, as discharge does."""
+        if not _rooted(f):
+            raise ProofError(f"malformed hypothesis {f!r}")
         return self._push(Line(f, ("hyp",)))
 
     def mp(self, i: int, j: int) -> int:

@@ -3,11 +3,19 @@ generator map and its full range, the tau_b tautology translation, the
 error-task triples and truth tables from seeds.
 
 Bit strings are python strings of '0'/'1'; seed bit j of x is x[j-1].
+
+Evaluating the generator on a seed gathers every bit its blocks read in one
+itemgetter call (built once per design) and cuts the result into l-bit
+block inputs.  Each base function keeps a table of the inputs it has
+evaluated, so an input is computed once per base and the table holds at
+most 2^l entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from . import formulas as fm
 from .cnf import ClauseSet, dpll_solve
@@ -32,7 +40,12 @@ class NWError(ValueError):
 class BaseFunction:
     """A 0/1 function on l-bit strings with checkable witnesses for both
     values: exactly one of F0, F1 has a witness on every input, and that
-    witness is unique."""
+    witness is unique.
+
+    The base keeps a table in its __dict__, outside ==, hash and repr: each
+    l-bit input of 0s and 1s it has evaluated maps to _forward's
+    (bit, witness).  There are 2^l such inputs, so the table holds at most
+    2^l entries; _forward is taken to be a pure function of its input."""
 
     name: str
     l: int
@@ -41,10 +54,20 @@ class BaseFunction:
     f1: Circuit
     _forward: callable = field(repr=False, compare=False, default=None)
 
+    def __post_init__(self):
+        self.__dict__["_seen"] = {}
+
     def evaluate(self, u: str) -> tuple[int, str]:
-        if len(u) != self.l:
-            raise NWError(f"expected {self.l} input bits, got {len(u)}")
-        return self._forward(u)
+        """(bit, witness) on the l-bit input u, read from the base's table;
+        an input the table lacks is computed once and kept."""
+        value = self._seen.get(u)
+        if value is None:
+            if len(u) != self.l:
+                raise NWError(f"expected {self.l} input bits, got {len(u)}")
+            if u.strip("01"):
+                raise NWError(f"input bits must be 0 or 1, got {u!r}")
+            value = self._seen[u] = self._forward(u)
+        return value
 
     def checker(self, a: int) -> Circuit:
         return self.f1 if a else self.f0
@@ -187,22 +210,39 @@ def seed_restriction(x, J) -> str:
     return bits
 
 
+# one entry per design in use: the 38 poly designs (q, d) over
+# SUPPORTED_ORDERS fit, with room for explicit ones
+@lru_cache(maxsize=64)
+def _gather(design: DesignParams) -> itemgetter:
+    """An itemgetter over the 0-based positions of every block of the design
+    in output order: on a seed it returns the m*l bits the blocks read, which
+    cut into l-bit pieces are the block inputs."""
+    table = blocks(design)
+    for J in table:
+        if len(J) != design.l:
+            raise NWError(f"expected {design.l} input bits, got {len(J)}")
+    return itemgetter(*[j - 1 for J in table for j in J])
+
+
 def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:
     """(bit, witness) of the base function on each block of seed x, in
     output order."""
-    if len(x) != spec.design.n:
-        raise NWError(f"seed must have {spec.design.n} bits, got {len(x)}")
-    table = blocks(spec.design)
+    design = spec.design
+    if len(x) != design.n:
+        raise NWError(f"seed must have {design.n} bits, got {len(x)}")
     evaluate = spec.base.evaluate
     # a binary seed needs no check per block; any other seed goes through
     # seed_restriction, whose error names the first block reading a bad bit
     if isinstance(x, str) and not x.strip("01"):
-        return [evaluate("".join([x[j - 1] for j in J])) for J in table]
-    return [evaluate(seed_restriction(x, J)) for J in table]
+        bits = "".join(_gather(design)(x))
+        l, seen = design.l, spec.base._seen
+        return [seen.get(bits[i:i + l]) or evaluate(bits[i:i + l])
+                for i in range(0, len(bits), l)]
+    return [evaluate(seed_restriction(x, J)) for J in blocks(design)]
 
 
 def nw_eval(spec: GeneratorSpec, x: str) -> str:
-    return "".join(str(bit) for bit, _ in _block_values(spec, x))
+    return "".join(["01"[bit] for bit, _ in _block_values(spec, x)])
 
 
 RANGE_ORACLE_LIMIT = 22
@@ -328,4 +368,4 @@ def ttable_from_seed(spec: GeneratorSpec, a: str) -> tuple[str, list[str]]:
     bundle (one base-function witness per index)."""
     _index_width(spec.design)  # the table is indexed by k-bit strings
     values = _block_values(spec, a)
-    return "".join(str(bit) for bit, _ in values), [wit for _, wit in values]
+    return "".join(["01"[bit] for bit, _ in values]), [wit for _, wit in values]

@@ -322,6 +322,14 @@ def test_builder_mp_rejects_premise_indices_outside_the_lines():
         b.mp(p, short)
 
 
+@pytest.mark.parametrize("hypothesis", [5, None, "x1"])
+def test_builder_rejects_a_hypothesis_that_is_not_a_formula(hypothesis):
+    b = fr.ProofBuilder()
+    with pytest.raises(fr.ProofError, match=r"^malformed hypothesis "):
+        b.hyp(hypothesis)
+    assert b.lines == []
+
+
 def test_builder_rejects_a_substitution_that_is_no_dict_and_a_stray_conclusion():
     b = fr.ProofBuilder()
     with pytest.raises(fr.ProofError):
@@ -515,16 +523,16 @@ def test_prove_tautology_var_limit():
 # ---------------------------------------------------------------------------
 # serialization
 
-@pytest.mark.parametrize("make", [
-    lambda: fr.prove_true_sentence(fm.parse("~(0 & 1) | 1")),
-    lambda: fr.prove_tautology(fm.parse("x1 | ~x1")),
+@pytest.mark.parametrize("make", [  # a proof and its pinned size in bits
+    lambda: (fr.prove_true_sentence(fm.parse("~(0 & 1) | 1")), 1336),
+    lambda: (fr.prove_tautology(fm.parse("x1 | ~x1")), 7600),
 ])
 def test_proof_text_round_trip(make):
-    proof = make()
+    proof, bits = make()
     text = fr.serialize_proof(proof)
     back = fr.parse_proof(text)
     assert back == proof
-    assert fr.proof_size_bits(proof) == 8 * len(text.encode())
+    assert fr.proof_size_bits(proof) == bits
 
 
 def test_proof_text_round_trip_with_hyp():
@@ -570,27 +578,47 @@ def test_print_then_parse_is_the_identity_on_well_formed_lines():
         proof = fr.Proof(tuple(lines))
         text = fr.serialize_proof(proof)
         assert fr.parse_proof(text) == proof
-        assert fr.proof_size_bits(proof) == 8 * len(text.encode())
+        assert_size_is_spelled_length(proof)
     assert schemes == set(fr.AXIOM_SCHEMES)
 
 
-def assert_size_is_text_length(proof):
-    assert fr.proof_size_bits(proof) == 8 * len(fr.serialize_proof(proof).encode())
+def spelled_text(proof):
+    """The proof's text spelled here, line by line, from fm.to_text of each
+    formula and the line grammar: "N formula ; hyp", "N formula ; mp A B"
+    with premises numbered from 1, or "N formula ; axiom NAME" followed by
+    " [m:=formula]" for each sigma key in increasing order."""
+    out = "proof\n"
+    for n, ln in enumerate(proof.lines, 1):
+        just = ln.just
+        if just[0] == "axiom":
+            just = f"axiom {just[1]}" + "".join(
+                f" [{m}:={fm.to_text(just[2][m])}]" for m in sorted(just[2]))
+        elif just[0] == "mp":
+            just = f"mp {just[1] + 1} {just[2] + 1}"
+        else:
+            just = "hyp"
+        out += f"{n} {fm.to_text(ln.formula)} ; {just}\n"
+    return out
+
+
+def assert_size_is_spelled_length(proof):
+    assert fr.proof_size_bits(proof) == 8 * len(spelled_text(proof).encode())
 
 
 @pytest.mark.parametrize("text", TAUTOLOGY_BATCH)
 def test_proof_size_bits_counts_the_text_kalmar(text):
     proof = fr.prove_tautology(fm.parse(text))
-    assert_size_is_text_length(proof)
+    assert_size_is_spelled_length(proof)
     # a parsed proof, whose lines share subterm objects
-    assert_size_is_text_length(fr.parse_proof(fr.serialize_proof(proof)))
+    assert_size_is_spelled_length(fr.parse_proof(fr.serialize_proof(proof)))
 
 
 def test_proof_size_bits_counts_the_text_with_hyp():
     b = fr.ProofBuilder()
     h = b.hyp(fm.Var(3))
     idx = b.imply(h, "N4", {1: fm.Var(3)})
-    assert_size_is_text_length(b.proof(idx))
+    # "proof\n1 x3 ; hyp\n2 ~x3 | ~~x3 ; axiom N4 [1:=x3]\n3 ~~x3 ; mp 1 2\n"
+    assert fr.proof_size_bits(b.proof(idx)) == 8 * 65
 
 
 def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
@@ -625,8 +653,7 @@ def test_proof_size_bits_counts_the_text_pipeline(monkeypatch):
                 ]
     assert len(sized) == 4 * 18
     for proof, _, bits in sized:
-        assert_size_is_text_length(proof)
-        assert bits == fr.proof_size_bits(proof)
+        assert bits == fr.proof_size_bits(proof) == 8 * len(spelled_text(proof).encode())
 
 
 def test_serialize_proof_keeps_its_text():
@@ -680,7 +707,7 @@ def test_shared_subterms_are_printed_and_sized_once():
     for i, f in enumerate(dag):
         assert fm.parse(fm.to_text(f)) == f
         proof = fr.Proof((fr.Line(f, ("hyp",)),))
-        assert_size_is_text_length(proof)
+        assert_size_is_spelled_length(proof)
         if i >= 1:  # "proof\n1 " + 6 * 2^i - 5 characters + " ; hyp\n"
             assert fr.proof_size_bits(proof) == 8 * (6 * 2**i + 10)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,16 +110,112 @@ def test_nw_eval_reads_a_block_table_that_block_does_not_share():
         assert nw.nw_eval(spec, "110100101") == expected
 
 
+def reference_values(spec, x):
+    """(bit, witness) per block, each computed by the base's _forward on
+    the seed bits at the positions block() gives, in output order."""
+    table = [dg.block(spec.design, i) for i in range(1, spec.design.m + 1)]
+    return [spec.base._forward("".join(x[j - 1] for j in J)) for J in table]
+
+
+def tables_of(l):
+    """One truth table per input width: bit r is the parity of r * 37 + l."""
+    return "".join(str(bin(r * 37 + l).count("1") % 2) for r in range(1 << l))
+
+
+def bases_for(q):
+    names = ["parity", "tabular"] + ["toy-owp"] * (q % 2 == 0)
+    return [nw.builtin_base(n, q, table=tables_of(q) if n == "tabular" else None)
+            for n in names]
+
+
+def every_seed(n):
+    return [format(v, f"0{n}b") for v in range(1 << n)]
+
+
+def seeded(n, count, seed):
+    rng = random.Random(seed)
+    return [format(rng.getrandbits(n), f"0{n}b") for _ in range(count)]
+
+
+@pytest.mark.parametrize("q,d,seeds", [
+    (2, 1, every_seed(4)), (2, 2, every_seed(4)),
+    (3, 1, every_seed(9)), (3, 2, every_seed(9)), (3, 3, every_seed(9)),
+    (4, 2, seeded(16, 60, 4)), (5, 2, seeded(25, 40, 5)), (5, 3, seeded(25, 20, 53)),
+])
+def test_generator_equals_the_per_block_reference(q, d, seeds):
+    """nw_eval and ttable_from_seed read the seed through one gather and the
+    base's table; both equal the base's _forward run block by block.  One
+    base serves every seed, so later seeds read inputs earlier ones kept."""
+    design = dg.poly_design(q, d)
+    for base in bases_for(q):
+        spec = nw.GeneratorSpec(design, base)
+        for x in seeds:
+            ref = reference_values(spec, x)
+            bits = "".join(str(bit) for bit, _ in ref)
+            assert nw.nw_eval(spec, x) == bits
+            if design.m & (design.m - 1) == 0:  # ttable needs m = 2^k
+                assert nw.ttable_from_seed(spec, x) == (bits, [w for _, w in ref])
+
+
+def test_a_seed_that_is_not_a_string_reads_block_by_block():
+    spec = parity_spec()
+    for x in seeded(9, 20, 9):
+        assert nw.nw_eval(spec, [int(c) for c in x]) == nw.nw_eval(spec, x)
+
+
 def test_nonbinary_seed_error_names_the_first_block_reading_it():
     q4 = nw.GeneratorSpec(dg.poly_design(4, 2), nw.builtin_base("parity", 4))
+    bad_bit = "seed bits must be 0 or 1, got "
     cases = [
-        (lambda: nw.nw_eval(parity_spec(), "10001x001"), "'0x1' at positions [3, 6, 9]"),
-        (lambda: nw.ttable_from_seed(q4, "1" * 15 + "2"), "'1112' at positions [4, 8, 12, 16]"),
+        (lambda: nw.nw_eval(parity_spec(), "10001x001"), bad_bit + "'0x1' at positions [3, 6, 9]"),
+        (lambda: nw.ttable_from_seed(q4, "1" * 15 + "2"),
+         bad_bit + "'1112' at positions [4, 8, 12, 16]"),
+        (lambda: nw.nw_eval(parity_spec(), [1, 0, 1, 1, 0, 0, 0, 2, 1]),
+         bad_bit + "'002' at positions [2, 5, 8]"),
+        (lambda: nw.nw_eval(parity_spec(), "10001001"), "seed must have 9 bits, got 8"),
+        (lambda: nw.ttable_from_seed(q4, "0" * 17), "seed must have 16 bits, got 17"),
+        (lambda: nw.nw_eval(parity_spec(), "1000x1001"), bad_bit + "'0x0' at positions [2, 5, 8]"),
+        # a hand-made design whose second block is wider than l
+        (lambda: nw.nw_eval(nw.GeneratorSpec(
+            dg.DesignParams(n=4, m=2, l=2, d=1, tag="explicit", blocks=((1, 2), (2, 3, 4))),
+            nw.builtin_base("parity", 2)), "0101"), "expected 2 input bits, got 3"),
     ]
-    for call, tail in cases:
+    for call, message in cases:
         with pytest.raises(nw.NWError) as e:
             call()
-        assert str(e.value) == "seed bits must be 0 or 1, got " + tail
+        assert str(e.value) == message
+
+
+def test_a_used_base_equals_hashes_and_prints_as_a_fresh_one():
+    used, fresh = nw.builtin_base("toy-owp", 2), nw.builtin_base("toy-owp", 2)
+    nw.full_range(nw.GeneratorSpec(dg.poly_design(2, 2), used))
+    assert used._seen and not fresh._seen
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+@pytest.mark.parametrize("name,q,d", [("parity", 3, 2), ("toy-owp", 2, 2), ("tabular", 2, 1)])
+def test_the_base_table_holds_each_input_once(name, q, d):
+    """After full_range the table holds each l-bit input the blocks read,
+    at most 2^l of them, and _forward ran once per input; an input that is
+    not binary is refused."""
+    base = nw.builtin_base(name, q, table=tables_of(q) if name == "tabular" else None)
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return base._forward(u)
+
+    counting = nw.BaseFunction(base.name, base.l, base.witness_width, base.f0, base.f1, counted)
+    spec = nw.GeneratorSpec(dg.poly_design(q, d), counting)
+    assert nw.full_range(spec) == nw.full_range(nw.GeneratorSpec(spec.design, base))
+    seen = counting._seen
+    assert len(seen) <= 1 << q and sorted(calls) == sorted(seen)
+    assert set(seen) == {"".join(x[j - 1] for j in J)
+                         for x in every_seed(q * q) for J in dg.blocks(spec.design)}
+    bad = "x" + "1" * (q - 1)
+    with pytest.raises(nw.NWError, match=f"^input bits must be 0 or 1, got '{bad}'$"):
+        counting.evaluate(bad)
+    assert bad not in seen
 
 
 def test_range_oracle_and_full_range():
