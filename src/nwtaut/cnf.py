@@ -186,7 +186,7 @@ def _solver_index(cs: ClauseSet) -> tuple[list[list[list[int]]], list[int], bool
                 units.append(clause[0])
             for lit in clause:
                 occ[lit].append(clause)
-        kept = cs.__dict__["_index"] = (key, occ, units, any(not c for c in cs.clauses))
+        kept = cs.__dict__["_index"] = (key, occ, units, not all(cs.clauses))
     return kept[1:]
 
 
@@ -390,7 +390,7 @@ def check_rup(
     # kept up to date as lemmas are added: the unit clauses, in clause order,
     # and whether some clause is empty
     units = [c[0] for c in clauses if len(c) == 1]
-    empty = any(not c for c in clauses)
+    empty = not all(clauses)
     for lemma in lemmas:
         if any(not 0 < abs(lit) <= nvars for lit in lemma):
             return False

@@ -26,6 +26,7 @@ functions are thin wrappers that give each a fresh builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import formulas as fm
 from .cnf import _decimal
@@ -55,6 +56,11 @@ AXIOM_SCHEMES: dict[str, Formula] = {
 }
 
 
+#: scheme name -> its metavariables, ascending (the order of the fields of
+#: its text patterns; see _axiom_pattern)
+_METAVARS = {name: tuple(sorted(fm.fvars(t))) for name, t in AXIOM_SCHEMES.items()}
+
+
 def _instance_function(name: str, scheme: Formula):
     """sigma -> fm.substitute(scheme, sigma), compiled from the scheme's
     tree into one tuple expression: each metavariable x_m is looked up in
@@ -67,7 +73,7 @@ def _instance_function(name: str, scheme: Formula):
         return f"({f[0]!r}, {', '.join(expr(g) for g in f[1:])})"
 
     lookups = "".join(
-        f"    x{m} = sigma.get({m}, {('var', m)!r})\n" for m in sorted(fm.fvars(scheme))
+        f"    x{m} = sigma.get({m}, {('var', m)!r})\n" for m in _METAVARS[name]
     )
     namespace: dict = {}
     src = f"def instance(sigma):\n{lookups}    return {expr(scheme)}\n"
@@ -484,31 +490,32 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
 
     A proof that is not well formed (see _proof_fault), or has a node below
     a formula's root that fm._text refuses, raises ProofError naming the
-    line.  The text is kept in the proof's __dict__, so ==, hash and repr
-    ignore it.  Line is frozen, formulas are tuples and ProofBuilder copies
-    each sigma it is given, so the text stays that of the lines unless a
-    caller mutates a sigma dict it put in a Line."""
+    line.  The text is built as one list of pieces, joined once, and kept in
+    the proof's __dict__, so ==, hash and repr ignore it.  Line is frozen,
+    formulas are tuples and ProofBuilder copies each sigma it is given, so
+    the text stays that of the lines unless a caller mutates a sigma dict it
+    put in a Line."""
     text = proof.__dict__.get("_text")
     if text is not None:
         return text
     if (fault := _proof_fault(proof)) is not None:
         raise ProofError(fault)
-    lines = ["proof"]
+    out = ["proof\n"]
     try:
         for i, ln in enumerate(proof.lines, 1):
-            just = ln.just
+            just, s = ln.just, fm._text(ln.formula, memo)
             if just[0] == "axiom":
-                just = f"axiom {just[1]}" + "".join(
-                    f" [{m}:={fm._text(t, memo)}]" for m, t in sorted(just[2].items())
-                )
+                out.append(f"{i} {s} ; axiom {just[1]}")
+                for m, t in sorted(just[2].items()):
+                    out.append(f" [{m}:={fm._text(t, memo)}]")
+                out.append("\n")
             elif just[0] == "mp":
-                just = f"mp {just[1] + 1} {just[2] + 1}"
+                out.append(f"{i} {s} ; mp {just[1] + 1} {just[2] + 1}\n")
             else:
-                just = "hyp"
-            lines.append(f"{i} {fm._text(ln.formula, memo)} ; {just}")
+                out.append(f"{i} {s} ; hyp\n")
     except (ValueError, TypeError, IndexError):  # a formula malformed below its root
         raise ProofError(f"line {i}: malformed formula") from None
-    text = proof.__dict__["_text"] = "\n".join(lines) + "\n"
+    text = proof.__dict__["_text"] = "".join(out)
     return text
 
 
@@ -523,15 +530,24 @@ def parse_proof(text: str) -> Proof:
 
     A line spelled as the printer spells its justification's formula (the
     right disjunct of an mp line's second premise, or an axiom instance) is
-    read as that formula without re-parsing: parse(to_text(f)) == f, so the
-    result is the parser's.  Any other spelling goes through fm.parse, with
-    the same result and the same error.  A formula text read once is not
-    read again, so a parsed proof shares subterms between its lines."""
+    read as that formula without re-parsing it, and as a rule without
+    printing it: the reader keeps each line's text beside the line and
+    compares texts it already holds (see _derived).  Any other spelling goes
+    through fm.parse, with the same result and the same error.  A formula
+    text read once is not read again, so a parsed proof shares subterms
+    between its lines.
+
+    printed is fm._text's memo for the candidates the reader does print.
+    Each text that _read parses (a sigma value, or a line that fell back to
+    the parser) seeds it under the id of its formula, which read keeps
+    alive; kept keeps every candidate printed alive (see the comment above
+    fm._text)."""
     lines: list[Line] = []
+    texts: list[str] = []  # each line's formula text, stripped, beside lines
     saw_header = False
     read: dict[str, Formula] = {}  # text -> formula, over line formulas and sigma values
-    printed: dict[int, str] = {}   # fm._text's memo over the candidates
-    kept: list[Formula | None] = []  # every candidate printed; see the comment above fm._text
+    printed: dict[int, str] = {}   # fm._text's memo, seeded by _read
+    kept: list[Formula] = []       # every candidate printed
     for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -547,18 +563,18 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(f"line {lineno}: expected line number {len(lines) + 1}")
         ftext = ftext.strip()
         try:
-            just = _justification(jtext, lineno, read)
+            just, values = _justification(jtext, lineno, read, printed)
         except (ProofError, fm.ParseError) as e:
             just, err = None, e  # raised after the formula, which the line states first
-        f = None if just is None else _candidate(just, lines)
-        kept.append(f)
-        if f is not None and _spells(f, ftext, printed):
+        f = None if just is None else _derived(just, values, ftext, lines, texts, printed, kept)
+        if f is not None:
             read.setdefault(ftext, f)
         else:
-            f = _read(ftext, read)
+            f = _read(ftext, read, printed)
         if just is None:
             raise err
         lines.append(Line(f, just))
+        texts.append(ftext)
     if not saw_header:
         raise ProofError("missing 'proof' header")
     if not lines:
@@ -566,16 +582,21 @@ def parse_proof(text: str) -> Proof:
     return Proof(tuple(lines))
 
 
-def _read(text: str, read: dict[str, Formula]) -> Formula:
-    """fm.parse(text), parsing each text once per memo."""
+def _read(text: str, read: dict[str, Formula], printed: dict[int, str]) -> Formula:
+    """fm.parse(text), parsing each text once per memo; a text parsed seeds
+    printed with itself, under the id of its formula."""
     f = read.get(text)
     if f is None:
         f = read[text] = fm.parse(text)
+        printed[id(f)] = text
     return f
 
 
-def _justification(text: str, lineno: int, read: dict[str, Formula]) -> tuple:
-    """The justification after a line's ';', sigma values read through read."""
+def _justification(
+    text: str, lineno: int, read: dict[str, Formula], printed: dict[int, str]
+) -> tuple[tuple, dict[int, str] | None]:
+    """The justification after a line's ';', sigma values read through read,
+    and an axiom line's sigma texts (None for other lines)."""
     jtoks = text.strip().split(None, 1)
     if not jtoks:
         raise ProofError(f"line {lineno}: empty justification")
@@ -584,6 +605,7 @@ def _justification(text: str, lineno: int, read: dict[str, Formula]) -> tuple:
             raise ProofError(f"line {lineno}: axiom needs a scheme name")
         rest = jtoks[1].split(None, 1)
         sigma: dict[int, Formula] = {}
+        values: dict[int, str] = {}
         if len(rest) > 1:
             for part in rest[1].split("]"):
                 part = part.strip()
@@ -593,29 +615,58 @@ def _justification(text: str, lineno: int, read: dict[str, Formula]) -> tuple:
                 m = _decimal(key)
                 if not part.startswith("[") or not sep or m is None:
                     raise ProofError(f"line {lineno}: bad substitution {part!r}")
-                sigma[m] = _read(val, read)
-        return ("axiom", rest[0], sigma)
+                sigma[m] = _read(val, read, printed)
+                values[m] = val
+        return ("axiom", rest[0], sigma), values
     if jtoks[0] == "mp":
         refs = [_decimal(t) for t in jtoks[1].split()] if len(jtoks) > 1 else []
         if len(refs) != 2 or None in refs:
             raise ProofError(f"line {lineno}: mp needs two line numbers")
-        return ("mp", refs[0] - 1, refs[1] - 1)
+        return ("mp", refs[0] - 1, refs[1] - 1), None
     if jtoks[0] == "hyp":
-        return ("hyp",)
+        return ("hyp",), None
     raise ProofError(f"line {lineno}: unknown justification {jtoks[0]!r}")
 
 
-def _candidate(just: tuple, lines: list[Line]) -> Formula | None:
-    """The formula just derives from the lines before it, where it names
-    one: the right disjunct of an mp line's second premise, or the axiom
-    instance."""
+def _derived(
+    just: tuple, values: dict[int, str] | None, ftext: str, lines: list[Line],
+    texts: list[str], printed: dict[int, str], kept: list[Formula],
+) -> Formula | None:
+    """The formula just derives from the lines before it, if ftext spells it:
+    the right disjunct of an mp line's second premise, or the axiom instance.
+
+    Every text compared here parses to the formula it stands for (a line's
+    text to the line, a sigma text to its value, a printed text to the
+    candidate), and the printer's parentheses depend only on a child's root
+    tag, so a match means fm.parse(ftext) is the candidate:
+    - An mp line's candidate is read when its second premise's text is
+      "~" + the first premise's text (in parentheses when that formula is
+      binary) + " | " + ftext; the left disjunct is then one operand, so
+      the premise's parse is an or whose right disjunct is ftext's parse.
+    - An axiom line's candidate is read when ftext is the scheme's pattern
+      (_axiom_pattern) filled with the sigma texts.
+    - Otherwise the candidate is printed through printed and compared."""
+    n = len(lines)
     if just[0] == "mp":
-        b = just[2]
-        if 0 <= b < len(lines) and lines[b].formula[0] == "or":
-            return lines[b].formula[2]
+        _, a, b = just
+        if not (0 <= b < n and lines[b].formula[0] == "or"):
+            return None
+        f = lines[b].formula[2]
+        if 0 <= a < n:
+            left = texts[a] if len(lines[a].formula) == 2 else f"({texts[a]})"
+            if texts[b] == f"~{left} | {ftext}":
+                return f
     elif just[0] == "axiom" and just[1] in _INSTANCE:
-        return _INSTANCE[just[1]](just[2])
-    return None
+        name, sigma = just[1], just[2]
+        f = _INSTANCE[name](sigma)
+        ms = _METAVARS[name]
+        pattern = _axiom_pattern(name, *[sigma[m][0] if m in sigma else None for m in ms])
+        if pattern.format(*[values.get(m, "") for m in ms]) == ftext:
+            return f
+    else:
+        return None
+    kept.append(f)
+    return f if _spells(f, ftext, printed) else None
 
 
 def _spells(f: Formula, text: str, memo: dict[int, str]) -> bool:
@@ -625,6 +676,25 @@ def _spells(f: Formula, text: str, memo: dict[int, str]) -> bool:
         return fm._text(f, memo) == text
     except RecursionError:
         return False
+
+
+@cache  # one entry per scheme and tuple of tags: at most 6^3 per scheme
+def _axiom_pattern(name: str, *tags: str | None) -> str:
+    """The text of the scheme's instance with a field {i} where the text of
+    the value of its i-th metavariable goes (see _METAVARS), for values with
+    the given root tags (None: the metavariable is unbound, so it stays a
+    variable).  fm._text prints the instance over stand-ins with those root
+    tags whose memo texts are the fields, so the pattern has the printer's
+    parentheses: they depend only on a child's root tag, and a leaf is
+    parenthesized as a not is."""
+    standins: dict[int, Formula] = {}
+    memo: dict[int, str] = {}
+    for i, (m, tag) in enumerate(zip(_METAVARS[name], tags)):
+        if tag is not None:
+            v = ("var", m)
+            s = standins[m] = (tag, v, v) if tag in ("and", "or") else ("not", v)
+            memo[id(s)] = f"{{{i}}}"
+    return fm._text(_INSTANCE[name](standins), memo)
 
 
 #: fewest bits of any text that parse_proof reads and check accepts.  Such a

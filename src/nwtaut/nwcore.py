@@ -5,16 +5,15 @@ error-task triples and truth tables from seeds.
 Bit strings are python strings of '0'/'1'; seed bit j of x is x[j-1].
 
 Evaluating the generator on a seed gathers every bit its blocks read in one
-itemgetter call (built once per design) and cuts the result into l-bit
-block inputs.  Each base function keeps a table of the inputs it has
-evaluated, so an input is computed once per base and the table holds at
+itemgetter call (built once per design, which keeps it) and cuts the result
+into l-bit block inputs.  Each base function keeps a table of the inputs it
+has evaluated, so an input is computed once per base and the table holds at
 most 2^l entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 
 from . import formulas as fm
@@ -210,18 +209,20 @@ def seed_restriction(x, J) -> str:
     return bits
 
 
-# one entry per design in use: the 38 poly designs (q, d) over
-# SUPPORTED_ORDERS fit, with room for explicit ones
-@lru_cache(maxsize=64)
 def _gather(design: DesignParams) -> itemgetter:
     """An itemgetter over the 0-based positions of every block of the design
     in output order: on a seed it returns the m*l bits the blocks read, which
-    cut into l-bit pieces are the block inputs."""
-    table = blocks(design)
-    for J in table:
-        if len(J) != design.l:
-            raise NWError(f"expected {design.l} input bits, got {len(J)}")
-    return itemgetter(*[j - 1 for J in table for j in J])
+    cut into l-bit pieces are the block inputs.  The design keeps it in its
+    __dict__, outside ==, hash and repr, as a BaseFunction keeps its table,
+    so a later call neither hashes the design nor walks its blocks."""
+    gather = design.__dict__.get("_gather")
+    if gather is None:
+        table = blocks(design)
+        for J in table:
+            if len(J) != design.l:
+                raise NWError(f"expected {design.l} input bits, got {len(J)}")
+        gather = design.__dict__["_gather"] = itemgetter(*[j - 1 for J in table for j in J])
+    return gather
 
 
 def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:

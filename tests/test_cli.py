@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -183,6 +184,58 @@ def test_check_proof_quotes_mp_premises_as_the_text_numbers_lines(tmp_path, caps
     assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "mp 5 1" in err and "('mp', 4, 0)" not in err
+
+
+# the README's hand-spelled proof: line 2, the mp premise of line 3, has
+# extra parentheses and its sigma value spaces, so the reader parses line 2
+# and prints line 3's candidate; the size is that of the canonical reprint
+HAND_SPELLED = (
+    "proof\n1 x1 | ~x1 ; axiom EM [1:=x1]\n"
+    "2 ~((x1 | ~x1)) | ~~(x1 | ~x1) ; axiom N4 [1:= x1 | ~x1 ]\n3 ~~(x1 | ~x1) ; mp 1 2\n"
+)
+
+
+def test_check_proof_reads_the_hand_spelled_proof(tmp_path, capsys):
+    path = tmp_path / "dn.proof"
+    path.write_text(HAND_SPELLED)
+    assert run("check-proof", "--tau", "~~(x1 | ~x1)", "--proof", str(path)) == EXIT_SOLUTION
+    assert capsys.readouterr().out == "P proof of ~~(x1 | ~x1): ACCEPTED (3 lines, 912 bits)\n"
+
+
+def test_check_proof_survives_mutated_proofs(tmp_path, capsys):
+    """A fixed-seed fuzz of the proof reader behind check-proof: mutants of a
+    printed and a hand-spelled proof (deletions, insertions, splices and
+    non-ASCII digits) exit 0, 2, 3 or 4 without an escaping exception, write
+    at most one stderr line and never pass on int()'s "invalid literal"."""
+    sources = [
+        (fr.serialize_proof(fr.prove_tautology(fm.parse("x1 | ~x1"))), "x1 | ~x1"),
+        (HAND_SPELLED, "~~(x1 | ~x1)"),
+    ]
+    alphabet = "0123456789x~|&() ;[]:=\n#aimpyhNTEM²٣ "
+    rng = random.Random(2028)
+    path = tmp_path / "mutant.proof"
+    codes = set()
+    for _ in range(400):
+        text, tau = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:i] + text[i + rng.randint(1, 8):]
+            elif edit == 1:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            elif edit == 2:
+                j = rng.randrange(len(text) + 1)
+                text = text[:i] + text[j:j + rng.randint(1, 24)] + text[i:]
+            else:
+                text = text[:i] + rng.choice("²٣১１") + text[i + 1:]
+        path.write_text(text, encoding="utf-8")
+        code = run("check-proof", "--tau", tau, "--proof", str(path))
+        err = capsys.readouterr().err
+        assert code in (EXIT_SOLUTION, EXIT_ERROR, EXIT_NONE, EXIT_UNKNOWN), text
+        assert err.count("\n") <= 1 and "invalid literal" not in err, (text, err)
+        codes.add(code)
+    assert codes == {EXIT_SOLUTION, EXIT_ERROR}
 
 
 def test_check_proof_missing_file(tmp_path):

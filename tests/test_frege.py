@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -885,6 +886,83 @@ def test_parse_proof_reads_an_mp_line_through_its_premise():
     proof = fr.parse_proof(_hyp_proof_text())
     assert [ln.just[0] for ln in proof.lines] == ["hyp", "axiom", "mp"]
     assert proof.lines[2].formula is proof.lines[1].formula[2]
+
+
+def _printed_corpus():
+    """Seeded kernel proofs of every kind the toolkit prints: D1 (substitution
+    into an axiom line, sigma keys the scheme ignores included), D2, D3,
+    case-analysis proofs and simulate's P+alpha output."""
+    rng = random.Random(28)
+    proofs = []
+    for name in sorted(fr.AXIOM_SCHEMES):
+        b = fr.ProofBuilder()
+        base = b.proof(b.axiom(name, {m: seeded_formula(rng, rng.randint(1, 4), 3)
+                                      for m in (1, 2, 3)}))
+        proofs.append(fr.subst_proof(base, {v: seeded_formula(rng, rng.randint(1, 5), 2)
+                                            for v in (1, 2, 3)}))
+    sentences = []
+    while len(sentences) < 12:
+        psi = seeded_formula(rng, rng.randint(1, 8), max_var=0)
+        if fm.evaluate(psi, {}) == 1:
+            sentences.append(psi)
+    proofs += [fr.prove_true_sentence(psi) for psi in sentences]
+    proofs += [fr.mp(fr.prove_true_sentence(psi), fr.prove_true_sentence(fm.Implies(psi, eta)))
+               for psi, eta in zip(sentences[::2], sentences[1::2])]
+    taus = []
+    while len(taus) < 6:
+        f = seeded_formula(rng, rng.randint(2, 5), max_var=3)
+        if fm.is_tautology(f, "brute"):
+            taus.append(f)
+    proofs += [fr.prove_tautology(f) for f in taus]
+    b = cc.CircuitBuilder([("x", 8), ("y", 1), ("t", 1)])
+    QS = ps.AdviceSystem(b.build([b.AND(b.inp("x", 4), b.AND(b.inp("y", 1), b.inp("t", 1)))]),
+                         {8: "1"}, c=2)
+    proofs.append(ps.simulate(QS, "1", ("const", 1), "1").proof)
+    return proofs
+
+
+def test_parse_proof_reads_printed_text_without_printing(monkeypatch):
+    """The printer's text of every line is read by comparing texts the reader
+    holds: once the schemes' patterns are printed (the first read), reading
+    the corpus again calls fm._text zero times, and gives the proofs and
+    the reference reader's result."""
+    proofs = _printed_corpus()
+    texts = [fr.serialize_proof(p) for p in proofs]
+    for text in texts:
+        fr.parse_proof(text)
+    calls, text_of = [], fm._text
+
+    def counted(f, memo):
+        calls.append(f)
+        return text_of(f, memo)
+
+    monkeypatch.setattr(fm, "_text", counted)
+    for proof, text in zip(proofs, texts):
+        back = fr.parse_proof(text)
+        assert back == proof == _reference_parse_proof(text)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(fr.AXIOM_SCHEMES))
+def test_axiom_patterns_are_the_printers_spelling(name):
+    """For every root tag of each metavariable's value, the unbound one too,
+    the scheme's pattern filled with the values' texts is fm.to_text of the
+    instance, on seeded values."""
+    rng = random.Random(name)
+    ms = fr._METAVARS[name]
+
+    def rooted(tag):
+        while True:
+            f = seeded_formula(rng, rng.randint(1, 6), 3)
+            if f[0] == tag:
+                return f
+
+    for tags in itertools.product(("or", "and", "not", "var", "const", None), repeat=len(ms)):
+        for _ in range(3):
+            sigma = {m: rooted(tag) for m, tag in zip(ms, tags) if tag is not None}
+            pattern = fr._axiom_pattern(name, *tags)
+            filled = pattern.format(*[fm.to_text(sigma[m]) if m in sigma else "" for m in ms])
+            assert filled == fm.to_text(fr._INSTANCE[name](sigma)), (tags, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,32 @@ def test_nonbinary_seed_error_names_the_first_block_reading_it():
         assert str(e.value) == message
 
 
+def test_a_design_keeps_its_gather_and_is_not_hashed_again(monkeypatch):
+    """An explicit design's hash walks its block table; the design keeps its
+    gather, so evaluating it after the first time hashes it no more, and a
+    used design equals, hashes and prints as a fresh one."""
+    def make():
+        return dg.explicit_design([dg.block(dg.poly_design(3, 2), i) for i in range(1, 10)], 9, 2)
+
+    spec = nw.GeneratorSpec(make(), nw.builtin_base("parity", 3))
+    calls, hash_of = [], dg.DesignParams.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return hash_of(self)
+
+    monkeypatch.setattr(dg.DesignParams, "__hash__", counted)
+    first = nw.nw_eval(spec, "110100101")
+    calls.clear()
+    for x in seeded(9, 20, 28):
+        nw.nw_eval(spec, x)
+    assert nw.nw_eval(spec, "110100101") == first
+    assert calls == []
+    fresh = make()
+    assert spec.design == fresh and hash(spec.design) == hash(fresh)
+    assert repr(spec.design) == repr(fresh)
+
+
 def test_a_used_base_equals_hashes_and_prints_as_a_fresh_one():
     used, fresh = nw.builtin_base("toy-owp", 2), nw.builtin_base("toy-owp", 2)
     nw.full_range(nw.GeneratorSpec(dg.poly_design(2, 2), used))
