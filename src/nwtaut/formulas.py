@@ -204,13 +204,9 @@ def to_text(f: Formula) -> str:
 # prints its four stage proofs through one memo, since the stages share line
 # formulas, and sizes each by its text; it holds all four proofs until it
 # returns, so each id stays with its formula while the memo lives.
-# frege.parse_proof seeds its memo with each text it parses (a sigma value,
-# or a line that fell back to the parser) under the id of the parsed formula,
-# which its text -> formula dict keeps alive until it returns; such a text
-# parses to its formula but need not be this printer's spelling of it.  It
-# also prints candidates it may then discard: it keeps each of them until it
-# returns, since a freed id can pass to a new formula, whose stale memo text
-# would accept a line that spells another.
+# frege.parse_proof prints candidates it may then discard:
+# it keeps each of them until it returns, since a freed id can pass to a new
+# formula, whose stale memo text would accept a line that spells another.
 # Formulas are not hash-consed, and hashing a nested tuple costs its size
 # (only a HashedFormula keeps its hash, and only the discharged hypothesis
 # is one), hence ids rather than the tuples as keys.

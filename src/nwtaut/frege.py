@@ -537,16 +537,14 @@ def parse_proof(text: str) -> Proof:
     text read once is not read again, so a parsed proof shares subterms
     between its lines.
 
-    printed is fm._text's memo for the candidates the reader does print.
-    Each text that _read parses (a sigma value, or a line that fell back to
-    the parser) seeds it under the id of its formula, which read keeps
-    alive; kept keeps every candidate printed alive (see the comment above
-    fm._text)."""
+    printed is fm._text's memo for the candidates the reader does print,
+    so it holds the printer's spelling only; kept keeps every candidate
+    printed alive (see the comment above fm._text)."""
     lines: list[Line] = []
     texts: list[str] = []  # each line's formula text, stripped, beside lines
     saw_header = False
     read: dict[str, Formula] = {}  # text -> formula, over line formulas and sigma values
-    printed: dict[int, str] = {}   # fm._text's memo, seeded by _read
+    printed: dict[int, str] = {}   # fm._text's memo over the candidates
     kept: list[Formula] = []       # every candidate printed
     for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
@@ -563,14 +561,14 @@ def parse_proof(text: str) -> Proof:
             raise ProofError(f"line {lineno}: expected line number {len(lines) + 1}")
         ftext = ftext.strip()
         try:
-            just, values = _justification(jtext, lineno, read, printed)
+            just, values = _justification(jtext, lineno, read)
         except (ProofError, fm.ParseError) as e:
             just, err = None, e  # raised after the formula, which the line states first
         f = None if just is None else _derived(just, values, ftext, lines, texts, printed, kept)
         if f is not None:
             read.setdefault(ftext, f)
         else:
-            f = _read(ftext, read, printed)
+            f = _read(ftext, read)
         if just is None:
             raise err
         lines.append(Line(f, just))
@@ -582,18 +580,16 @@ def parse_proof(text: str) -> Proof:
     return Proof(tuple(lines))
 
 
-def _read(text: str, read: dict[str, Formula], printed: dict[int, str]) -> Formula:
-    """fm.parse(text), parsing each text once per memo; a text parsed seeds
-    printed with itself, under the id of its formula."""
+def _read(text: str, read: dict[str, Formula]) -> Formula:
+    """fm.parse(text), parsing each text once per memo."""
     f = read.get(text)
     if f is None:
         f = read[text] = fm.parse(text)
-        printed[id(f)] = text
     return f
 
 
 def _justification(
-    text: str, lineno: int, read: dict[str, Formula], printed: dict[int, str]
+    text: str, lineno: int, read: dict[str, Formula]
 ) -> tuple[tuple, dict[int, str] | None]:
     """The justification after a line's ';', sigma values read through read,
     and an axiom line's sigma texts (None for other lines)."""
@@ -615,7 +611,7 @@ def _justification(
                 m = _decimal(key)
                 if not part.startswith("[") or not sep or m is None:
                     raise ProofError(f"line {lineno}: bad substitution {part!r}")
-                sigma[m] = _read(val, read, printed)
+                sigma[m] = _read(val, read)
                 values[m] = val
         return ("axiom", rest[0], sigma), values
     if jtoks[0] == "mp":
