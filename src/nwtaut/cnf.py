@@ -43,6 +43,7 @@ appended to a solved set, but editing a clause in place is not supported.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class CnfError(ValueError):
@@ -78,6 +79,9 @@ class ClauseSet:
         for ci, clause in enumerate(self.clauses):
             seen = set()
             for lit in clause:
+                # bool is an int subclass, but True is no DIMACS literal
+                if not isinstance(lit, int) or isinstance(lit, bool):
+                    raise CnfError(f"clause {ci}: literal {lit!r} is not an integer")
                 if lit == 0:
                     raise CnfError(f"clause {ci}: zero literal")
                 if abs(lit) > self.nvars:
@@ -88,14 +92,15 @@ class ClauseSet:
 
     def to_dimacs(self) -> str:
         lines = [f"c {c}" for c in self.comments]
-        lines.append(f"p cnf {self.nvars} {len(self.clauses)}")
-        if self.clauses:
-            # one clause per line, each ending in 0, rendered in C: the list
-            # prints as "[[1, -2], [3]]", and an empty clause as "[]", which
-            # the two passes turn into a line reading " 0"
-            body = str(self.clauses)[2:-2].replace("], [", " 0\n").replace(", ", " ")
-            lines.append(body + " 0")
-        return "\n".join(lines) + "\n"
+        lines.append(f"p cnf {self.nvars} {len(self.clauses)}\n")
+        # one %-format over all literals, rendered in C: a clause of width w
+        # gets "%s " * w + "0\n" and an empty one " 0\n", the line that
+        # str(lit) joined by spaces and " 0" would give; one format per
+        # distinct width, so the formats are no longer than the body
+        widths = list(map(len, self.clauses))
+        formats = {w: "%s " * w + "0\n" if w else " 0\n" for w in set(widths)}
+        template = "".join(map(formats.__getitem__, widths))
+        return "\n".join(lines) + template % tuple(chain.from_iterable(self.clauses))
 
 
 def gate_clauses(op: str, v: int, a: int, b: int) -> list[list[int]]:

@@ -8,7 +8,8 @@ Evaluating the generator on a seed gathers every bit its blocks read in one
 itemgetter call (built once per design, which keeps it) and cuts the result
 into l-bit block inputs.  Each base function keeps a table of the inputs it
 has evaluated, so an input is computed once per base and the table holds at
-most 2^l entries.
+most 2^l entries.  Likewise a spec keeps the clauses of each tau block it has
+translated, which tau_of copies into every tau that has the block.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ def builtin_base(name: str, l: int, table: str | None = None) -> BaseFunction:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """A design and a base function of its block size.
+
+    The spec keeps tau_of's table of block pieces in its __dict__, outside
+    ==, hash and repr, as a design keeps its gather (see tau_of)."""
+
     design: DesignParams
     base: BaseFunction
 
@@ -198,6 +204,7 @@ class GeneratorSpec:
             raise NWError(
                 f"base input width {self.base.l} != design block size {self.design.l}"
             )
+        self.__dict__["_pieces"] = {}
 
 
 def seed_restriction(x, J) -> str:
@@ -266,27 +273,49 @@ class TauResult:
 
     Variable layout: seed bits x are 1..n; then per output bit i (in output
     order) a fresh witness block y^(i) followed by that block's computation
-    variables."""
+    variables.  The clause lists are this result's own (see tau_of)."""
 
     clauses: ClauseSet
 
 
+def _tau_piece(spec: GeneratorSpec, i: int, bit: str, next_var: int) -> tuple[tuple, int]:
+    """Block i's clauses for output bit `bit`, its witness and computation
+    variables numbered from next_var, ending in the unit of its output; and
+    the first variable after them."""
+    base = spec.base
+    checker = base.checker(int(bit))
+    end = next_var + base.witness_width + checker.size
+    J = blocks(spec.design)[i]
+    clauses, outs = circuit_clauses_mapped(checker, [*J, *range(next_var, end)])
+    clauses.append([outs[0]])
+    return tuple(map(tuple, clauses)), end
+
+
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
+    """The negation clauses of tau(NW)_b, block by block.
+
+    A block's clauses depend only on its index i, its bit b_i and its first
+    fresh variable, so the spec keeps each block's piece (its clauses with
+    its output unit, as tuples) under the key (i, b_i, first variable),
+    built on first use.  The first variable of block i is n + 1 plus the
+    sizes of the earlier blocks; with two checker sizes, block i sees at
+    most i + 1 of them, so the table holds at most m(m+1) pieces.  Each
+    result gets its own lists copied from the pieces, so editing its
+    clauses changes neither the table nor a later result."""
     design = spec.design
     base = spec.base
     if len(b) != design.m or b.strip("01"):
         raise NWError(f"b must be {design.m} bits of 0 and 1")
     n = design.n
+    pieces = spec._pieces
     next_var = n + 1
     clauses: list[list[int]] = []
-    for J, bit in zip(blocks(design), b):
-        checker = base.checker(int(bit))
-        width = base.witness_width + checker.size
-        fresh = list(range(next_var, next_var + width))
-        next_var += width
-        blk_clauses, outs = circuit_clauses_mapped(checker, list(J) + fresh)
-        clauses.extend(blk_clauses)
-        clauses.append([outs[0]])
+    for i, bit in enumerate(b):
+        piece = pieces.get((i, bit, next_var))
+        if piece is None:
+            piece = pieces[i, bit, next_var] = _tau_piece(spec, i, bit, next_var)
+        clauses += map(list, piece[0])
+        next_var = piece[1]
     cs = ClauseSet(clauses, next_var - 1)
     cs.comments = [
         f"tau(NW)_b negation: design n={n} m={design.m} l={design.l} d={design.d} tag={design.tag}",

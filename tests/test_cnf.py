@@ -292,6 +292,36 @@ def test_dimacs_matches_the_clause_by_clause_text(clauses, comments):
     assert (back.clauses, back.comments) == (clauses, comments)
 
 
+def random_clauses(rng: random.Random) -> list[list[int]]:
+    """A seeded clause list: widths 0-12 and literals up to +-10^7 (within
+    a clause, distinct variables), with empty clauses first, in the middle
+    and last."""
+    clauses = []
+    for _ in range(rng.randrange(1, 40)):
+        width = rng.randrange(13)
+        variables = rng.sample(range(1, 10**7 + 1), width)
+        clauses.append([v if rng.getrandbits(1) else -v for v in variables])
+    for at in (0, rng.randrange(len(clauses) + 1), len(clauses) + 1):
+        clauses.insert(at, [])
+    return clauses
+
+
+def test_dimacs_matches_the_clause_by_clause_text_on_random_clause_sets():
+    rng = random.Random(29)
+    widths = set()
+    for i in range(200):
+        clauses = random_clauses(rng)
+        widths.update(map(len, clauses))
+        comments = [f"family {i}"] if i % 2 else []
+        cs = ClauseSet(clauses, 10**7, comments)
+        text = cs.to_dimacs()
+        assert text == reference_dimacs(cs), i
+        back = parse_dimacs(text)
+        assert (back.clauses, back.comments) == (clauses, comments), i
+    assert widths == set(range(13))
+    assert ClauseSet([[10**7, -(10**7)]], 10**7).to_dimacs() == "p cnf 10000000 1\n10000000 -10000000 0\n"
+
+
 def test_dimacs_rejects_malformed():
     with pytest.raises(CnfError):
         parse_dimacs("p cnf 2\n1 0\n")
@@ -310,6 +340,19 @@ def test_dimacs_rejects_malformed():
 def test_dimacs_bad_numbers_name_their_line(text, message):
     with pytest.raises(CnfError) as e:
         parse_dimacs(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("clauses, message", [
+    ([[1.5]], "clause 0: literal 1.5 is not an integer"),
+    ([[1], [True, -2]], "clause 1: literal True is not an integer"),
+    ([[-2, "1"]], "clause 0: literal '1' is not an integer"),
+    ([[1], [2], [None]], "clause 2: literal None is not an integer"),
+])
+def test_validate_rejects_literals_that_are_not_integers(clauses, message):
+    """DIMACS would print 1.5 or True as is, and parse_dimacs refuses both."""
+    with pytest.raises(CnfError) as e:
+        ClauseSet(clauses, 2).validate()
     assert str(e.value) == message
 
 

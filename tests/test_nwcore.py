@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -287,6 +288,68 @@ def test_tau_metadata_comments():
     tau = nw.tau_of(spec, "101101101")
     text = tau.clauses.to_dimacs()
     assert "b=101101101" in text and "base=parity" in text
+
+
+def tau_specs():
+    """(base, design, seeded b values): the q=3 tabular and parity
+    generators on every b in a seeded order, and the q=4 parity and toy-owp
+    ones on seeded b, half of them images of random seeds."""
+    rng = random.Random(29)
+    out = []
+    for base in [nw.builtin_base("tabular", 3, table="01101011"), nw.builtin_base("parity", 3)]:
+        b_values = [format(v, "09b") for v in range(512)]
+        rng.shuffle(b_values)
+        out.append(pytest.param(base, dg.poly_design(3, 2), b_values, id=f"q3-{base.name}"))
+    for base in [nw.builtin_base("parity", 4), nw.builtin_base("toy-owp", 4)]:
+        design = dg.poly_design(4, 2)
+        spec = nw.GeneratorSpec(design, base)
+        b_values = [nw.nw_eval(spec, format(rng.getrandbits(16), "016b")) if i % 2 else
+                    format(rng.getrandbits(16), "016b") for i in range(24)]
+        out.append(pytest.param(base, design, b_values, id=f"q4-{base.name}"))
+    return out
+
+
+@pytest.mark.parametrize("base, design, b_values", tau_specs())
+def test_kept_pieces_give_each_tau_the_clauses_of_a_fresh_spec(base, design, b_values):
+    """One long-lived spec, whose table of block pieces fills as b varies,
+    gives every b the clause set and the DIMACS text of a spec made for
+    that b alone; the table stays within m(m+1) pieces."""
+    kept = nw.GeneratorSpec(design, base)
+    m = design.m
+    for b in b_values:
+        tau = nw.tau_of(kept, b)
+        fresh = nw.tau_of(nw.GeneratorSpec(design, base), b)
+        assert tau.clauses == fresh.clauses, b
+        assert tau.clauses.to_dimacs() == fresh.clauses.to_dimacs(), b
+        assert len(kept._pieces) <= m * (m + 1), b
+    if m == 9:
+        # both q=3 bases have two checker sizes, and the sweep meets every
+        # first variable each block can have
+        assert len(kept._pieces) == m * (m + 1)
+
+
+@pytest.mark.parametrize("base, design, b_values", tau_specs())
+def test_editing_a_tau_changes_neither_the_table_nor_a_later_tau(base, design, b_values):
+    spec = nw.GeneratorSpec(design, base)
+    for b in b_values[:8]:
+        first = nw.tau_of(spec, b)
+        table = copy.deepcopy(spec._pieces)
+        text = first.clauses.to_dimacs()
+        for clause in first.clauses.clauses:
+            clause[0] = -clause[0]
+            clause.append(1)
+        first.clauses.clauses[0].clear()
+        assert spec._pieces == table, b
+        again = nw.tau_of(spec, b)
+        assert again.clauses.to_dimacs() == text, b
+        assert again.clauses == nw.tau_of(nw.GeneratorSpec(design, base), b).clauses
+
+
+def test_kept_pieces_are_outside_eq_hash_and_repr():
+    used, fresh = parity_spec(), parity_spec()
+    nw.tau_of(used, "101101101")
+    assert used._pieces and not fresh._pieces
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
 # ---------------------------------------------------------------------------
