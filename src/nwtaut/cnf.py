@@ -76,6 +76,11 @@ class ClauseSet:
     comments: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
+        for i, c in enumerate(self.comments):
+            # to_dimacs writes f"c {c}"; a line break there starts a new line
+            s = f"{c}"
+            if s and s.splitlines() != [s]:
+                raise CnfError(f"comment {i}: contains a line break")
         for ci, clause in enumerate(self.clauses):
             seen = set()
             for lit in clause:

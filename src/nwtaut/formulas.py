@@ -204,9 +204,6 @@ def to_text(f: Formula) -> str:
 # prints its four stage proofs through one memo, since the stages share line
 # formulas, and sizes each by its text; it holds all four proofs until it
 # returns, so each id stays with its formula while the memo lives.
-# frege.parse_proof prints candidates it may then discard:
-# it keeps each of them until it returns, since a freed id can pass to a new
-# formula, whose stale memo text would accept a line that spells another.
 # Formulas are not hash-consed, and hashing a nested tuple costs its size
 # (only a HashedFormula keeps its hash, and only the discharged hypothesis
 # is one), hence ids rather than the tuples as keys.

@@ -528,24 +528,18 @@ def proof_size_bits(proof: Proof) -> int:
 def parse_proof(text: str) -> Proof:
     """Read the line format of serialize_proof.
 
-    A line spelled as the printer spells its justification's formula (the
-    right disjunct of an mp line's second premise, or an axiom instance) is
-    read as that formula without re-parsing it, and as a rule without
-    printing it: the reader keeps each line's text beside the line and
-    compares texts it already holds (see _derived).  Any other spelling goes
-    through fm.parse, with the same result and the same error.  A formula
-    text read once is not read again, so a parsed proof shares subterms
-    between its lines.
-
-    printed is fm._text's memo for the candidates the reader does print,
-    so it holds the printer's spelling only; kept keeps every candidate
-    printed alive (see the comment above fm._text)."""
+    Each line is read by one of two routes.  A line spelled as the printer
+    spells its justification's formula (the right disjunct of an mp line's
+    second premise, or an axiom instance) is read as that formula without
+    parsing or printing it: the reader keeps each line's text beside the
+    line and compares texts it already holds (see _derived).  Any other
+    spelling goes through fm.parse, with the same result and the same
+    error.  A formula text read once is not read again, so a parsed proof
+    shares subterms between its lines."""
     lines: list[Line] = []
     texts: list[str] = []  # each line's formula text, stripped, beside lines
     saw_header = False
     read: dict[str, Formula] = {}  # text -> formula, over line formulas and sigma values
-    printed: dict[int, str] = {}   # fm._text's memo over the candidates
-    kept: list[Formula] = []       # every candidate printed
     for lineno, raw in enumerate(text.splitlines(), 1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -564,7 +558,7 @@ def parse_proof(text: str) -> Proof:
             just, values = _justification(jtext, lineno, read)
         except (ProofError, fm.ParseError) as e:
             just, err = None, e  # raised after the formula, which the line states first
-        f = None if just is None else _derived(just, values, ftext, lines, texts, printed, kept)
+        f = None if just is None else _derived(just, values, ftext, lines, texts)
         if f is not None:
             read.setdefault(ftext, f)
         else:
@@ -626,52 +620,36 @@ def _justification(
 
 def _derived(
     just: tuple, values: dict[int, str] | None, ftext: str, lines: list[Line],
-    texts: list[str], printed: dict[int, str], kept: list[Formula],
+    texts: list[str],
 ) -> Formula | None:
     """The formula just derives from the lines before it, if ftext spells it:
     the right disjunct of an mp line's second premise, or the axiom instance.
 
     Every text compared here parses to the formula it stands for (a line's
-    text to the line, a sigma text to its value, a printed text to the
-    candidate), and the printer's parentheses depend only on a child's root
-    tag, so a match means fm.parse(ftext) is the candidate:
+    text to the line, a sigma text to its value), and the printer's
+    parentheses depend only on a child's root tag, so a match means
+    fm.parse(ftext) is the candidate:
     - An mp line's candidate is read when its second premise's text is
       "~" + the first premise's text (in parentheses when that formula is
       binary) + " | " + ftext; the left disjunct is then one operand, so
       the premise's parse is an or whose right disjunct is ftext's parse.
     - An axiom line's candidate is read when ftext is the scheme's pattern
       (_axiom_pattern) filled with the sigma texts.
-    - Otherwise the candidate is printed through printed and compared."""
+    Otherwise None, and the caller parses ftext."""
     n = len(lines)
     if just[0] == "mp":
         _, a, b = just
-        if not (0 <= b < n and lines[b].formula[0] == "or"):
-            return None
-        f = lines[b].formula[2]
-        if 0 <= a < n:
+        if 0 <= a < n and 0 <= b < n and lines[b].formula[0] == "or":
             left = texts[a] if len(lines[a].formula) == 2 else f"({texts[a]})"
             if texts[b] == f"~{left} | {ftext}":
-                return f
+                return lines[b].formula[2]
     elif just[0] == "axiom" and just[1] in _INSTANCE:
         name, sigma = just[1], just[2]
-        f = _INSTANCE[name](sigma)
         ms = _METAVARS[name]
         pattern = _axiom_pattern(name, *[sigma[m][0] if m in sigma else None for m in ms])
         if pattern.format(*[values.get(m, "") for m in ms]) == ftext:
-            return f
-    else:
-        return None
-    kept.append(f)
-    return f if _spells(f, ftext, printed) else None
-
-
-def _spells(f: Formula, text: str, memo: dict[int, str]) -> bool:
-    """Whether the printer spells f as text; False where printing f exceeds
-    the recursion limit, which the parser does not have."""
-    try:
-        return fm._text(f, memo) == text
-    except RecursionError:
-        return False
+            return _INSTANCE[name](sigma)
+    return None
 
 
 @cache  # one entry per scheme and tuple of tags: at most 6^3 per scheme

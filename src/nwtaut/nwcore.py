@@ -88,8 +88,8 @@ def _parity_base(l: int) -> BaseFunction:
 
 
 def _tabular_base(l: int, table: str) -> BaseFunction:
-    if len(table) != 1 << l:
-        raise NWError(f"table must have {1 << l} bits")
+    if len(table) != 1 << l or table.strip("01"):
+        raise NWError(f"table must be {1 << l} bits of 0 and 1")
 
     def build(a: int) -> Circuit:
         b = CircuitBuilder([("u", l), ("y", 0)])

@@ -241,6 +241,8 @@ class ErrInstance:
             raise TaskError(
                 f"advice must have {self.triple.advice_width} bits, got {len(self.w)}"
             )
+        if self.w.strip("01"):
+            raise TaskError("advice w must be a string of 0 and 1")
         if len(self.witnesses) != 1 << self.k:
             raise TaskError("need one witness per index")
         if self.triple.k != self.k:

@@ -130,6 +130,14 @@ def test_gen_tau_explicit_b(tmp_path, capsys):
     assert "b=000000000: falsifiable (SAT)" in out
 
 
+@pytest.mark.parametrize("table", ["0110101x", "0110101\u0661"])
+def test_gen_tau_refuses_a_table_that_is_not_bits(table, capsys):
+    rc = run("gen-tau", "--q", "3", "--d", "2", "--base", "tabular", "--table", table,
+             "--b", "000000000")
+    assert rc == EXIT_ERROR
+    assert capsys.readouterr().err == "error: table must be 8 bits of 0 and 1\n"
+
+
 def test_gen_tau_bad_later_b_writes_nothing(tmp_path):
     outdir = tmp_path / "t2"
     outdir.mkdir()
@@ -365,6 +373,17 @@ def test_solve_err_and_pair_agree_on_wrong_advice(tmp_path, capsys):
     pair_out = capsys.readouterr().out
     get = lambda s: next(l.split()[1] for l in s.splitlines() if l.startswith("index"))
     assert get(err_out) == get(pair_out)
+
+
+@pytest.mark.parametrize("task", ["err", "pair"])
+def test_solve_refuses_advice_that_is_not_bits(tmp_path, capsys, task):
+    """pair's passthrough circuit would read the x as 0 and name an index."""
+    design = write_four_block_design(tmp_path)
+    rc = run("solve", "--task", task, "--design", design, "--seed", "1010", "--w", "101x")
+    assert rc == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.err == "error: advice w must be a string of 0 and 1\n"
+    assert "index" not in out.out
 
 
 def test_readme_solve_and_simulate_examples(tmp_path, monkeypatch):

@@ -356,6 +356,20 @@ def test_validate_rejects_literals_that_are_not_integers(clauses, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("comment", ["two\nlines", "end\r", "a\u2028b", "\x0c", "\x85x"])
+def test_validate_rejects_a_comment_with_a_line_break(comment):
+    """to_dimacs would write the comment's tail as a line of its own."""
+    with pytest.raises(CnfError) as e:
+        ClauseSet([[1]], 1, ["fine", comment]).validate()
+    assert str(e.value) == "comment 1: contains a line break"
+
+
+def test_validate_accepts_comments_on_one_line():
+    cs = ClauseSet([[1]], 1, ["", "tau b=01 \t tabs"])
+    cs.validate()
+    assert parse_dimacs(cs.to_dimacs()).clauses == [[1]]
+
+
 def test_validate_rejects_out_of_range():
     with pytest.raises(CnfError):
         ClauseSet([[3]], 2).validate()

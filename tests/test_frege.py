@@ -888,16 +888,6 @@ def test_parse_proof_reads_an_mp_line_through_its_premise():
     assert proof.lines[2].formula is proof.lines[1].formula[2]
 
 
-def test_parse_proof_shares_a_sigma_value_spelled_otherwise():
-    """A line spelled as the printer spells its axiom instance is read as the
-    instance, and so shares its sigma value, whatever the sigma text."""
-    proof = fr.parse_proof(
-        "proof\n1 ~((x1 | x2) & x3) | x1 | x2 ; axiom C1 [1:=(x1 | x2)] [2:=x3]\n")
-    line = proof.lines[0]
-    assert line.formula == fm.parse("~((x1 | x2) & x3) | x1 | x2")
-    assert line.formula[2] is line.just[2][1]
-
-
 def _printed_corpus():
     """Seeded kernel proofs of every kind the toolkit prints: D1 (substitution
     into an axiom line, sigma keys the scheme ignores included), D2, D3,

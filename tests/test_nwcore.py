@@ -79,6 +79,14 @@ def test_toy_owp_odd_width_rejected():
         nw.builtin_base("toy-owp", 5)
 
 
+@pytest.mark.parametrize("table", ["0110101x", "0110101\u0661", "0110 101", "0110101"])
+def test_tabular_table_must_be_bits(table):
+    """int() would read an Arabic-Indic digit as a digit, and raise its own
+    message on an "x"; the table is refused before either."""
+    with pytest.raises(nw.NWError, match="^table must be 8 bits of 0 and 1$"):
+        nw.builtin_base("tabular", 3, table=table)
+
+
 # ---------------------------------------------------------------------------
 # the generator
 

@@ -8,6 +8,7 @@ or moved into the test that needs it.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -89,3 +90,23 @@ def _unused_imports() -> list[str]:
 def test_no_test_only_public_code():
     unused = _unused_definitions() + _unused_imports()
     assert not unused, "nothing outside the tests uses " + ", ".join(unused)
+
+
+def test_traced_names_resolve():
+    """Every (module, "name" or "Class.member") that perfbench's tracer wraps
+    is still defined in the package, as the tracer looks it up: a deleted
+    name would crash a traced benchmark run.  TRACED is read from the
+    tracer's source, so perfbench is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    [traced] = [ast.literal_eval(stmt.value) for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["TRACED"]]
+    assert traced
+    missing = []
+    for module, attr, _ in traced:
+        home = importlib.import_module(f"nwtaut.{module}")
+        owner_name, _, member = attr.rpartition(".")
+        owner = getattr(home, owner_name) if owner_name else home
+        if member not in vars(owner):
+            missing.append(f"{module}.{attr}")
+    assert not missing, "perfbench/tracer.py traces missing names: " + ", ".join(missing)

@@ -248,6 +248,15 @@ def test_err_instance_validation():
         tk.ErrInstance(tri, 2, flipped, "1010", wits, "1010")
 
 
+@pytest.mark.parametrize("w", ["101x", "10\u0661\u0660", "1 10"])
+def test_err_instance_refuses_advice_that_is_not_bits(w):
+    """The passthrough circuit would read a junk character of w as 0."""
+    spec = four_block_spec()
+    L, wits = nw.ttable_from_seed(spec, "1010")
+    with pytest.raises(tk.TaskError, match="^advice w must be a string of 0 and 1$"):
+        tk.ErrInstance(nw.err_triple(spec), 2, L, "1010", wits, w)
+
+
 def test_err_instance_rejects_a_non_binary_table():
     tri = nw.err_triple(four_block_spec())
     _, wits = nw.ttable_from_seed(four_block_spec(), "1010")
