@@ -229,7 +229,7 @@ def circuit_clauses(circ: Circuit) -> tuple[ClauseSet, list[int]]:
     return ClauseSet(clauses, nvars), outs
 
 
-def circuit_clauses_mapped(circ: Circuit, wire_vars: list[int]) -> tuple[list[list[int]], list[int]]:
+def circuit_clauses_mapped(circ: Circuit, wire_vars: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Tseitin clauses with a caller-chosen variable for every wire
     (inputs then gates); returns (clauses, output variables)."""
     if circ.has_opaque():
@@ -237,7 +237,7 @@ def circuit_clauses_mapped(circ: Circuit, wire_vars: list[int]) -> tuple[list[li
     n_in = circ.n_inputs
     if len(wire_vars) != n_in + len(circ.gates):
         raise CircuitError("wire variable map has wrong length")
-    clauses: list[list[int]] = []
+    clauses: list[tuple[int, ...]] = []
     for v, g in zip(wire_vars[n_in:], circ.gates):
         # g[-1] is the second operand of AND/OR and is ignored for NOT
         clauses.extend(gate_clauses(g[0], v, wire_vars[g[1]], wire_vars[g[-1]]))
@@ -342,8 +342,7 @@ def sat_search(
         circ.group_offset(n)  # validates the name
 
     # kept in the circuit's __dict__, beside its fields, so ==, hash and repr
-    # ignore it; the circuit is frozen with tuple gates, and dpll_solve leaves
-    # its input clauses unchanged, so the kept set stays the circuit's.  A
+    # ignore it; the circuit is frozen with tuple gates and so is the set.  A
     # kept set proves the circuit explicit: has_opaque() runs only without one
     cs = circ.__dict__.get("_clauses")
     if cs is None and circ.has_opaque():
@@ -362,8 +361,7 @@ def sat_search(
         return None
     if cs is None:
         cs, outs = circuit_clauses(circ)
-        cs.clauses.append([outs[0]])
-        circ.__dict__["_clauses"] = cs
+        cs = circ.__dict__["_clauses"] = ClauseSet((*cs.clauses, (outs[0],)), cs.nvars)
     fixing: dict[int, int] = {}
     for name, bits in fixed.items():
         off, w = circ.group_offset(name)

@@ -31,12 +31,24 @@ EXIT_ERROR = 2
 EXIT_NONE = 3
 EXIT_UNKNOWN = 4
 
+NAME_MAX = 255  # bytes in one file name on common file systems
+
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _tau_file_name(b: str) -> str:
+    """tau_<b>.cnf, or tau_sha256_<hex digest of b>.cnf when the temp file
+    of the first would be named with more than NAME_MAX bytes (m >= 244);
+    the DIMACS comment and the manifest's argv still give b."""
+    name = f"tau_{b}.cnf"
+    if len(f"{name}.tmp".encode()) > NAME_MAX:
+        name = f"tau_sha256_{tk.sha256_hex(b)}.cnf"
+    return name
 
 
 def _write_manifest(
@@ -148,7 +160,7 @@ def cmd_gen_tau(args, argv) -> int:
     verdicts: list[bool] = []
     for b in b_list:
         tau = nw.tau_of(spec, b)
-        outputs[f"tau_{b}.cnf"] = tau.clauses.to_dimacs()
+        outputs[_tau_file_name(b)] = tau.clauses.to_dimacs()
         if args.verdict:
             verdicts.append(nw.tau_verdict(tau))
     os.makedirs(args.outdir, exist_ok=True)

@@ -36,13 +36,12 @@ first solve on, since ``sat_search`` asks one circuit's clause set many
 questions; MiniSat likewise keeps its clause database across searches.
 Learned clauses go into per-call copies of the lists they touch, so the
 kept lists hold input clauses only and every call starts from them alone.
-The index is keyed on the variable and clause counts: clauses may be
-appended to a solved set, but editing a clause in place is not supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain
 
 
@@ -61,19 +60,21 @@ def _decimal(token: str) -> int | None:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClauseSet:
-    """A list of clauses (nonzero integer literals) over variables 1..nvars.
+    """A tuple of clauses (tuples of nonzero integer literals) over variables
+    1..nvars; lists are converted, and clause tuples are kept as given.
 
-    ``dpll_solve`` keeps its index of the clauses in the instance's
-    ``__dict__``, outside ``==`` and ``repr``, and rebuilds it when ``nvars``
-    or the number of clauses changes.  So a solved set may have clauses
-    appended, but a clause edited in place, or one list swapped for another
-    of the same count, is not seen by later solves."""
+    The set cannot change, so ``dpll_solve`` keeps its index of the clauses
+    in the instance's ``__dict__``, outside ``==``, hash and ``repr``."""
 
-    clauses: list[list[int]]
+    clauses: tuple[tuple[int, ...], ...]
     nvars: int
-    comments: list[str] = field(default_factory=list)
+    comments: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
+        object.__setattr__(self, "comments", tuple(self.comments))
 
     def validate(self) -> None:
         for i, c in enumerate(self.comments):
@@ -108,14 +109,14 @@ class ClauseSet:
         return "\n".join(lines) + template % tuple(chain.from_iterable(self.clauses))
 
 
-def gate_clauses(op: str, v: int, a: int, b: int) -> list[list[int]]:
+def gate_clauses(op: str, v: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Tseitin clauses (Tseitin 1968) making literal v equal to op applied to
     literals a and b: "and", "or", or "not" (which ignores b)."""
     if op == "not":
-        return [[-v, -a], [v, a]]
+        return (-v, -a), (v, a)
     if op == "and":
-        return [[-v, a], [-v, b], [v, -a, -b]]
-    return [[-v, a, b], [v, -a], [v, -b]]
+        return (-v, a), (-v, b), (v, -a, -b)
+    return (-v, a, b), (v, -a), (v, -b)
 
 
 def _literal(token: str) -> int | None:
@@ -182,22 +183,22 @@ def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
     return units
 
 
-def _solver_index(cs: ClauseSet) -> tuple[list[list[list[int]]], list[int], bool]:
-    """The index cs keeps (see ClauseSet): the occurrence list of each
-    literal over its input clauses, indexed by literal, its unit literals in
-    clause order, and whether a clause is empty.  Callers never write to it."""
-    key = (cs.nvars, len(cs.clauses))
+def _solver_index(cs: ClauseSet) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
+    """The index cs keeps (see ClauseSet), built on its first solve: the
+    occurrence list of each literal over its input clauses, indexed by
+    literal, its unit literals in clause order, and whether a clause is
+    empty.  Callers never write to it."""
     kept = cs.__dict__.get("_index")
-    if kept is None or kept[0] != key:
-        occ: list[list[list[int]]] = [[] for _ in range(2 * cs.nvars + 1)]
+    if kept is None:
+        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * cs.nvars + 1)]
         units = []
         for clause in cs.clauses:
             if len(clause) == 1:
                 units.append(clause[0])
             for lit in clause:
                 occ[lit].append(clause)
-        kept = cs.__dict__["_index"] = (key, occ, units, not all(cs.clauses))
-    return kept[1:]
+        kept = cs.__dict__["_index"] = (occ, units, not all(cs.clauses))
+    return kept
 
 
 def dpll_solve(
@@ -218,12 +219,18 @@ def dpll_solve(
     ``[]`` at the final conflict, so an unsatisfiable answer leaves a DRUP
     refutation that ``check_rup`` accepts.
 
+    ``cs`` must be a set that ``validate`` accepts.  Validation takes more
+    than a third of the time of a q=3 tau solve, so it is not run up front:
+    when the search raises IndexError or TypeError, as some literals out of
+    range or not integers make it do, validate's ``CnfError`` is raised
+    instead.
+
     The occurrence lists of the input clauses are built on the first solve
-    of ``cs`` and kept for later ones (see ``ClauseSet``: clauses may be
-    appended, not edited).  A learned clause is added to per-call copies of
-    the lists of its literals, never to the kept ones, so propagation visits
-    input clauses in input order, then this call's learned clauses in
-    learning order, and no lemma outlives its call.
+    of ``cs`` and kept for later ones (see ``ClauseSet``).  A learned clause
+    is added to per-call copies of the lists of its literals, never to the
+    kept ones, so propagation visits input clauses in input order, then this
+    call's learned clauses in learning order, and no lemma outlives its
+    call.
 
     The first model found is the lex-least one over the (completed) order.
     A decision at level L sets the first unassigned order variable to 0, so
@@ -243,6 +250,19 @@ def dpll_solve(
         for var in order:
             if not 1 <= var <= nvars:
                 raise CnfError(f"decision order entry {var} out of range")
+    try:
+        return _search(cs, units, order, lemmas)
+    except (IndexError, TypeError):
+        cs.validate()
+        raise
+
+
+def _search(
+    cs: ClauseSet, units: list[int], order: Sequence[int], lemmas: list[list[int]] | None
+) -> dict[int, int] | None:
+    """dpll_solve's search from checked arguments: ``units`` holds the
+    fixings, ``order`` the decision order."""
+    nvars = cs.nvars
     kept, input_units, empty = _solver_index(cs)
     units += input_units
     # value and occurrence lists are indexed by literal: -v wraps to the back;
@@ -252,13 +272,13 @@ def dpll_solve(
     # per variable: decision level and the clause that implied it (None for
     # decisions and fixings); per level above 0: (trail mark, order position)
     level = [0] * (nvars + 1)
-    reason: list[list[int] | None] = [None] * (nvars + 1)
+    reason: list[Sequence[int] | None] = [None] * (nvars + 1)
     levels: list[tuple[int, int]] = []
     trail: list[int] = []
     head = 0
     seen = [False] * (nvars + 1)  # the variables analyze has met, reset after
 
-    def propagate() -> list[int] | None:
+    def propagate() -> Sequence[int] | None:
         """Make the units of every clause of each newly false literal true;
         return a clause that became false, or None."""
         nonlocal head
@@ -285,7 +305,7 @@ def dpll_solve(
                     trail.append(unit)
         return None
 
-    def analyze(conflict: list[int]) -> list[int]:
+    def analyze(conflict: Sequence[int]) -> list[int]:
         """The 1UIP clause of a conflict at the current level (GRASP), its
         asserting literal first and level-0 literals dropped."""
         depth = len(levels)
@@ -387,13 +407,15 @@ def check_rup(
     units and the earlier lemmas, with every literal of the lemma made
     false, reaches a conflict.  This propagation is written apart from the
     solver's, so that a fault there cannot hide itself.  ``fixed`` follows
-    ``dpll_solve``'s rule, and a bad one raises ``CnfError``.
+    ``dpll_solve``'s rule, and a bad one raises ``CnfError``, as does a
+    clause set that ``validate`` refuses.
     """
+    cs.validate()
     nvars = cs.nvars
     clauses = [*cs.clauses, *([lit] for lit in _fixed_literals(fixed, nvars))]
     if not lemmas or lemmas[-1]:
         return False
-    occ: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
+    occ: list[list[Sequence[int]]] = [[] for _ in range(2 * nvars + 1)]
     for clause in clauses:
         for lit in clause:
             occ[lit].append(clause)

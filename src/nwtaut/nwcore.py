@@ -9,7 +9,7 @@ itemgetter call (built once per design, which keeps it) and cuts the result
 into l-bit block inputs.  Each base function keeps a table of the inputs it
 has evaluated, so an input is computed once per base and the table holds at
 most 2^l entries.  Likewise a spec keeps the clauses of each tau block it has
-translated, which tau_of copies into every tau that has the block.
+translated, which every tau that has the block shares.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ class TauResult:
 
     Variable layout: seed bits x are 1..n; then per output bit i (in output
     order) a fresh witness block y^(i) followed by that block's computation
-    variables.  The clause lists are this result's own (see tau_of)."""
+    variables."""
 
     clauses: ClauseSet
 
@@ -287,8 +287,7 @@ def _tau_piece(spec: GeneratorSpec, i: int, bit: str, next_var: int) -> tuple[tu
     end = next_var + base.witness_width + checker.size
     J = blocks(spec.design)[i]
     clauses, outs = circuit_clauses_mapped(checker, [*J, *range(next_var, end)])
-    clauses.append([outs[0]])
-    return tuple(map(tuple, clauses)), end
+    return (*clauses, (outs[0],)), end
 
 
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
@@ -299,9 +298,8 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     its output unit, as tuples) under the key (i, b_i, first variable),
     built on first use.  The first variable of block i is n + 1 plus the
     sizes of the earlier blocks; with two checker sizes, block i sees at
-    most i + 1 of them, so the table holds at most m(m+1) pieces.  Each
-    result gets its own lists copied from the pieces, so editing its
-    clauses changes neither the table nor a later result."""
+    most i + 1 of them, so the table holds at most m(m+1) pieces, whose
+    clause tuples every result shares."""
     design = spec.design
     base = spec.base
     if len(b) != design.m or b.strip("01"):
@@ -309,21 +307,20 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     n = design.n
     pieces = spec._pieces
     next_var = n + 1
-    clauses: list[list[int]] = []
+    clauses: list[tuple[int, ...]] = []
     for i, bit in enumerate(b):
         piece = pieces.get((i, bit, next_var))
         if piece is None:
             piece = pieces[i, bit, next_var] = _tau_piece(spec, i, bit, next_var)
-        clauses += map(list, piece[0])
+        clauses += piece[0]
         next_var = piece[1]
-    cs = ClauseSet(clauses, next_var - 1)
-    cs.comments = [
+    comments = (
         f"tau(NW)_b negation: design n={n} m={design.m} l={design.l} d={design.d} tag={design.tag}",
         f"base={base.name} witness_width={base.witness_width}",
         f"b={b}",
         "vars: x=1.." + str(n) + " then per-block witness and computation vars",
-    ]
-    return TauResult(cs)
+    )
+    return TauResult(ClauseSet(clauses, next_var - 1, comments))
 
 
 def tau_verdict(tau: TauResult) -> bool:

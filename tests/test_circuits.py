@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nwtaut import circuits as cc
 from nwtaut import formulas as fm
+from nwtaut.cnf import ClauseSet
 
 
 def xor_chain(n):
@@ -189,30 +190,50 @@ def test_sat_search_keeps_one_clause_set_per_circuit(monkeypatch):
     assert len(translated) == 1 and len(solved) == 20
     assert all(cs is solved[0] for cs in solved)
     fresh, outs = translate(circ)
-    fresh.clauses.append([outs[0]])
-    assert solved[0] == fresh
+    assert solved[0] == ClauseSet((*fresh.clauses, (outs[0],)), fresh.nvars)
     assert learned[:2] == [True, True]
+
+
+def random_predicate(rng):
+    """A random single-output circuit over up to three groups, or None when
+    the drawn groups have no inputs."""
+    b = cc.CircuitBuilder(
+        [(name, rng.randint(0, 3)) for name in "abc"[: rng.randint(1, 3)]]
+    )
+    if b.n_in == 0:
+        return None
+    for _ in range(rng.randint(1, 40)):
+        top = b.n_in + len(b.gates)
+        op = rng.choice(("NOT", "AND", "OR", "OR"))
+        # mostly recent wires, so the circuit is deep as well as wide
+        args = [max(0, top - 1 - int(rng.expovariate(0.3))) for _ in range(2)]
+        getattr(b, op)(*args[: 1 if op == "NOT" else 2])
+    return b.build([b.n_in + len(b.gates) - 1])
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_sat_search_is_lex_least_on_random_circuits(seed):
     rng = random.Random(100 + seed)
     for _ in range(5):
-        b = cc.CircuitBuilder(
-            [(name, rng.randint(0, 3)) for name in "abc"[: rng.randint(1, 3)]]
-        )
-        if b.n_in == 0:
+        circ = random_predicate(rng)
+        if circ is None:
             continue
-        for _ in range(rng.randint(1, 40)):
-            top = b.n_in + len(b.gates)
-            op = rng.choice(("NOT", "AND", "OR", "OR"))
-            # mostly recent wires, so the circuit is deep as well as wide
-            args = [max(0, top - 1 - int(rng.expovariate(0.3))) for _ in range(2)]
-            getattr(b, op)(*args[: 1 if op == "NOT" else 2])
-        circ = b.build([b.n_in + len(b.gates) - 1])
         for _ in range(6):
             fixed = random_fixing(rng, circ)
             assert cc.sat_search(circ, fixed=fixed) == brute_sat(circ, fixed)
+
+
+def test_kept_clause_set_is_the_translation_plus_the_output_unit():
+    rng = random.Random(7)
+    searched = 0
+    while searched < 12:
+        circ = random_predicate(rng)
+        if circ is None:
+            continue
+        cc.sat_search(circ, fixed=random_fixing(rng, circ))
+        cs, outs = cc.circuit_clauses(circ)
+        assert vars(circ)["_clauses"] == ClauseSet((*cs.clauses, (outs[0],)), cs.nvars)
+        searched += 1
 
 
 def test_kept_clause_set_is_outside_eq_hash_and_repr():

@@ -14,7 +14,7 @@ from nwtaut import circuits as cc
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
-from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, main
+from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, NAME_MAX, _tau_file_name, main
 
 
 def run(*argv):
@@ -147,6 +147,27 @@ def test_gen_tau_bad_later_b_writes_nothing(tmp_path):
     )
     assert rc == EXIT_ERROR
     assert os.listdir(outdir) == []
+
+
+def test_gen_tau_names_a_long_b_by_its_digest(tmp_path):
+    """At q=7, d=3, tau_<b>.cnf.tmp would take 355 bytes, over NAME_MAX."""
+    b = "1" * 343
+    rc = run("gen-tau", "--q", "7", "--d", "3", "--base", "parity", "--b", b,
+             "--outdir", str(tmp_path))
+    assert rc == EXIT_SOLUTION
+    name = f"tau_sha256_{hashlib.sha256(b.encode()).hexdigest()}.cnf"
+    assert sorted(os.listdir(tmp_path)) == ["gen-tau.manifest", name]
+    assert f"\nc b={b}\n" in (tmp_path / name).read_text()
+    manifest = (tmp_path / "gen-tau.manifest").read_text()
+    assert f" --b {b} " in manifest and f"\noutput {name} " in manifest
+
+
+@pytest.mark.parametrize("m, named_by_b", [(243, True), (244, False)])
+def test_tau_file_name_keeps_b_while_the_temp_name_fits(m, named_by_b):
+    b = "01" * (m // 2) + "1" * (m % 2)
+    name = _tau_file_name(b)
+    assert (name == f"tau_{b}.cnf") is named_by_b
+    assert len(name) + len(".tmp") <= NAME_MAX
 
 
 def test_gen_tau_needs_b_or_sweep(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -99,7 +100,7 @@ def test_dpll_learning_agrees_with_brute_force():
         ]
         lemmas: list[list[int]] = []
         got = dpll_solve(cs, fixed=fixed, decision_order=order, lemmas=lemmas)
-        assert cs.clauses == clauses and cs.nvars == n
+        assert cs.clauses == tuple(map(tuple, clauses)) and cs.nvars == n
         learned += any(lemmas)
         if models:
             assert got == min(models, key=lambda a: [a[v] for v in order])
@@ -146,7 +147,7 @@ def test_kept_index_gives_each_solve_the_answer_of_a_fresh_set():
             digest.update(repr(got).encode())
             learned += len(got[1]) > 1
             refuted += got[0] is None and len(got[1]) > 1
-        assert kept.clauses == clauses
+        assert kept.clauses == tuple(map(tuple, clauses))
     assert learned >= 40 and refuted >= 10
     assert digest.hexdigest() == "ec0e94200b7bebbb8d453b7afabbe7fbc26c602918da99d5569db048229b7af2"
 
@@ -164,18 +165,16 @@ def test_repeated_refutation_logs_the_same_lemmas():
 
 
 def test_clauses_appended_after_a_solve_are_seen():
+    """A set grown from a solved one, by clauses or by variables, is built
+    anew: its solves see the growth, and the solved set still answers for
+    its own clauses."""
     cs = ClauseSet([[1, 2], [-1, 2]], 2)
     assert dpll_solve(cs) == {1: 0, 2: 1}
-    cs.clauses.append([-2])
-    assert solve_logged(cs) == (None, [[]])
-    cs.clauses.pop()
-    assert dpll_solve(cs) == {1: 0, 2: 1}  # same count as the first solve
-    cs.clauses.append([])
-    assert solve_logged(cs) == (None, [[]])
-    cs = ClauseSet([[1, 2], [-1, 2]], 2)
+    assert solve_logged(ClauseSet((*cs.clauses, (-2,)), 2)) == (None, [[]])
     assert dpll_solve(cs) == {1: 0, 2: 1}
-    cs.nvars = 5
-    assert dpll_solve(cs) == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0}
+    assert solve_logged(ClauseSet((*cs.clauses, ()), 2)) == (None, [[]])
+    assert dpll_solve(dataclasses.replace(cs, nvars=5)) == {1: 0, 2: 1, 3: 0, 4: 0, 5: 0}
+    assert dpll_solve(cs) == {1: 0, 2: 1}
     # random sets: blocking each model found moves the next solve on to the
     # next least model, as a fresh copy of the grown set finds it
     rng = random.Random(9)
@@ -184,7 +183,7 @@ def test_clauses_appended_after_a_solve_are_seen():
         cs = ClauseSet(random_3cnf(rng, n, 3.8), n)
         model = dpll_solve(cs)
         while model is not None:
-            cs.clauses.append([-v if model[v] else v for v in range(1, n + 1)])
+            cs = ClauseSet((*cs.clauses, [-v if model[v] else v for v in range(1, n + 1)]), n)
             got = solve_logged(cs)
             assert got == solve_logged(ClauseSet([list(c) for c in cs.clauses], n))
             assert got[0] != model
@@ -198,6 +197,56 @@ def test_kept_index_is_outside_eq_and_repr():
     dpll_solve(solved, lemmas=[])
     assert solved == twin and repr(solved) == repr(twin)
     assert solved.to_dimacs() == twin.to_dimacs()
+
+
+def test_a_solved_set_cannot_be_edited():
+    """The kept index needs no check that the clauses it indexed are still
+    the set's: no clause, no clause tuple and no field can be replaced."""
+    for clauses, edit, answer in [([[1], [2]], [-1], {1: 1, 2: 1}), ([[1], [-1]], [2], None)]:
+        cs = ClauseSet(clauses, 2)
+        assert dpll_solve(cs) == answer
+        with pytest.raises(TypeError):
+            cs.clauses[1] = edit
+        with pytest.raises(TypeError):
+            cs.clauses[1][0] = edit[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.clauses = ((1,), tuple(edit))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.nvars = 3
+        assert dpll_solve(cs) == answer == dpll_solve(ClauseSet(clauses, 2))
+        assert hash(cs) == hash(ClauseSet(clauses, 2))
+
+
+def test_clause_set_keeps_clause_tuples_and_converts_lists():
+    given = ((1, -2), (2,), ())
+    cs = ClauseSet(given, 2, ("c",))
+    assert all(kept is clause for kept, clause in zip(cs.clauses, given, strict=True))
+    assert cs.comments == ("c",)
+    listed = ClauseSet([[1, -2], [2], []], 2, ["c"])
+    assert listed == cs and listed.clauses == given and listed.comments == ("c",)
+
+
+@pytest.mark.parametrize("clauses, nvars, message", [
+    ([[3]], 1, "clause 0: literal 3 exceeds nvars=1"),
+    ([[-4, 2], [-2]], 3, "clause 0: literal -4 exceeds nvars=3"),
+    ([[1, "2"]], 2, "clause 0: literal '2' is not an integer"),
+])
+def test_solver_raises_the_validate_error_for_a_set_it_cannot_search(clauses, nvars, message):
+    """The search fails on these sets (IndexError or TypeError); the error
+    raised is validate's, which names the clause."""
+    with pytest.raises(CnfError) as e:
+        dpll_solve(ClauseSet(clauses, nvars))
+    assert str(e.value) == message
+
+
+def test_check_rup_refuses_a_set_that_validate_refuses():
+    """With x3 declared, x3 = 0 satisfies the set, so no log may certify it
+    unsatisfiable while x3 is out of range."""
+    cs = ClauseSet([[1, -3], [-1], [-2]], 2)
+    with pytest.raises(CnfError) as e:
+        check_rup(cs, [[]])
+    assert str(e.value) == "clause 0: literal -3 exceeds nvars=2"
+    assert dpll_solve(ClauseSet(cs.clauses, 3)) == {1: 0, 2: 0, 3: 0}
 
 
 def test_check_rup_rejects_what_unit_propagation_does_not_imply():
@@ -271,7 +320,7 @@ def test_dimacs_round_trip():
     back = parse_dimacs(cs.to_dimacs())
     assert back.clauses == cs.clauses
     assert back.nvars == 3
-    assert back.comments == ["meta x=1"]
+    assert back.comments == ("meta x=1",)
 
 
 def reference_dimacs(cs: ClauseSet) -> str:
@@ -289,7 +338,7 @@ def test_dimacs_matches_the_clause_by_clause_text(clauses, comments):
     cs = ClauseSet(clauses, 3, comments)
     assert cs.to_dimacs() == reference_dimacs(cs)
     back = parse_dimacs(cs.to_dimacs())
-    assert (back.clauses, back.comments) == (clauses, comments)
+    assert (back.clauses, back.comments) == (tuple(map(tuple, clauses)), tuple(comments))
 
 
 def random_clauses(rng: random.Random) -> list[list[int]]:
@@ -317,7 +366,7 @@ def test_dimacs_matches_the_clause_by_clause_text_on_random_clause_sets():
         text = cs.to_dimacs()
         assert text == reference_dimacs(cs), i
         back = parse_dimacs(text)
-        assert (back.clauses, back.comments) == (clauses, comments), i
+        assert (back.clauses, back.comments) == (tuple(map(tuple, clauses)), tuple(comments)), i
     assert widths == set(range(13))
     assert ClauseSet([[10**7, -(10**7)]], 10**7).to_dimacs() == "p cnf 10000000 1\n10000000 -10000000 0\n"
 
@@ -367,7 +416,7 @@ def test_validate_rejects_a_comment_with_a_line_break(comment):
 def test_validate_accepts_comments_on_one_line():
     cs = ClauseSet([[1]], 1, ["", "tau b=01 \t tabs"])
     cs.validate()
-    assert parse_dimacs(cs.to_dimacs()).clauses == [[1]]
+    assert parse_dimacs(cs.to_dimacs()).clauses == ((1,),)
 
 
 def test_validate_rejects_out_of_range():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -343,14 +344,34 @@ def test_editing_a_tau_changes_neither_the_table_nor_a_later_tau(base, design, b
         first = nw.tau_of(spec, b)
         table = copy.deepcopy(spec._pieces)
         text = first.clauses.to_dimacs()
-        for clause in first.clauses.clauses:
-            clause[0] = -clause[0]
-            clause.append(1)
-        first.clauses.clauses[0].clear()
+        clauses = first.clauses.clauses
+        with pytest.raises(TypeError):
+            clauses[0][0] = -clauses[0][0]
+        with pytest.raises(AttributeError):
+            clauses[0].append(1)
+        with pytest.raises(TypeError):
+            clauses[0] = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.clauses.clauses = ()
+        assert first.clauses.to_dimacs() == text, b
         assert spec._pieces == table, b
         again = nw.tau_of(spec, b)
         assert again.clauses.to_dimacs() == text, b
         assert again.clauses == nw.tau_of(nw.GeneratorSpec(design, base), b).clauses
+
+
+@pytest.mark.parametrize("base, design, b_values", tau_specs())
+def test_a_tau_shares_the_clause_tuples_of_its_kept_pieces(base, design, b_values):
+    spec = nw.GeneratorSpec(design, base)
+    for b in b_values[:8]:
+        cs = nw.tau_of(spec, b).clauses
+        shared = []
+        next_var = design.n + 1
+        for i, bit in enumerate(b):
+            clauses, next_var = spec._pieces[i, bit, next_var]
+            shared += clauses
+        assert cs.nvars == next_var - 1, b
+        assert all(a is c for a, c in zip(cs.clauses, shared, strict=True)), b
 
 
 def test_kept_pieces_are_outside_eq_hash_and_repr():
