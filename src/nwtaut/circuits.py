@@ -22,6 +22,7 @@ with j and i ASCII decimals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import formulas as fm
 from .cnf import ClauseSet, _decimal, dpll_solve, gate_clauses
@@ -96,6 +97,15 @@ class Circuit:
 
     def has_opaque(self) -> bool:
         return any(g[0] == "opaque" for g in self.gates)
+
+    @cached_property
+    def _clauses(self) -> ClauseSet | None:
+        """sat_search's clause set, the Tseitin clauses plus the output unit,
+        built on the first search; None for an opaque circuit."""
+        if self.has_opaque():
+            return None
+        cs, outs = circuit_clauses(self)
+        return ClauseSet((*cs.clauses, (outs[0],)), cs.nvars)
 
 
 class CircuitBuilder:
@@ -329,10 +339,10 @@ def sat_search(
     The circuit is read as a predicate through its single output wire.
     Explicit circuits run through the DPLL engine on their Tseitin clauses
     plus the output unit, translated on the first search and kept by the
-    circuit for every later one, which also reuses the solver index that
-    ``dpll_solve`` keeps with the clause set; only the fixings and the
-    decision order are built per call.  Opaque ones enumerate the free bits
-    (at most ``budget`` of them).
+    circuit (``Circuit._clauses``) for every later one, which also reuses
+    the clause set's solver index; only the fixings and the decision order
+    are built per call.  Opaque ones enumerate the free bits (at most
+    ``budget`` of them).
     """
     if len(circ.outputs) != 1:
         raise CircuitError("sat_search needs a single-output circuit")
@@ -341,11 +351,8 @@ def sat_search(
     for n in fixed:
         circ.group_offset(n)  # validates the name
 
-    # kept in the circuit's __dict__, beside its fields, so ==, hash and repr
-    # ignore it; the circuit is frozen with tuple gates and so is the set.  A
-    # kept set proves the circuit explicit: has_opaque() runs only without one
-    cs = circ.__dict__.get("_clauses")
-    if cs is None and circ.has_opaque():
+    cs = circ._clauses
+    if cs is None:
         nfree = sum(w for _, w in free_groups)
         if nfree > budget:
             raise fm.BudgetError(f"{nfree} free bits exceed enumeration budget {budget}")
@@ -359,9 +366,6 @@ def sat_search(
             if eval_circuit(circ, inputs, oracles) == "1":
                 return {n: inputs[n] for n, _ in free_groups}
         return None
-    if cs is None:
-        cs, outs = circuit_clauses(circ)
-        cs = circ.__dict__["_clauses"] = ClauseSet((*cs.clauses, (outs[0],)), cs.nvars)
     fixing: dict[int, int] = {}
     for name, bits in fixed.items():
         off, w = circ.group_offset(name)
@@ -461,6 +465,8 @@ def parse_circuit(text: str) -> Circuit:
             groups.append((name, width))
             continue
         if toks[0] == "output":
+            if outputs is not None:
+                raise err(lineno, "second output line")
             outputs = [resolve(t, lineno) for t in toks[1:]]
             continue
         # gate line: g<i> = OP a [b]

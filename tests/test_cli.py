@@ -198,13 +198,13 @@ def test_check_proof_reports_the_size_of_the_canonical_text(tmp_path, capsys):
 
 
 def test_check_proof_names_a_malformed_line(tmp_path, capsys):
-    """A text parse_proof reads whose line is not well formed (sigma key 0
-    names no variable) is not sized: the error names the line."""
+    """A line that is not well formed (sigma key 0 names no variable) is
+    refused as it is read, not sized: the error names the file's line."""
     path = tmp_path / "k0.proof"
     path.write_text("proof\n1 1 ; axiom T1 [0:=x1]\n")
     assert run("check-proof", "--tau", "1", "--proof", str(path)) == EXIT_ERROR
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: line 1: malformed substitution {0: ('var', 1)}\n"
+    assert out.out == "" and out.err == "error: line 2: bad substitution '[0:=x1'\n"
 
 
 def test_check_proof_quotes_mp_premises_as_the_text_numbers_lines(tmp_path, capsys):
@@ -580,6 +580,19 @@ def test_truncated_input_lines_end_in_an_exit_code(tmp_path, text, argv):
      "line 3: bad number 'a'"),
 ], ids=["width-superscript", "width-negative", "poly-q-d", "design-header", "block"])
 def test_bad_numbers_in_input_files_name_their_line(tmp_path, capsys, text, argv, msg):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run(*(a.format(file=path) for a in argv)) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
+@pytest.mark.parametrize("text, argv, msg", [
+    ("proof\n1 1 ; axiom T1 [1:=x1] [1:=x2]\n", ["check-proof", "--tau", "1", "--proof", "{file}"],
+     "line 2: variable 1 substituted twice"),
+    ("circuit\ngroup x 1\noutput x:1\noutput x:1\n",
+     ["solve", "--task", "cert", "--k", "1", "--circuit", "{file}"], "line 4: second output line"),
+], ids=["sigma", "output"])
+def test_a_repeated_singleton_in_an_input_file_names_its_line(tmp_path, capsys, text, argv, msg):
     path = tmp_path / "input"
     path.write_text(text)
     assert run(*(a.format(file=path) for a in argv)) == EXIT_ERROR

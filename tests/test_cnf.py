@@ -269,6 +269,38 @@ def test_check_rup_rejects_what_unit_propagation_does_not_imply():
     assert check_rup(sat, [[]], fixed={1: 0})
 
 
+@pytest.mark.parametrize("function, kwargs, outcome", [
+    (dpll_solve, {"decision_order": [1.0]}, "decision order entry 1.0 is not an integer"),
+    (dpll_solve, {"decision_order": ["1"]}, "decision order entry '1' is not an integer"),
+    (dpll_solve, {"fixed": {"1": 1}}, "fixed variable '1' is not an integer"),
+    (dpll_solve, {"fixed": {1.0: 1}}, "fixed variable 1.0 is not an integer"),
+    (check_rup, {"lemmas": [[]], "fixed": {"1": 1}}, "fixed variable '1' is not an integer"),
+    (check_rup, {"lemmas": [["1"], []]}, False),
+    (check_rup, {"lemmas": [[1.0], []]}, False),
+    (check_rup, {"lemmas": [5, []]}, False),
+    (check_rup, {"lemmas": [[True], []]}, False),
+], ids=["order-float", "order-str", "fixed-str", "fixed-float", "rup-fixed-str",
+        "lemma-str", "lemma-float", "lemma-int", "lemma-bool"])
+def test_arguments_that_are_not_integers_raise_cnf_error_or_fail_the_check(
+    function, kwargs, outcome
+):
+    """A fixed variable or decision order entry that is not an int raises
+    CnfError naming it; a lemma that is not a sequence of ints fails the
+    check.  The check_rup set is refuted by [[1], []], so a lemma read as
+    the literal 1 would pass."""
+    if function is dpll_solve:
+        cs = ClauseSet([[1, 2], [-1]], 2)
+    else:
+        cs = ClauseSet([[1, 2], [1, -2], [-1, 2], [-1, -2]], 2)
+        assert check_rup(cs, [[1], []])
+    if outcome is False:
+        assert function(cs, **kwargs) is False
+    else:
+        with pytest.raises(CnfError) as e:
+            function(cs, **kwargs)
+        assert str(e.value) == outcome
+
+
 def test_dpll_partial_order_returns_models():
     assert dpll_solve(ClauseSet([[1], [-1]], 2), decision_order=[2]) is None
     assert dpll_solve(ClauseSet([[1, 2], [-1]], 2), decision_order=[]) == {1: 0, 2: 1}
@@ -390,6 +422,12 @@ def test_dimacs_bad_numbers_name_their_line(text, message):
     with pytest.raises(CnfError) as e:
         parse_dimacs(text)
     assert str(e.value) == message
+
+
+def test_dimacs_refuses_a_second_header():
+    with pytest.raises(CnfError) as e:
+        parse_dimacs("p cnf 1 1\np cnf 2 1\n1 0\n")
+    assert str(e.value) == "line 2: second header 'p cnf 2 1'"
 
 
 @pytest.mark.parametrize("clauses, message", [

@@ -731,6 +731,16 @@ def test_parse_proof_rejects_malformed(bad):
         fr.parse_proof(bad)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("proof\n1 1 ; axiom T1 [1:=x1] [1:=x2]\n", "line 2: variable 1 substituted twice"),
+    ("proof\n1 1 ; axiom T1 [0:=x1]\n", "line 2: bad substitution '[0:=x1'"),
+])
+def test_parse_proof_refuses_a_repeated_or_zero_substitution_index(text, message):
+    with pytest.raises(fr.ProofError) as e:
+        fr.parse_proof(text)
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # parse_proof against the reader that parsed every line in full
 

@@ -5,6 +5,9 @@ or property of such a class, must be used by the package, ``scripts/`` or
 ``perfbench/`` somewhere outside its own definition, and no module-level
 import of the package may go unused.  Code that only tests call is deleted,
 or moved into the test that needs it.
+
+Data an object keeps beside its fields is a ``functools.cached_property``
+of its frozen owner, so no module reaches into an object's ``__dict__``.
 """
 
 import ast
@@ -110,3 +113,33 @@ def test_traced_names_resolve():
         if member not in vars(owner):
             missing.append(f"{module}.{attr}")
     assert not missing, "perfbench/tracer.py traces missing names: " + ", ".join(missing)
+
+
+# the one kept value written by hand: the proof text, printed through a
+# caller's memo (see frege._serialize)
+DICT_USERS = {"frege._serialize"}
+
+
+def _dict_users(path: Path) -> set[str]:
+    """The functions of a module, as "module.Class.function", that read or
+    write an object's __dict__, by attribute or through vars()."""
+    users = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__dict__"
+                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "vars"):
+                users.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return users
+
+
+def test_kept_data_is_a_cached_property():
+    users = set().union(*map(_dict_users, PACKAGE))
+    assert users <= DICT_USERS, "reaches into __dict__: " + ", ".join(sorted(users - DICT_USERS))
