@@ -64,13 +64,16 @@ def _decimal(token: str) -> int | None:
 @dataclass(frozen=True)
 class ClauseSet:
     """A tuple of clauses (tuples of nonzero integer literals) over variables
-    1..nvars; lists are converted, and clause tuples are kept as given."""
+    1..nvars; lists are converted, and clause tuples are kept as given.
+    nvars must be an int >= 0 (not a bool), or CnfError is raised here."""
 
     clauses: tuple[tuple[int, ...], ...]
     nvars: int
     comments: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if type(self.nvars) is not int or self.nvars < 0:
+            raise CnfError(f"nvars {self.nvars!r} is not a nonnegative integer")
         object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         object.__setattr__(self, "comments", tuple(self.comments))
 

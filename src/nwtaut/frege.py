@@ -300,15 +300,19 @@ def subst_proof(proof: Proof, sigma: dict[int, Formula]) -> Proof:
     """D1 (generalized): line-wise substitution of formulas for variables.
 
     Frege proofs are closed under it; the constants-only case is the decency
-    condition proper."""
+    condition proper.  A node malformed below a formula's root, which the
+    check does not read, raises ProofError naming the line."""
     if not check_derivation(FREGE, proof):
         raise ProofError("input proof does not check")
     out: list[Line] = []
-    for ln in proof.lines:
-        just = ln.just
-        if just[0] == "axiom":
-            just = ("axiom", just[1], {m: fm.substitute(t, sigma) for m, t in just[2].items()})
-        out.append(Line(fm.substitute(ln.formula, sigma), just))
+    try:
+        for i, ln in enumerate(proof.lines, 1):
+            just = ln.just
+            if just[0] == "axiom":
+                just = ("axiom", just[1], {m: fm.substitute(t, sigma) for m, t in just[2].items()})
+            out.append(Line(fm.substitute(ln.formula, sigma), just))
+    except (TypeError, IndexError):
+        raise ProofError(f"line {i}: malformed formula") from None
     return Proof(tuple(out))
 
 

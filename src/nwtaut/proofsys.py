@@ -246,16 +246,21 @@ def d4_from_sat(pi_sat: Proof, phi: Formula, enc: SatEncoding, code: str) -> Pro
 
 def check_plus_alpha(S: PlusAlphaSystem, tau: Formula, pi: Proof) -> bool:
     """Def-shape acceptance: a kernel proof of a right-nested disjunction of
-    negated alpha-instances ending in tau (possibly with no instances)."""
+    negated alpha-instances ending in tau (possibly with no instances).
+    False, too, when a node below the root of the conclusion is malformed,
+    which check does not read."""
     lines = pi.lines
     if not lines or not check(S.base, lines[-1].formula, pi):
         return False
 
     C = lines[-1].formula
-    while C != tau:
-        if C[0] != "or" or C[1][0] != "not" or fm.match_instance(C[1][1], S.alpha) is None:
-            return False
-        C = C[2]
+    try:
+        while C != tau:
+            if C[0] != "or" or C[1][0] != "not" or fm.match_instance(C[1][1], S.alpha) is None:
+                return False
+            C = C[2]
+    except (TypeError, IndexError):
+        return False
     return True
 
 

@@ -93,6 +93,11 @@ def test_design_suite():
 # ---------------------------------------------------------------------------
 # 2. tau-translation soundness sweep
 
+# the q=3 tabular (table 01101011) sweep's DIMACS files in b order, also the
+# files of the README's gen-tau --sweep example
+TAU_SWEEP_512_SHA256 = "b207a8122b32bab84994197210532eac7d3f1334f63660ed16f40f69b3e45182"
+
+
 def test_tau_soundness_sweep_512():
     t0 = time.monotonic()
     params = dg.poly_design(3, 2)  # n = 9, m = 9
@@ -116,9 +121,7 @@ def test_tau_soundness_sweep_512():
         dimacs.update(tau.clauses.to_dimacs().encode())
     assert time.monotonic() - t0 < 120.0
     # the benchmark files themselves are pinned byte for byte
-    assert dimacs.hexdigest() == (
-        "b207a8122b32bab84994197210532eac7d3f1334f63660ed16f40f69b3e45182"
-    )
+    assert dimacs.hexdigest() == TAU_SWEEP_512_SHA256
 
 
 def test_parity_tau_dimacs_pinned_512():

@@ -188,15 +188,6 @@ def test_check_proof_accepts_and_rejects(tmp_path):
     ) == EXIT_SOLUTION
 
 
-def test_check_proof_reports_the_size_of_the_canonical_text(tmp_path, capsys):
-    """The size is that of the proof's printed text, not of the file: the
-    hand-spelled line reprints as "1 x1 | ~x1 ; axiom EM [1:=x1]"."""
-    path = tmp_path / "em.proof"
-    path.write_text("proof\n# excluded middle, spelled by hand\n\n1 x1|~x1 ;axiom EM [1:=(x1)]\n")
-    assert run("check-proof", "--tau", "x1 | ~x1", "--proof", str(path)) == EXIT_SOLUTION
-    assert capsys.readouterr().out == "P proof of x1 | ~x1: ACCEPTED (1 lines, 288 bits)\n"
-
-
 def test_check_proof_names_a_malformed_line(tmp_path, capsys):
     """A line that is not well formed (sigma key 0 names no variable) is
     refused as it is read, not sized: the error names the file's line."""
@@ -215,20 +206,13 @@ def test_check_proof_quotes_mp_premises_as_the_text_numbers_lines(tmp_path, caps
     assert err.count("\n") == 1 and "mp 5 1" in err and "('mp', 4, 0)" not in err
 
 
-# the README's hand-spelled proof: line 2, the mp premise of line 3, has
-# extra parentheses and its sigma value spaces, so the reader parses line 2
-# and prints line 3's candidate; the size is that of the canonical reprint
+# the README's hand-spelled dn.proof, a fuzz source: line 2, the mp premise
+# of line 3, has extra parentheses and its sigma value spaces, so the reader
+# parses line 2 and the mp line after it
 HAND_SPELLED = (
     "proof\n1 x1 | ~x1 ; axiom EM [1:=x1]\n"
     "2 ~((x1 | ~x1)) | ~~(x1 | ~x1) ; axiom N4 [1:= x1 | ~x1 ]\n3 ~~(x1 | ~x1) ; mp 1 2\n"
 )
-
-
-def test_check_proof_reads_the_hand_spelled_proof(tmp_path, capsys):
-    path = tmp_path / "dn.proof"
-    path.write_text(HAND_SPELLED)
-    assert run("check-proof", "--tau", "~~(x1 | ~x1)", "--proof", str(path)) == EXIT_SOLUTION
-    assert capsys.readouterr().out == "P proof of ~~(x1 | ~x1): ACCEPTED (3 lines, 912 bits)\n"
 
 
 def test_check_proof_survives_mutated_proofs(tmp_path, capsys):
@@ -405,22 +389,6 @@ def test_solve_refuses_advice_that_is_not_bits(tmp_path, capsys, task):
     out = capsys.readouterr()
     assert out.err == "error: advice w must be a string of 0 and 1\n"
     assert "index" not in out.out
-
-
-def test_readme_solve_and_simulate_examples(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    proof = fr.prove_tautology(fm.parse("x1 | ~x1"))
-    assert fr.proof_size_bits(proof) == 7600
-    Path("em.proof").write_text(fr.serialize_proof(proof))
-    assert run("design", "--poly", "--q", "4", "--d", "2", "--out", "q4d2.design") == EXIT_SOLUTION
-    seed, w = "1011001110001101", "1011001110001100"
-    solve = ["solve", "--design", "q4d2.design", "--seed", seed, "--w"]
-    assert run(*solve, seed, "--task", "err") == EXIT_NONE
-    assert run(*solve, w, "--task", "pair") == EXIT_SOLUTION
-    simulate = ["simulate", "--phi", "x1 | ~x1", "--empty-advice", "--proof", "em.proof",
-                "--out", "out.proof"]
-    assert run(*simulate) == EXIT_ERROR  # the default --c 2 admits 30^2 bits
-    assert run(*simulate, "--c", "3") == EXIT_SOLUTION
 
 
 def test_solve_find_verify(capsys):

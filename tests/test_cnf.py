@@ -226,6 +226,14 @@ def test_clause_set_keeps_clause_tuples_and_converts_lists():
     assert listed == cs and listed.clauses == given and listed.comments == ("c",)
 
 
+@pytest.mark.parametrize("nvars", ["2", 1.5, None, True, -1])
+def test_clause_set_refuses_a_bad_nvars_when_built(nvars):
+    """Before, the solver and checker raised a bare TypeError on these,
+    True was solved as nvars=1, and to_dimacs wrote "p cnf 1.5 1"."""
+    with pytest.raises(CnfError, match=f"^nvars {nvars!r} is not a nonnegative integer$"):
+        ClauseSet([[1]], nvars)
+
+
 @pytest.mark.parametrize("clauses, nvars, message", [
     ([[3]], 1, "clause 0: literal 3 exceeds nvars=1"),
     ([[-4, 2], [-2]], 3, "clause 0: literal -4 exceeds nvars=3"),

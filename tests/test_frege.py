@@ -215,6 +215,25 @@ def test_kernel_api_rejects_malformed_lines(seed):
                 measure(bad)
 
 
+NOT0 = ("not", ())  # a not node without its operand
+
+
+@pytest.mark.parametrize("bad", [
+    fr.Proof((fr.Line(("not", ("bogus",)), ("hyp",)),)),
+    fr.Proof((fr.Line(("or", ("not", NOT0), NOT0), ("axiom", "ID", {1: NOT0})),)),
+], ids=["hyp-unknown-tag", "ID-sigma-not0"])
+def test_kernel_api_survives_formulas_malformed_below_the_root(bad):
+    """The shape rule reads only roots, so check may accept these lines;
+    each entry point returns, or raises ProofError naming the line."""
+    fr.check(fr.FREGE, bad.conclusion, bad)
+    fr.check_derivation(fr.FREGE, bad)
+    fr.discharge(bad, fm.Var(1))
+    assert not ps.check_plus_alpha(ps.PlusAlphaSystem(fr.FREGE, fm.Not(fm.Var(1))), NOT0, bad)
+    for call in (fr.serialize_proof, lambda p: fr.subst_proof(p, {1: fm.CONST1})):
+        with pytest.raises(fr.ProofError, match=r"^line 1: malformed formula$"):
+            call(bad)
+
+
 def test_append_proof_copies_no_malformed_line():
     b = fr.ProofBuilder()
     b.axiom("T1", {})
