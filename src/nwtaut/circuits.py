@@ -394,28 +394,15 @@ def sat_search(
 def serialize(circ: Circuit) -> str:
     if circ.has_opaque():
         raise CircuitError("the text format has no opaque gates")
-    n_in = circ.n_inputs
-    starts = []
-    off = 0
-    for name, w in circ.groups:
-        starts.append((name, off, w))
-        off += w
-
-    def wname(w: int) -> str:
-        if w >= n_in:
-            return f"g{w - n_in + 1}"
-        for name, o, width in starts:
-            if o <= w < o + width:
-                return f"{name}:{w - o + 1}"
-        raise AssertionError
-
+    names = [f"{name}:{j}" for name, w in circ.groups for j in range(1, w + 1)]
+    names += [f"g{i}" for i in range(1, circ.size + 1)]
     lines = ["circuit"]
     for name, w in circ.groups:
         lines.append(f"group {name} {w}")
     for i, g in enumerate(circ.gates):
-        args = " ".join(wname(a) for a in g[1:])
+        args = " ".join(names[a] for a in g[1:])
         lines.append(f"g{i + 1} = {g[0].upper()} {args}")
-    lines.append("output " + " ".join(wname(o) for o in circ.outputs))
+    lines.append("output " + " ".join(names[o] for o in circ.outputs))
     return "\n".join(lines) + "\n"
 
 
@@ -529,7 +516,7 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
         assert code is not None
         entries.append((code, f))
     positions = list(range(k))
-    if trim and len(entries) > 1:
+    if trim:
         # greedily drop positions while the valid codes stay pairwise distinct
         keep = positions[:]
         for p in positions:
@@ -538,8 +525,6 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
             if len(sigs) == len(entries):
                 keep = trial
         positions = keep
-    elif trim:
-        positions = []
 
     b = CircuitBuilder([("u", k), ("x", k)])
     # anchor constant wires on a code bit: branches for constant formulas then
@@ -551,7 +536,7 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
     for code, f in entries:
         sel_wires = [b.inp("x", p + 1) for p in positions]
         sel_bits = "".join(code[p] for p in positions)
-        sel = b.equals_const(sel_wires, sel_bits) if positions else b.const(1)
+        sel = b.equals_const(sel_wires, sel_bits)
         val = formula_to_wire(b, f, leaf)
         branches.append(b.AND(sel, val))
     out = b.or_list(branches) if branches else b.const(0)

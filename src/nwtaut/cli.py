@@ -133,10 +133,6 @@ def cmd_design(args, argv) -> int:
     return EXIT_SOLUTION
 
 
-def _base_from_args(args, l: int) -> nw.BaseFunction:
-    return nw.builtin_base(args.base, l, table=args.table)
-
-
 def cmd_gen_tau(args, argv) -> int:
     t0 = time.time()
     if args.design:
@@ -145,7 +141,7 @@ def cmd_gen_tau(args, argv) -> int:
     else:
         params = dg.poly_design(args.q, args.d)
         design_text = dg.serialize_design(params)
-    spec = nw.GeneratorSpec(params, _base_from_args(args, params.l))
+    spec = nw.GeneratorSpec(params, nw.builtin_base(args.base, params.l, table=args.table))
     b_list = args.b.split(",") if args.b else []
     if args.sweep:
         if params.m > 20:
@@ -199,20 +195,18 @@ def cmd_check_proof(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     t0 = time.time()
     phi = fm.parse(args.phi)
-    _require(args, "proof" if args.empty_advice else "checker")
-    if args.empty_advice:
-        QS = AdviceSystem(None, {}, c=args.c)
-        res = simulate(QS, "", phi, _read(args.proof))
-        checker_text = ""
-    else:
+    if args.w:
+        _require(args, "checker", "y")
         checker_text = _read(args.checker)
-        checker = cc.parse_circuit(checker_text)
-        k, _, _ = AdviceSystem(checker).widths()
-        QS = AdviceSystem(checker, {k: args.w}, c=args.c)
+        QS = AdviceSystem(cc.parse_circuit(checker_text), c=args.c)
         res = simulate(QS, args.w, phi, args.y)
+        inputs = {"checker": checker_text}
+    else:
+        _require(args, "proof")
+        res = simulate(AdviceSystem(None, c=args.c), "", phi, _read(args.proof))
+        inputs = {}
     for stage in sorted(res.stage_bits):
         print(f"stage {stage}: {res.stage_bits[stage]} bits")
-    inputs = {"checker": checker_text} if checker_text else {}
     _write_output(args, argv, t0, {"phi": args.phi, "c": str(args.c)}, inputs,
                   serialize_proof(res.proof))
     print(f"P+alpha proof written ({len(res.proof.lines)} lines)")
@@ -243,25 +237,6 @@ def cmd_solve(args, argv) -> int:
             args, argv, t0, {"k": str(args.k), "c": str(args.c)},
             {"circuit": circ_text}, lines, sol is not None,
         )
-    if args.task in ("err", "pair"):
-        _require(args, "design", "seed", "w")
-        design_text = _read(args.design)
-        params = dg.parse_design(design_text)
-        spec = nw.GeneratorSpec(params, _base_from_args(args, params.l))
-        triple = nw.err_triple(spec)
-        k = triple.k
-        L, wits = nw.ttable_from_seed(spec, args.seed)
-        inst = tk.ErrInstance(triple, k, L, args.seed, tuple(wits), args.w)
-        if args.task == "err":
-            sol = tk.solve_err(inst, budget=args.budget)
-        else:
-            sol = tk.solve_pair(tk.pair_from_err(inst), budget=args.budget)
-        lines = [f"solution {args.task}"]
-        lines.append(f"index {sol}" if sol else "verdict none")
-        return _solve_outcome(
-            args, argv, t0, {"seed": args.seed, "w": args.w, "base": args.base},
-            {"design": design_text}, lines, sol is not None,
-        )
     if args.task == "find-verify":
         _require(args, "alpha", "beta")
         inst = tk.FindInstance(
@@ -270,8 +245,24 @@ def cmd_solve(args, argv) -> int:
         verdict = tk.verify_find_candidate(inst, fm.parse(args.beta), args.mode)
         print(f"candidate: {verdict}")
         return EXIT_SOLUTION if verdict == "accepted" else EXIT_NONE
-    print(f"solve: unknown task {args.task!r}", file=sys.stderr)
-    return EXIT_ERROR
+    _require(args, "design", "seed", "w")
+    design_text = _read(args.design)
+    params = dg.parse_design(design_text)
+    spec = nw.GeneratorSpec(params, nw.builtin_base(args.base, params.l, table=args.table))
+    triple = nw.err_triple(spec)
+    k = triple.k
+    L, wits = nw.ttable_from_seed(spec, args.seed)
+    inst = tk.ErrInstance(triple, k, L, args.seed, tuple(wits), args.w)
+    if args.task == "err":
+        sol = tk.solve_err(inst, budget=args.budget)
+    else:
+        sol = tk.solve_pair(tk.pair_from_err(inst), budget=args.budget)
+    lines = [f"solution {args.task}"]
+    lines.append(f"index {sol}" if sol else "verdict none")
+    return _solve_outcome(
+        args, argv, t0, {"seed": args.seed, "w": args.w, "base": args.base},
+        {"design": design_text}, lines, sol is not None,
+    )
 
 
 def cmd_reduce(args, argv) -> int:
@@ -332,11 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run the advice-to-P+alpha pipeline")
     s.add_argument("--phi", required=True, help="formula text")
-    s.add_argument("--checker", metavar="FILE", help="advice checker circuit")
-    s.add_argument("--w", default="", help="advice bits")
-    s.add_argument("--y", default="", help="Q-proof bits")
-    s.add_argument("--empty-advice", action="store_true")
-    s.add_argument("--proof", metavar="FILE", help="kernel proof (empty-advice mode)")
+    s.add_argument("--checker", metavar="FILE", help="advice checker circuit (with --w)")
+    s.add_argument("--w", default="", help="advice bits (none: empty advice)")
+    s.add_argument("--y", help="Q-proof bits (with --w)")
+    s.add_argument("--proof", metavar="FILE", help="kernel proof (empty advice)")
     s.add_argument("--c", type=int, default=2)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)

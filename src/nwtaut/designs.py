@@ -286,14 +286,22 @@ def parse_design(text: str) -> DesignParams:
             continue
         toks = line.split()
         if toks[0] == "design":
+            if header is not None:
+                raise DesignError(f"line {lineno}: second design header")
             if len(toks) != 6:
                 raise DesignError(f"line {lineno}: bad design header")
             header = (*numbers(toks[1:5], lineno), toks[5])
         elif toks[0] == "poly":
+            if poly is not None:
+                raise DesignError(f"line {lineno}: second poly line")
+            if blocks:
+                raise DesignError(f"line {lineno}: poly line in a design with block lines")
             if len(toks) != 3:
                 raise DesignError(f"line {lineno}: poly line needs 'poly q d'")
             poly = tuple(numbers(toks[1:], lineno))
         elif toks[0] == "block":
+            if poly is not None:
+                raise DesignError(f"line {lineno}: block line in a poly design")
             blocks.append(numbers(toks[1:], lineno))
         else:
             raise DesignError(f"line {lineno}: unrecognized {line!r}")

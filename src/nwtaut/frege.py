@@ -177,14 +177,23 @@ class FregeSystem:
     FREGE is its one instance; the checkers take it as the proof system P
     of the paper, while the proof builders always build kernel proofs."""
 
-    def _follows(self, lines: tuple[Line, ...], i: int, allow_hyp: bool) -> bool:
-        """Whether the well-formed line lines[i] follows from the lines before it."""
-        f, just = lines[i].formula, lines[i].just
-        if just[0] == "axiom":
-            return _INSTANCE[just[1]](just[2]) == f
-        if just[0] == "mp":
-            return lines[just[2]].formula == ("or", ("not", lines[just[1]].formula), f)
-        return allow_hyp
+    def _justified(self, proof: Proof, allow_hyp: bool) -> bool:
+        """Whether the proof is well formed and each line follows from the
+        lines before it: the one loop of check and check_derivation."""
+        lines = proof.lines
+        if proof._fault is not None:
+            return False
+        for ln in lines:
+            f, just = ln.formula, ln.just
+            if just[0] == "axiom":
+                if _INSTANCE[just[1]](just[2]) != f:
+                    return False
+            elif just[0] == "mp":
+                if lines[just[2]].formula != ("or", ("not", lines[just[1]].formula), f):
+                    return False
+            elif not allow_hyp:
+                return False
+        return True
 
 
 FREGE = FregeSystem()
@@ -192,22 +201,23 @@ FREGE = FregeSystem()
 
 def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
     """True iff the proof is well formed, every line is justified (no
-    hypotheses) and the conclusion is tau."""
-    lines = proof.lines
-    if proof._fault is not None:
+    hypotheses), the conclusion is tau and the printer prints the proof,
+    reading every depth: a node malformed below a formula's root fails.
+    The proof keeps its text (see serialize_proof), so a proof that is
+    checked and then written is printed once."""
+    if not P._justified(proof, False) or proof.lines[-1].formula != tau:
         return False
-    for i in range(len(lines)):
-        if not P._follows(lines, i, False):
-            return False
-    return lines[-1].formula == tau
+    try:
+        serialize_proof(proof)
+    except ProofError:
+        return False
+    return True
 
 
 def check_derivation(P: FregeSystem, proof: Proof) -> bool:
-    """Like check but hypothesis lines are allowed (internal use)."""
-    lines = proof.lines
-    return proof._fault is None and all(
-        P._follows(lines, i, True) for i in range(len(lines))
-    )
+    """Like check but hypothesis lines are allowed (internal use), and only
+    the roots of formulas are read."""
+    return P._justified(proof, True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,10 @@ class ProofBuilder:
     def _push(self, line: Line) -> int:
         # every indexed line is in self.lines, so only a new formula gets
         # len(self.lines); proof()'s tail copy stays outside the index
-        idx = self._index.setdefault(line.formula, len(self.lines))
+        try:
+            idx = self._index.setdefault(line.formula, len(self.lines))
+        except TypeError:  # hashing met a node below the root that is a list or dict
+            raise ProofError(f"malformed formula {line.formula!r}") from None
         if idx == len(self.lines):
             self.lines.append(line)
         return idx
@@ -408,7 +421,10 @@ def _discharge_into(b: ProofBuilder, proof: Proof, hypothesis: Formula) -> int:
     if (fault := proof._fault) is not None:
         raise ProofError(fault)
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
-    H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
+    try:
+        H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
+    except TypeError:  # hashing met a node below the root that is a list or dict
+        raise ProofError(f"malformed hypothesis {hypothesis!r}") from None
     for i, ln in enumerate(proof.lines):
         f, just = ln.formula, ln.just
         if just[0] == "mp":

@@ -98,6 +98,11 @@ def test_design_suite():
 TAU_SWEEP_512_SHA256 = "b207a8122b32bab84994197210532eac7d3f1334f63660ed16f40f69b3e45182"
 
 
+def drup_text(lemmas: list[list[int]]) -> str:
+    """A lemma log as scripts/gen_benchmarks.py writes it to tau_<b>.drup."""
+    return "".join(" ".join(map(str, [*lemma, 0])) + "\n" for lemma in lemmas)
+
+
 def test_tau_soundness_sweep_512():
     t0 = time.monotonic()
     params = dg.poly_design(3, 2)  # n = 9, m = 9
@@ -126,13 +131,28 @@ def test_tau_soundness_sweep_512():
 
 def test_parity_tau_dimacs_pinned_512():
     """The parity q=3 sweep's benchmark files, pinned byte for byte beside
-    the tabular sweep's: parity checkers bring NOT-gate clause shapes."""
+    the tabular sweep's: parity checkers bring NOT-gate clause shapes.  The
+    solver's work is pinned too: the refutations' counts and their lemma
+    logs, which scripts/gen_benchmarks.py writes as the tau_<b>.drup files
+    (concatenated in name order here)."""
     spec = nw.GeneratorSpec(dg.poly_design(3, 2), nw.builtin_base("parity", 3))
-    dimacs = hashlib.sha256()
+    dimacs, drup = hashlib.sha256(), hashlib.sha256()
+    refutations = lemma_count = literals = 0
     for v in range(512):
-        dimacs.update(nw.tau_of(spec, format(v, "09b")).clauses.to_dimacs().encode())
+        cs = nw.tau_of(spec, format(v, "09b")).clauses
+        dimacs.update(cs.to_dimacs().encode())
+        lemmas: list[list[int]] = []
+        if cnf.dpll_solve(cs, lemmas=lemmas) is None:
+            refutations += 1
+            lemma_count += len(lemmas)
+            literals += sum(map(len, lemmas))
+            drup.update(drup_text(lemmas).encode())
     assert dimacs.hexdigest() == (
         "e386d097a819929208b3e928d0d412c3dcbdd8df966eecd4af0d3e17369927fd"
+    )
+    assert (refutations, lemma_count, literals) == (384, 6144, 22578)
+    assert drup.hexdigest() == (
+        "40b5f4ea0c30b047da6cb4d0330069eadbc158454832d05c24f086d2ea8a0e66"
     )
 
 
@@ -141,13 +161,15 @@ def test_tau_refutations_check_512():
     check_rup accepts.  Unit propagation alone refutes none of them, a log
     cut before its final empty clause is no refutation, and the empty clause
     appended to the log of a satisfiable negation is not implied.  The 318
-    refutations take fewer than 3,000 lemmas in all (4,542 before the
-    output units were propagated at level 0)."""
+    refutations take 2,030 lemmas of 5,204 literals in all (4,542 lemmas
+    before the output units were propagated at level 0), and their logs, as
+    scripts/gen_benchmarks.py writes them, are pinned byte for byte."""
     spec = nw.GeneratorSpec(
         dg.poly_design(3, 2), nw.builtin_base("tabular", 3, table="01101011")
     )
     in_range = nw.full_range(spec)
-    refuted_lemmas = 0
+    drup = hashlib.sha256()
+    refutations = lemma_count = literals = 0
     for v in range(512):
         b = format(v, "09b")
         cs = nw.tau_of(spec, b).clauses
@@ -158,10 +180,16 @@ def test_tau_refutations_check_512():
             assert lemmas[-1] == [] and cnf.check_rup(cs, lemmas), b
             assert not cnf.check_rup(cs, [[]]), b
             assert not cnf.check_rup(cs, lemmas[:-1]), b
-            refuted_lemmas += len(lemmas)
+            refutations += 1
+            lemma_count += len(lemmas)
+            literals += sum(map(len, lemmas))
+            drup.update(drup_text(lemmas).encode())
         else:
             assert [] not in lemmas and not cnf.check_rup(cs, lemmas + [[]]), b
-    assert refuted_lemmas < 3000
+    assert (refutations, lemma_count, literals) == (318, 2030, 5204)
+    assert drup.hexdigest() == (
+        "f994ea82cd6b059b0984863efb09dd7b791bf96dde0af7a8edebeeead93c3ab0"
+    )
 
 
 def test_toy_owp_q4_verdicts_are_certified():

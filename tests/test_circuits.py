@@ -321,6 +321,45 @@ def test_circuit_rejects_malformed_gates(gate):
         cc.Circuit((("a", 1),), (gate,), (0,))
 
 
+@pytest.mark.parametrize("groups, gates, outputs, msg", [
+    ((("a", 1), ("a", 2)), (), (0,), "duplicate group name"),
+    ((("a", 1), ("b", -1)), (), (0,), "negative width for group b"),
+    ((("a", 1),), (("not", 1),), (0,), "gate 0: wire 1 not yet defined"),
+    ((("a", 1),), (("and", 0, -1),), (0,), "gate 0: wire -1 not yet defined"),
+    ((("a", 1),), (("not", 0),), (2,), "output wire 2 undefined"),
+], ids=["duplicate-group", "negative-width", "gate-reads-itself", "gate-reads-minus-1",
+        "undefined-output"])
+def test_circuit_rejects_malformed_structure(groups, gates, outputs, msg):
+    with pytest.raises(cc.CircuitError) as exc:
+        cc.Circuit(groups, gates, outputs)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("inputs, msg", [
+    ({"a": "1"}, "missing input group 'b'"),
+    ({"a": "1", "b": "1"}, "group 'b': expected 2 bits, got 1"),
+    ({"a": "1", "b": "1x"}, "group 'b': bits must be 0 or 1, got '1x'"),
+], ids=["missing-group", "wrong-width", "non-binary"])
+def test_wire_values_rejects_bad_inputs(inputs, msg):
+    circ = cc.Circuit((("a", 1), ("b", 2)), (("and", 0, 2),), (3,))
+    with pytest.raises(cc.CircuitError) as exc:
+        cc.wire_values(circ, inputs)
+    assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("groups, build, msg", [
+    ([], lambda b: b.const(1), "const wire needs at least one input"),
+    ([("a", 1)], lambda b: b.and_list([]), "and_list of nothing"),
+    ([("a", 1)], lambda b: b.or_list([]), "or_list of nothing"),
+], ids=["const-without-input", "and_list-empty", "or_list-empty"])
+def test_circuit_builder_refuses_what_has_no_wire(groups, build, msg):
+    b = cc.CircuitBuilder(groups)
+    with pytest.raises(cc.CircuitError) as exc:
+        build(b)
+    assert str(exc.value) == msg
+    assert b.gates == []
+
+
 @pytest.mark.parametrize("text, msg", [
     ("opaque f a:1 -> g1", "line 3: unrecognized line 'opaque f a:1 -> g1'"),
     ("g1 = NOT a:\u00b2", "line 3: bad wire reference 'a:\u00b2'"),
@@ -332,6 +371,10 @@ def test_circuit_rejects_malformed_gates(gate):
     ("group x \u00b2", "line 3: bad group width '\u00b2'"),
     ("group x -1", "line 3: bad group width '-1'"),
     ("group x 1_0", "line 3: bad group width '1_0'"),
+    ("g1 = NOT a:1\ngroup b 1", "line 4: group after gates"),
+    ("group a 2", "line 3: duplicate group name 'a'"),
+    ("g1 = NOT a:1 a:1", "line 3: NOT takes one wire"),
+    ("g1 = XOR a:1 a:1", "line 3: unknown op 'XOR'"),
 ])
 def test_parse_circuit_errors_name_their_line(text, msg):
     with pytest.raises(cc.CircuitError) as exc:

@@ -14,7 +14,7 @@ from nwtaut import circuits as cc
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
-from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, NAME_MAX, _tau_file_name, main
+from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, main
 
 
 def run(*argv):
@@ -112,6 +112,22 @@ def test_design_readers_reject_a_bad_canonical_header_alike(tmp_path, capsys, he
     assert relation in errs[0]
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("design 4 4 1 1 explicit\ndesign 9 9 3 2 poly\npoly 3 2\n", "line 2: second design header"),
+    ("design 9 9 3 2 poly\npoly 3 2\npoly 3 2\n", "line 3: second poly line"),
+    ("design 9 9 3 2 poly\npoly 3 2\nblock 1 2 3\n", "line 3: block line in a poly design"),
+    ("design 9 9 3 2 poly\nblock 1 2 3\npoly 3 2\n",
+     "line 3: poly line in a design with block lines"),
+], ids=["second-header", "second-poly", "block-after-poly", "poly-after-block"])
+def test_design_reader_refuses_a_repeated_singleton(tmp_path, capsys, text, msg):
+    """A design file has one header and either one poly line or block lines;
+    the reader names the line that breaks this, as the other readers do."""
+    path = tmp_path / "twice.design"
+    path.write_text(text)
+    assert run("design", "--verify", str(path)) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {msg}\n"
+
+
 # ---------------------------------------------------------------------------
 # gen-tau
 
@@ -160,14 +176,6 @@ def test_gen_tau_names_a_long_b_by_its_digest(tmp_path):
     assert f"\nc b={b}\n" in (tmp_path / name).read_text()
     manifest = (tmp_path / "gen-tau.manifest").read_text()
     assert f" --b {b} " in manifest and f"\noutput {name} " in manifest
-
-
-@pytest.mark.parametrize("m, named_by_b", [(243, True), (244, False)])
-def test_tau_file_name_keeps_b_while_the_temp_name_fits(m, named_by_b):
-    b = "01" * (m // 2) + "1" * (m % 2)
-    name = _tau_file_name(b)
-    assert (name == f"tau_{b}.cnf") is named_by_b
-    assert len(name) + len(".tmp") <= NAME_MAX
 
 
 def test_gen_tau_needs_b_or_sweep(tmp_path):
@@ -297,7 +305,7 @@ def test_simulate_empty_advice(tmp_path):
         fh.write(em_proof_text())
     out = str(tmp_path / "out.proof")
     rc = run(
-        "simulate", "--phi", "x1 | ~x1", "--empty-advice",
+        "simulate", "--phi", "x1 | ~x1",
         "--proof", kernel, "--out", out,
     )
     assert rc == EXIT_SOLUTION
@@ -416,11 +424,9 @@ def test_find_promise_is_checked_for_every_alpha(capsys):
 
 
 def test_find_above_the_brute_force_limit(capsys):
-    """25-variable alphas: the promise is decided by DPLL, not brute force."""
+    """A 25-variable alpha that is no tautology: the promise is decided by
+    DPLL, not brute force (the README runs an accepted one)."""
     disjuncts = " | ".join(f"x{i}" for i in range(2, 26))
-    rc = run("solve", "--task", "find-verify", "--alpha", f"x1 | ~x1 | {disjuncts}",
-             "--beta", "1", "--k", "8", "--c0", "4")
-    assert (rc, capsys.readouterr().out) == (EXIT_SOLUTION, "candidate: accepted\n")
     assert run("reduce", "--alpha", f"x1 | {disjuncts}", "--k", "8", "--c0", "4") == EXIT_ERROR
     assert capsys.readouterr().err == "error: alpha is not a tautology\n"
 
@@ -445,8 +451,7 @@ def test_solve_find_verify_at_a_huge_k_builds_no_code():
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--phi", "1", "--out", "{tmp}/o"],
-    ["simulate", "--phi", "1", "--empty-advice", "--out", "{tmp}/o"],
-    ["simulate", "--phi", "1", "--checker", "{no_x}", "--w", "1", "--out", "{tmp}/o"],
+    ["simulate", "--phi", "1", "--checker", "{no_x}", "--w", "1", "--y", "1", "--out", "{tmp}/o"],
     ["solve", "--task", "cert"],
     ["solve", "--task", "err", "--design", "{design}", "--w", "1010"],
     ["solve", "--task", "pair", "--design", "{design}", "--seed", "1010"],
@@ -468,6 +473,8 @@ def test_solve_find_verify_at_a_huge_k_builds_no_code():
     ["design", "--canonical", "--n", str(10**30), "--delta", "1/3"],
     ["reduce", "--alpha", "1", "--k", "8", "--c1", "9"],
     ["reduce", "--alpha", "x1000000000 | ~x1000000000", "--k", "100", "--c0", "4"],
+    # no --w is empty advice, which needs --proof whatever --checker says
+    ["simulate", "--phi", "1", "--checker", "{no_x}", "--out", "{tmp}/o"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"
@@ -489,7 +496,7 @@ def test_large_exponents_form_no_power(tmp_path, capsys):
     outs = []
     for c in ("3", "1000000000"):
         out = tmp_path / f"c{c}.proof"
-        argv = ["simulate", "--phi", "1", "--empty-advice", "--proof", str(proof), "--c", c]
+        argv = ["simulate", "--phi", "1", "--proof", str(proof), "--c", c]
         assert run(*argv, "--out", str(out)) == EXIT_SOLUTION
         outs.append(out.read_text())
     assert outs[0] == outs[1]

@@ -158,11 +158,12 @@ def test_printer_and_sizer_name_a_malformed_substitution(formula, just, part, re
     const root with a bad payload: check rejects it and the printer and
     sizer name it.  The printer and sizer also name a malformed node below
     the root (a bad leaf payload, an unknown tag or the wrong number of
-    operands), which the shape rule does not read."""
+    operands), which the shape rule does not read, so check, which reads
+    through the printer, rejects it too."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
     bad = fr.Proof((one, fr.Line(formula, just)))
+    assert not fr.check(fr.FREGE, formula, bad)
     if not request.node.callspec.id.startswith("deep-"):
-        assert not fr.check(fr.FREGE, formula, bad)
         assert not fr.check_derivation(fr.FREGE, bad)
     for measure in (fr.serialize_proof, fr.proof_size_bits):
         with pytest.raises(fr.ProofError, match=rf"^line 2: malformed {part}"):
@@ -223,15 +224,36 @@ NOT0 = ("not", ())  # a not node without its operand
     fr.Proof((fr.Line(("or", ("not", NOT0), NOT0), ("axiom", "ID", {1: NOT0})),)),
 ], ids=["hyp-unknown-tag", "ID-sigma-not0"])
 def test_kernel_api_survives_formulas_malformed_below_the_root(bad):
-    """The shape rule reads only roots, so check may accept these lines;
-    each entry point returns, or raises ProofError naming the line."""
-    fr.check(fr.FREGE, bad.conclusion, bad)
+    """The shape rule reads only roots, so check_derivation may accept these
+    lines, while check, which reads through the printer, rejects them; each
+    entry point returns, or raises ProofError naming the line."""
+    assert fr.check(fr.FREGE, bad.conclusion, bad) is False
     fr.check_derivation(fr.FREGE, bad)
     fr.discharge(bad, fm.Var(1))
     assert not ps.check_plus_alpha(ps.PlusAlphaSystem(fr.FREGE, fm.Not(fm.Var(1))), NOT0, bad)
     for call in (fr.serialize_proof, lambda p: fr.subst_proof(p, {1: fm.CONST1})):
         with pytest.raises(fr.ProofError, match=r"^line 1: malformed formula$"):
             call(bad)
+
+
+UNHASHABLE = ("not", ["x"])  # a list below the root: no hash, so no builder index
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad, good: fr.ProofBuilder().append_proof(bad),
+    lambda bad, good: fr.discharge(bad, fm.Var(1)),
+    lambda bad, good: fr.mp(bad, good),
+    lambda bad, good: fr.ProofBuilder().hyp(UNHASHABLE),
+    lambda bad, good: fr.ProofBuilder().axiom("ID", {1: UNHASHABLE}),
+    lambda bad, good: fr.discharge(good, UNHASHABLE),
+], ids=["append_proof", "discharge", "mp", "hyp", "axiom", "discharge-hypothesis"])
+def test_kernel_entry_points_name_an_unhashable_node(call):
+    """The shape rule reads roots only, so an unhashable node below one
+    reaches the builder's index, which raises ProofError, not TypeError."""
+    bad = fr.Proof((fr.Line(UNHASHABLE, ("hyp",)),))
+    good = fr.prove_true_sentence(fm.parse("1"))
+    with pytest.raises(fr.ProofError, match="^malformed"):
+        call(bad, good)
 
 
 def test_append_proof_copies_no_malformed_line():

@@ -188,6 +188,15 @@ def test_check_plus_alpha_rejects_hypotheses_and_wrong_tail():
     assert not ps.check_plus_alpha(S, ("const", 1), pi)
 
 
+def test_check_plus_alpha_rejects_a_malformed_alpha():
+    """check reads the conclusion at every depth, so a malformed alpha is
+    the one thing that can make the disjunct walk raise: False instead."""
+    pi = fr.prove_tautology(fm.parse("~x1 | x1"))
+    assert ps.check_plus_alpha(ps.PlusAlphaSystem(fr.FREGE, fm.Var(1)), fm.Var(1), pi)
+    for alpha in ((), ("var", [1])):
+        assert not ps.check_plus_alpha(ps.PlusAlphaSystem(fr.FREGE, alpha), fm.Var(1), pi)
+
+
 # ---------------------------------------------------------------------------
 # advice systems
 
