@@ -328,11 +328,12 @@ def inline(b: CircuitBuilder, circ: Circuit, input_wires: list[int]) -> list[int
 # ---------------------------------------------------------------------------
 # satisfiability search
 
+#: most free input bits that sat_search enumerates on an opaque circuit
+ENUMERATION_LIMIT = 20
+
+
 def sat_search(
-    circ: Circuit,
-    fixed: dict[str, str] | None = None,
-    budget: int = 20,
-    oracles: dict | None = None,
+    circ: Circuit, fixed: dict[str, str] | None = None, oracles: dict | None = None
 ) -> dict[str, str] | None:
     """Lexicographically least satisfying completion of the free input groups.
 
@@ -342,7 +343,7 @@ def sat_search(
     circuit (``Circuit._clauses``) for every later one, which also reuses
     the clause set's solver index; only the fixings and the decision order
     are built per call.  Opaque ones enumerate the free bits (at most
-    ``budget`` of them).
+    ``ENUMERATION_LIMIT`` of them).
     """
     if len(circ.outputs) != 1:
         raise CircuitError("sat_search needs a single-output circuit")
@@ -354,8 +355,8 @@ def sat_search(
     cs = circ._clauses
     if cs is None:
         nfree = sum(w for _, w in free_groups)
-        if nfree > budget:
-            raise fm.BudgetError(f"{nfree} free bits exceed enumeration budget {budget}")
+        if nfree > ENUMERATION_LIMIT:
+            raise fm.BudgetError(f"{nfree} free bits exceed enumeration limit {ENUMERATION_LIMIT}")
         for val in range(1 << nfree):
             bits = format(val, f"0{nfree}b") if nfree else ""
             inputs = dict(fixed)

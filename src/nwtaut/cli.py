@@ -96,6 +96,13 @@ def _require(args, *names: str) -> None:
         raise ValueError(f"{args.command}: missing {', '.join(missing)}")
 
 
+def _refuse(args, mode: str, *names: str) -> None:
+    """Options that the chosen mode does not read; giving one is an error."""
+    given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+    if given:
+        raise ValueError(f"{args.command}: {', '.join(given)} not read {mode}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -119,8 +126,7 @@ def cmd_design(args, argv) -> int:
     elif args.canonical:
         params = dg.canonical_params(args.n, args.delta)
     else:
-        print("design: need --poly, --canonical or --verify", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("design: need --poly, --canonical or --verify")
     # a canonical preset is verified only when it is materialized
     verifiable = params.m <= dg.SCAN_LIMIT and (params.tag == "poly" or params.blocks)
     report = dg.verify_design(params) if verifiable else None
@@ -145,12 +151,10 @@ def cmd_gen_tau(args, argv) -> int:
     b_list = args.b.split(",") if args.b else []
     if args.sweep:
         if params.m > 20:
-            print(f"gen-tau: sweep over 2^{params.m} is out of reach", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"gen-tau: sweep over 2^{params.m} is out of reach")
         b_list = [format(v, f"0{params.m}b") for v in range(1 << params.m)]
     if not b_list:
-        print("gen-tau: need --b or --sweep", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("gen-tau: need --b or --sweep")
     # translate every b before the first write, so a bad b leaves no files
     outputs: dict[str, str] = {}
     verdicts: list[bool] = []
@@ -197,12 +201,14 @@ def cmd_simulate(args, argv) -> int:
     phi = fm.parse(args.phi)
     if args.w:
         _require(args, "checker", "y")
+        _refuse(args, "with --w", "proof")
         checker_text = _read(args.checker)
         QS = AdviceSystem(cc.parse_circuit(checker_text), c=args.c)
         res = simulate(QS, args.w, phi, args.y)
         inputs = {"checker": checker_text}
     else:
         _require(args, "proof")
+        _refuse(args, "without --w", "checker", "y")
         res = simulate(AdviceSystem(None, c=args.c), "", phi, _read(args.proof))
         inputs = {}
     for stage in sorted(res.stage_bits):
@@ -227,7 +233,7 @@ def cmd_solve(args, argv) -> int:
         _require(args, "circuit")
         circ_text = _read(args.circuit)
         inst = tk.CertInstance(args.k, args.c, cc.parse_circuit(circ_text))
-        sol = tk.solve_cert(inst, budget=args.budget)
+        sol = tk.solve_cert(inst)
         lines = ["solution cert"]
         if sol:
             lines += [f"kind {sol.kind}", f"code {sol.code}"]
@@ -254,9 +260,9 @@ def cmd_solve(args, argv) -> int:
     L, wits = nw.ttable_from_seed(spec, args.seed)
     inst = tk.ErrInstance(triple, k, L, args.seed, tuple(wits), args.w)
     if args.task == "err":
-        sol = tk.solve_err(inst, budget=args.budget)
+        sol = tk.solve_err(inst)
     else:
-        sol = tk.solve_pair(tk.pair_from_err(inst), budget=args.budget)
+        sol = tk.solve_pair(tk.pair_from_err(inst))
     lines = [f"solution {args.task}"]
     lines.append(f"index {sol}" if sol else "verdict none")
     return _solve_outcome(
@@ -347,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--c0", type=int, default=2)
     v.add_argument("--c1", type=int, default=1)
     v.add_argument("--mode", default="sound", choices=["sound", "heuristic"])
-    v.add_argument("--budget", type=int, default=20)
     v.add_argument("--out")
     v.set_defaults(func=cmd_solve)
 

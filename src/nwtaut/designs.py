@@ -9,7 +9,7 @@ points, so intersections are at most d-1.
 
 Design description file format:
 
-    design <n> <m> <l> <d> <tag>
+    design <n> <m> <l> <d> <tag>  (tag: poly, explicit or canonical)
     poly <q> <d>                 (poly-field tag)
     block <i1> <i2> ...          (explicit tag, one line per block)
 """
@@ -290,6 +290,8 @@ def parse_design(text: str) -> DesignParams:
                 raise DesignError(f"line {lineno}: second design header")
             if len(toks) != 6:
                 raise DesignError(f"line {lineno}: bad design header")
+            if toks[5] not in ("poly", "explicit", "canonical"):
+                raise DesignError(f"line {lineno}: unknown design tag {toks[5]!r}")
             header = (*numbers(toks[1:5], lineno), toks[5])
         elif toks[0] == "poly":
             if poly is not None:
@@ -298,7 +300,7 @@ def parse_design(text: str) -> DesignParams:
                 raise DesignError(f"line {lineno}: poly line in a design with block lines")
             if len(toks) != 3:
                 raise DesignError(f"line {lineno}: poly line needs 'poly q d'")
-            poly = tuple(numbers(toks[1:], lineno))
+            poly, poly_line = tuple(numbers(toks[1:], lineno)), lineno
         elif toks[0] == "block":
             if poly is not None:
                 raise DesignError(f"line {lineno}: block line in a poly design")
@@ -308,6 +310,8 @@ def parse_design(text: str) -> DesignParams:
     if header is None:
         raise DesignError("missing design header")
     n, m, l, d, tag = header
+    if poly is not None and tag != "poly":
+        raise DesignError(f"line {poly_line}: poly line in a design tagged {tag!r}")
     if tag == "poly":
         if poly is None:
             raise DesignError("poly tag without poly line")

@@ -5,9 +5,9 @@ Find-to-Cert reduction, and the writer of the instance envelope that
 ``nwtaut reduce`` outputs.  Solvers sweep candidates in lexicographic order
 and return the least solution, so none-results are certified by a complete
 sweep and reruns are deterministic.  Universal ("for all y") clauses go through
-the DPLL engine on explicit circuits and bounded enumeration on opaque ones;
-when a budget is too small the verdict is the distinct token ``unknown``,
-never ``False``.
+the DPLL engine on explicit circuits and, on opaque ones, through an
+enumeration of at most ``circuits.ENUMERATION_LIMIT`` free bits; a search
+past that limit raises ``BudgetError`` and never answers ``False``.
 
 "Size k formula" always means: a bit string of length exactly k that decodes
 under the canonical formula code.  The Cert solver walks only the strings
@@ -29,8 +29,6 @@ from .frege import MIN_PROOF_BITS, FregeSystem, ProofError, parse_proof
 from .nwcore import Triple
 from .proofsys import PlusAlphaSystem, _at_most_power, check_plus_alpha
 
-UNKNOWN = "unknown"
-
 #: largest k the solvers sweep: Err and Pair sweep all 2^k indices, Cert
 #: the decodable k-bit codes
 SWEEP_K_LIMIT = 14
@@ -50,16 +48,10 @@ def _sweepable(k: int) -> int:
     return k
 
 
-def _first_true(k: int, verify, what: str) -> str | None:
+def _first_true(k: int, verify) -> str | None:
     """Least k-bit string that verify accepts; None after a complete sweep."""
-    for v in range(1 << _sweepable(k)):
-        s = format(v, f"0{k}b")
-        verdict = verify(s)
-        if verdict is UNKNOWN:
-            raise fm.BudgetError(f"budget exhausted at {what} {s}")
-        if verdict:
-            return s
-    return None
+    strings = (format(v, f"0{k}b") for v in range(1 << _sweepable(k)))
+    return next(filter(verify, strings), None)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +89,7 @@ class CertSolution:
             raise TaskError(f"unknown solution kind {self.kind!r}")
 
 
-def _cert_kind(inst: CertInstance, code: str, budget: int) -> str | None:
+def _cert_kind(inst: CertInstance, code: str) -> str | None:
     """The solution kind that code witnesses, or None: a code that decodes
     is a solution when D accepts it although it is falsifiable, or rejects
     it although it is a tautology."""
@@ -105,27 +97,23 @@ def _cert_kind(inst: CertInstance, code: str, budget: int) -> str | None:
     if phi is None:
         return None
     taut = fm.is_tautology(phi, mode="auto")
-    y = cc.sat_search(inst.D, fixed={"x": code}, budget=budget, oracles=inst.oracles)
+    y = cc.sat_search(inst.D, fixed={"x": code}, oracles=inst.oracles)
     if taut == (y is not None):
         return None
     return "tautology-rejected" if taut else "falsifiable-accepted"
 
 
-def verify_cert(inst: CertInstance, sol: CertSolution, budget: int = 20):
-    """True, False, or UNKNOWN (opaque-enumeration budget exceeded)."""
-    if len(sol.code) != inst.k:
-        return False
-    try:
-        return _cert_kind(inst, sol.code, budget) == sol.kind
-    except fm.BudgetError:
-        return UNKNOWN
+def verify_cert(inst: CertInstance, sol: CertSolution) -> bool:
+    """Whether sol's code witnesses sol's kind; BudgetError when D is opaque
+    with more than circuits.ENUMERATION_LIMIT free y bits."""
+    return len(sol.code) == inst.k and _cert_kind(inst, sol.code) == sol.kind
 
 
-def solve_cert(inst: CertInstance, budget: int = 20) -> CertSolution | None:
+def solve_cert(inst: CertInstance) -> CertSolution | None:
     """Least x that decodes to a formula witnessing either clause; None is
     certified by the complete walk over the decodable k-bit codes."""
     for code in fm.codes(_sweepable(inst.k)):
-        kind = _cert_kind(inst, code, budget)
+        kind = _cert_kind(inst, code)
         if kind:
             return CertSolution(kind, code)
     return None
@@ -260,24 +248,20 @@ def _index(s: str, k: int, what: str) -> int:
     return int(s, 2)
 
 
-def _no_witness(triple: Triple, a: int, x: str, w: str, budget: int):
-    """True iff F_a(x, ., w) has no witness; UNKNOWN past the budget."""
-    try:
-        y = cc.sat_search(triple.f1 if a else triple.f0, fixed={"x": x, "w": w}, budget=budget)
-    except fm.BudgetError:
-        return UNKNOWN
-    return y is None
+def _no_witness(triple: Triple, a: int, x: str, w: str) -> bool:
+    """True iff F_a(x, ., w) has no witness."""
+    return cc.sat_search(triple.f1 if a else triple.f0, fixed={"x": x, "w": w}) is None
 
 
-def verify_err(inst: ErrInstance, x: str, budget: int = 20):
+def verify_err(inst: ErrInstance, x: str) -> bool:
     """True iff the advice-equipped algorithm errs at index x: no witness
     for the table's bit exists under advice w."""
     a = int(inst.L[_index(x, inst.k, "index")])
-    return _no_witness(inst.triple, a, x, inst.w, budget)
+    return _no_witness(inst.triple, a, x, inst.w)
 
 
-def solve_err(inst: ErrInstance, budget: int = 20) -> str | None:
-    return _first_true(inst.k, lambda x: verify_err(inst, x, budget), "index")
+def solve_err(inst: ErrInstance) -> str | None:
+    return _first_true(inst.k, lambda x: verify_err(inst, x))
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +310,18 @@ def passthrough_circuit(k: int, zbits: str) -> Circuit:
     return b.build(outs)
 
 
-def verify_pair(inst: PairInstance, u: str, budget: int = 20):
+def verify_pair(inst: PairInstance, u: str) -> bool:
     """True iff u certifies that C is not a reduction: u is in A but C(u)
     lands outside U, or in B but outside V."""
     v = _index(u, inst.k, "candidate")
     if inst.A[v] != "1" and inst.B[v] != "1":
         return False
     out = cc.eval_circuit(inst.C, {"u": u})
-    return _no_witness(inst.triple, inst.B[v] == "1", out[: inst.k], out[inst.k:], budget)
+    return _no_witness(inst.triple, inst.B[v] == "1", out[: inst.k], out[inst.k:])
 
 
-def solve_pair(inst: PairInstance, budget: int = 20) -> str | None:
-    return _first_true(inst.k, lambda u: verify_pair(inst, u, budget), "candidate")
+def solve_pair(inst: PairInstance) -> str | None:
+    return _first_true(inst.k, lambda u: verify_pair(inst, u))
 
 
 def pair_from_err(inst: ErrInstance) -> PairInstance:

@@ -375,8 +375,8 @@ def test_cert_taut_oracle_certified_none():
         return phi is not None and fm.is_tautology(phi, mode="auto")
 
     inst = tk.CertInstance(8, 2, D, oracles={"taut": oracle})
-    # complete 2^8 sweep with exhaustive y-budget: certified none
-    assert tk.solve_cert(inst, budget=20) is None
+    # complete 2^8 sweep with exhaustive y enumeration: certified none
+    assert tk.solve_cert(inst) is None
 
 
 def test_err_true_seed_certified_none():

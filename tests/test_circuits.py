@@ -131,7 +131,7 @@ def test_sat_search_opaque_budget():
     g = b.opaque("f", [b.inp("a", 1)])
     circ = b.build([g])
     with pytest.raises(fm.BudgetError):
-        cc.sat_search(circ, budget=20, oracles={"f": lambda t: True})
+        cc.sat_search(circ, oracles={"f": lambda t: True})
 
 
 def test_sat_search_asks_an_opaque_circuit_once_whether_it_is_opaque(monkeypatch):
@@ -358,6 +358,32 @@ def test_circuit_builder_refuses_what_has_no_wire(groups, build, msg):
         build(b)
     assert str(exc.value) == msg
     assert b.gates == []
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda c, o: cc.circuit_clauses_mapped(o, [1, 2, 3]),
+     "clause translation requires an explicit circuit"),
+    (lambda c, o: cc.circuit_clauses_mapped(c, [1, 2]), "wire variable map has wrong length"),
+    (lambda c, o: cc.circuit_to_formula(o, [1, 2, 3]),
+     "circuit_to_formula requires an explicit circuit"),
+    (lambda c, o: cc.circuit_to_formula(c, [1, 2]), "wire variable map has wrong length"),
+    (lambda c, o: cc.inline(cc.CircuitBuilder([("z", 1)]), c, [0]),
+     "inline: input wire count mismatch"),
+    (lambda c, o: cc.sat_search(cc.Circuit((("a", 2),), (), (0, 1))),
+     "sat_search needs a single-output circuit"),
+    (lambda c, o: cc.sat_search(c, fixed={"a": "1x"}), "group 'a': expected 2 bits of 0 and 1"),
+    (lambda c, o: cc.sat_search(o, fixed={"a": "12"}, oracles={"f": lambda t: True}),
+     "group 'a': bits must be 0 or 1, got '12'"),
+], ids=["clauses-opaque", "clauses-map-length", "formula-opaque", "formula-map-length",
+        "inline-input-count", "search-two-outputs", "search-fixed-explicit",
+        "search-fixed-opaque"])
+def test_translations_and_search_name_what_they_refuse(call, msg):
+    """c is an explicit and o an opaque circuit, each over a 2-bit group a."""
+    c = cc.Circuit((("a", 2),), (("and", 0, 1),), (2,))
+    o = cc.Circuit((("a", 2),), (("opaque", "f", (0,)),), (2,))
+    with pytest.raises(cc.CircuitError) as exc:
+        call(c, o)
+    assert str(exc.value) == msg
 
 
 @pytest.mark.parametrize("text, msg", [

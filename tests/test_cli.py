@@ -118,10 +118,14 @@ def test_design_readers_reject_a_bad_canonical_header_alike(tmp_path, capsys, he
     ("design 9 9 3 2 poly\npoly 3 2\nblock 1 2 3\n", "line 3: block line in a poly design"),
     ("design 9 9 3 2 poly\nblock 1 2 3\npoly 3 2\n",
      "line 3: poly line in a design with block lines"),
-], ids=["second-header", "second-poly", "block-after-poly", "poly-after-block"])
+    ("design 27 8 3 3 canonical\npoly 3 2\n", "line 2: poly line in a design tagged 'canonical'"),
+    ("design 4 2 2 1 foo\nblock 1 2\nblock 3 4\n", "line 1: unknown design tag 'foo'"),
+], ids=["second-header", "second-poly", "block-after-poly", "poly-after-block",
+        "poly-under-canonical", "unknown-tag"])
 def test_design_reader_refuses_a_repeated_singleton(tmp_path, capsys, text, msg):
-    """A design file has one header and either one poly line or block lines;
-    the reader names the line that breaks this, as the other readers do."""
+    """A design file has one header with a known tag and either one poly line
+    (tag poly) or block lines; the reader names the line that breaks this,
+    as the other readers do."""
     path = tmp_path / "twice.design"
     path.write_text(text)
     assert run("design", "--verify", str(path)) == EXIT_ERROR
@@ -475,15 +479,34 @@ def test_solve_find_verify_at_a_huge_k_builds_no_code():
     ["reduce", "--alpha", "x1000000000 | ~x1000000000", "--k", "100", "--c0", "4"],
     # no --w is empty advice, which needs --proof whatever --checker says
     ["simulate", "--phi", "1", "--checker", "{no_x}", "--out", "{tmp}/o"],
+    # each advice mode refuses the options only the other one reads
+    ["simulate", "--phi", "1", "--checker", "{checker}", "--proof", "{one}", "--c", "3",
+     "--out", "{tmp}/o"],
+    ["simulate", "--phi", "1", "--checker", "{checker}", "--w", "1", "--y", "1",
+     "--proof", "{one}", "--out", "{tmp}/o"],
+    ["design"],
+    ["gen-tau", "--outdir", "{tmp}/t"],
+    ["gen-tau", "--q", "5", "--d", "2", "--sweep", "--outdir", "{tmp}/t"],
+    ["solve", "--task", "err", "--design", "{q3d2}", "--seed", "000000000", "--w", "000"],
+    ["gen-tau", "--design", "{header_only}", "--b", "00000000", "--outdir", "{tmp}/t"],
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"
     deep.write_text("proof\n1 " + "(" * 10**5 + "1 ; axiom T1\n")
+    one = tmp_path / "one.proof"
+    one.write_text("proof\n1 1 ; axiom T1\n")
     no_x = tmp_path / "no_x.circ"
     b = cc.CircuitBuilder([("z", 8), ("y", 1), ("t", 1)])
     no_x.write_text(cc.serialize(b.build([b.AND(b.inp("y", 1), b.inp("t", 1))])))
+    checker = tmp_path / "q.circ"
+    checker.write_text(tiny_checker_text())
+    q3d2 = tmp_path / "q3d2.design"
+    q3d2.write_text(dg.serialize_design(dg.poly_design(3, 2)))
+    header_only = tmp_path / "header.design"
+    header_only.write_text("design 27 8 3 3 canonical\n")
     fields = {"tmp": tmp_path, "design": write_four_block_design(tmp_path),
-              "deep": deep, "no_x": no_x}
+              "deep": deep, "one": one, "no_x": no_x, "checker": checker, "q3d2": q3d2,
+              "header_only": header_only}
     assert run(*(a.format(**fields) for a in argv)) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -438,6 +438,17 @@ def test_dimacs_refuses_a_second_header():
     assert str(e.value) == "line 2: second header 'p cnf 2 1'"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_dimacs("p cnf 1 1\n1\n"), "unterminated clause at end of file"),
+    (lambda: parse_dimacs("p cnf 1 2\n1 0\n"), "header declares 2 clauses, found 1"),
+    (lambda: ClauseSet([[2, 1, -2]], 2).validate(), "clause 0: contains both -2 and 2"),
+], ids=["unterminated-clause", "clause-count", "complementary-literals"])
+def test_reader_and_validate_name_what_they_refuse(call, message):
+    with pytest.raises(CnfError) as e:
+        call()
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("clauses, message", [
     ([[1.5]], "clause 0: literal 1.5 is not an integer"),
     ([[1], [True, -2]], "clause 1: literal True is not an integer"),

@@ -163,6 +163,23 @@ def test_design_params_needs_m_blocks():
         dg.DesignParams(n=4, m=3, l=2, d=1, tag="explicit", blocks=((1, 2), (3, 4)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: dg.DesignParams(n=2, m=1, l=3, d=1, tag="explicit"),
+     "need 1 <= l <= n, got l=3, n=2"),
+    (lambda: dg.DesignParams(n=4, m=0, l=2, d=1, tag="explicit"), "need m >= 1"),
+    (lambda: dg.DesignParams(n=4, m=1, l=2, d=3, tag="explicit"), "need d <= l, got d=3, l=2"),
+    (lambda: dg.explicit_design([], 4, 1), "no blocks"),
+    (lambda: dg.explicit_design([[1, 1]], 4, 1), "repeated element in block [1, 1]"),
+    (lambda: dg.explicit_design([[1, 5]], 4, 1), "block [1, 5] not within [1, 4]"),
+    (lambda: dg.block(dg.poly_design(3, 2), 10), "block index 10 out of range [1, 9]"),
+], ids=["l-above-n", "no-m", "d-above-l", "no-blocks", "repeated-point", "point-outside",
+        "block-index"])
+def test_design_constructors_name_what_they_refuse(call, message):
+    with pytest.raises(dg.DesignError) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_canonical_params_small():
     p = dg.canonical_params(27, Fraction(1, 3))
     assert (p.n, p.l, p.d, p.m) == (27, 3, 3, 8)

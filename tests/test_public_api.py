@@ -6,6 +6,9 @@ or property of such a class, must be used by the package, ``scripts/`` or
 import of the package may go unused.  Code that only tests call is deleted,
 or moved into the test that needs it.
 
+A defaulted parameter of such a function or method is a knob: some call
+outside the tests passes it, or it is a constant of its module.
+
 Data an object keeps beside its fields is a ``functools.cached_property``
 of its frozen owner, so no module reaches into an object's ``__dict__``.
 """
@@ -93,6 +96,68 @@ def _unused_imports() -> list[str]:
 def test_no_test_only_public_code():
     unused = _unused_definitions() + _unused_imports()
     assert not unused, "nothing outside the tests uses " + ", ".join(unused)
+
+
+# defaulted parameters that only tests pass, as "module.function.parameter"
+TEST_ONLY_PARAMETERS = {
+    # dpll_solve's fixings: the tests check that check_rup certifies the
+    # refutations found under them, as ROADMAP item 11 will for every verdict
+    "cnf.check_rup.fixed",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
+    """(position in a call, name) of fn's defaulted parameters; a
+    keyword-only one has no position, and a method's self is not counted
+    (the package has no static or class methods)."""
+    positional = [*fn.args.posonlyargs, *fn.args.args][method:]
+    out = [(i, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(fn.args.defaults)]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+    return out
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether call passes the parameter, by keyword, at its position, or
+    through * or **."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args[: position + 1])
+
+
+def _test_only_parameters() -> set[str]:
+    """Each defaulted parameter, as "module[.Class].function.parameter",
+    that no call in CALLERS passes; calls are matched by the bare name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    found = set()
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text()).body:
+            owners = [(stmt, False, path.stem)]
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                owners = [(item, True, f"{path.stem}.{stmt.name}") for item in stmt.body]
+            for fn, method, prefix in owners:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                for position, name in _defaulted(fn, method):
+                    if not any(_passes(c, position, name) for c in calls.get(fn.name, ())):
+                        found.add(f"{prefix}.{fn.name}.{name}")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    found = _test_only_parameters()
+    assert found == TEST_ONLY_PARAMETERS, (
+        "only tests pass " + ", ".join(sorted(found - TEST_ONLY_PARAMETERS))
+        + "; listed but passed outside the tests: "
+        + ", ".join(sorted(TEST_ONLY_PARAMETERS - found)))
 
 
 def test_traced_names_resolve():

@@ -131,12 +131,12 @@ def test_solve_cert_agrees_with_a_sweep_of_all_strings():
 def test_cert_budget_guards():
     with pytest.raises(fm.BudgetError):
         tk.solve_cert(tk.CertInstance(16, 2, const_decider(16, 0)))
-    # opaque enumeration over 30 free y bits exceeds the verification budget
+    # opaque enumeration over 30 free y bits exceeds the enumeration limit
     b = cc.CircuitBuilder([("x", 8), ("y", 30)])
     out = b.opaque("f", [b.inp("y", i + 1) for i in range(30)])
     inst = tk.CertInstance(8, 2, b.build([out]), oracles={"f": lambda t: False})
-    got = tk.verify_cert(inst, tk.CertSolution("tautology-rejected", "11110000"))
-    assert got is tk.UNKNOWN
+    with pytest.raises(fm.BudgetError):
+        tk.verify_cert(inst, tk.CertSolution("tautology-rejected", "11110000"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +304,26 @@ def test_pair_instance_validation():
     for A, B in (("1x0?", "0000"), ("0000", "01 0")):
         with pytest.raises(tk.TaskError, match="strings of 0 and 1"):
             tk.PairInstance(A, B, pair.triple, pair.C)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tri, L, wits, pair: tk.ErrInstance(tri, 2, L, "1010", wits[:3], "1010"),
+     "need one witness per index"),
+    (lambda tri, L, wits, pair: tk.ErrInstance(tri, 3, L * 2, "1010", wits * 2, "1010"),
+     "triple index width disagrees with k"),
+    (lambda tri, L, wits, pair: tk.PairInstance(
+        pair.A, pair.B, tri, tk.passthrough_circuit(3, "1010")),
+     "C must have the single input group u (2 bits)"),
+    (lambda tri, L, wits, pair: tk.PairInstance(
+        pair.A, pair.B, tri, tk.passthrough_circuit(2, "101")),
+     "C must output an index plus an advice slot (2 + 4 wires)"),
+], ids=["witness-count", "k-disagrees", "C-groups", "C-outputs"])
+def test_err_and_pair_instances_name_what_they_refuse(call, message):
+    spec = four_block_spec()
+    L, wits = nw.ttable_from_seed(spec, "1010")
+    with pytest.raises(tk.TaskError) as e:
+        call(nw.err_triple(spec), L, wits, tk.pair_from_err(err_instance()))
+    assert str(e.value) == message
 
 
 def test_pair_from_err_consistency_true_seed():
