@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: design, gen-tau, check-proof, simulate, solve, reduce.  Every
+Subcommands: design, gen-tau, check-proof, simulate, solve, reduce.  Each
+command refuses an option that its mode (see MODES) does not read.  Every
 command that writes files also writes a manifest (line-oriented key-value:
-command, argv, parameter values, input/output hashes, wall clock) next
-to its primary output; re-running the argv recorded in a manifest reproduces
+command, argv, parameter values, input/output hashes, wall clock) next to
+its primary output; re-running the argv recorded in a manifest reproduces
 the outputs byte for byte.  Writes are atomic (temp file + rename).
 
 Solver exit codes: 0 = solution found, 3 = certified none (complete sweep),
@@ -32,6 +33,8 @@ EXIT_NONE = 3
 EXIT_UNKNOWN = 4
 
 NAME_MAX = 255  # bytes in one file name on common file systems
+#: largest m that gen-tau --sweep takes: 2^20 DIMACS files of some 8 KB are 8 GB
+SWEEP_M_LIMIT = 20
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -89,26 +92,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _require(args, *names: str) -> None:
-    """Options that the chosen mode needs although argparse cannot demand them."""
-    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"{args.command}: missing {', '.join(missing)}")
-
-
-def _refuse(args, mode: str, *names: str) -> None:
-    """Options that the chosen mode does not read; giving one is an error."""
-    given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
-    if given:
-        raise ValueError(f"{args.command}: {', '.join(given)} not read {mode}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_design(args, argv) -> int:
     t0 = time.time()
-    if args.verify:
+    if args.verify is not None:
         params = dg.parse_design(_read(args.verify))
         if params.tag == "canonical" and not params.blocks:  # parse_design checked the header
             print(f"design n={params.n} m={params.m} l={params.l} d={params.d}: "
@@ -123,10 +112,8 @@ def cmd_design(args, argv) -> int:
         return EXIT_SOLUTION if report.ok else EXIT_ERROR
     if args.poly:
         params = dg.poly_design(args.q, args.d)
-    elif args.canonical:
-        params = dg.canonical_params(args.n, args.delta)
     else:
-        raise ValueError("design: need --poly, --canonical or --verify")
+        params = dg.canonical_params(args.n, args.delta)
     # a canonical preset is verified only when it is materialized
     verifiable = params.m <= dg.SCAN_LIMIT and (params.tag == "poly" or params.blocks)
     report = dg.verify_design(params) if verifiable else None
@@ -141,20 +128,19 @@ def cmd_design(args, argv) -> int:
 
 def cmd_gen_tau(args, argv) -> int:
     t0 = time.time()
-    if args.design:
+    if args.design is not None:
         design_text = _read(args.design)
         params = dg.parse_design(design_text)
     else:
         params = dg.poly_design(args.q, args.d)
         design_text = dg.serialize_design(params)
     spec = nw.GeneratorSpec(params, nw.builtin_base(args.base, params.l, table=args.table))
-    b_list = args.b.split(",") if args.b else []
     if args.sweep:
-        if params.m > 20:
+        if params.m > SWEEP_M_LIMIT:
             raise ValueError(f"gen-tau: sweep over 2^{params.m} is out of reach")
         b_list = [format(v, f"0{params.m}b") for v in range(1 << params.m)]
-    if not b_list:
-        raise ValueError("gen-tau: need --b or --sweep")
+    else:
+        b_list = args.b.split(",")
     # translate every b before the first write, so a bad b leaves no files
     outputs: dict[str, str] = {}
     verdicts: list[bool] = []
@@ -182,7 +168,7 @@ def cmd_gen_tau(args, argv) -> int:
 def cmd_check_proof(args, argv) -> int:
     tau = fm.parse(args.tau)
     proof = parse_proof(_read(args.proof))
-    if args.alpha:
+    if args.alpha is not None:
         ok = check_plus_alpha(PlusAlphaSystem(FREGE, fm.parse(args.alpha)), tau, proof)
         label = "P+alpha"
     else:
@@ -199,16 +185,14 @@ def cmd_check_proof(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     t0 = time.time()
     phi = fm.parse(args.phi)
-    if args.w:
-        _require(args, "checker", "y")
-        _refuse(args, "with --w", "proof")
+    if args.w is not None:
+        if not args.w:
+            raise ValueError("simulate: --w is empty; empty advice leaves --w out")
         checker_text = _read(args.checker)
         QS = AdviceSystem(cc.parse_circuit(checker_text), c=args.c)
         res = simulate(QS, args.w, phi, args.y)
         inputs = {"checker": checker_text}
     else:
-        _require(args, "proof")
-        _refuse(args, "without --w", "checker", "y")
         res = simulate(AdviceSystem(None, c=args.c), "", phi, _read(args.proof))
         inputs = {}
     for stage in sorted(res.stage_bits):
@@ -230,7 +214,6 @@ def _solve_outcome(args, argv, t0, params, inputs, sol_lines: list[str], found: 
 def cmd_solve(args, argv) -> int:
     t0 = time.time()
     if args.task == "cert":
-        _require(args, "circuit")
         circ_text = _read(args.circuit)
         inst = tk.CertInstance(args.k, args.c, cc.parse_circuit(circ_text))
         sol = tk.solve_cert(inst)
@@ -244,14 +227,12 @@ def cmd_solve(args, argv) -> int:
             {"circuit": circ_text}, lines, sol is not None,
         )
     if args.task == "find-verify":
-        _require(args, "alpha", "beta")
         inst = tk.FindInstance(
             FREGE, fm.parse(args.alpha), args.k, args.c0, args.c1
         )
         verdict = tk.verify_find_candidate(inst, fm.parse(args.beta), args.mode)
         print(f"candidate: {verdict}")
         return EXIT_SOLUTION if verdict == "accepted" else EXIT_NONE
-    _require(args, "design", "seed", "w")
     design_text = _read(args.design)
     params = dg.parse_design(design_text)
     spec = nw.GeneratorSpec(params, nw.builtin_base(args.base, params.l, table=args.table))
@@ -293,74 +274,120 @@ def cmd_reduce(args, argv) -> int:
 
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # an option that its mode cannot run without
+_GEN_TAU = dict(base="parity", table=None, verdict=None, outdir=".")
+_ERR = dict(task=REQUIRED, design=REQUIRED, seed=REQUIRED, w=REQUIRED, base="parity", table=None,
+            out=None)
+#: Each command's modes, by the phrase that names one in an error, and the
+#: options (argparse dests) that a mode reads, with their defaults or REQUIRED.
+MODES: dict[str, dict[str, dict[str, object]]] = {
+    "design": {"with --verify": dict(verify=REQUIRED),
+               "with --poly": dict(poly=REQUIRED, q=3, d=2, out=None),
+               "with --canonical": dict(canonical=REQUIRED, n=27, delta="1/3", out=None)},
+    "gen-tau": {"with --design and --b": dict(design=REQUIRED, b=REQUIRED, **_GEN_TAU),
+                "with --design and --sweep": dict(design=REQUIRED, sweep=REQUIRED, **_GEN_TAU),
+                "with --b": dict(q=3, d=2, b=REQUIRED, **_GEN_TAU),
+                "with --sweep": dict(q=3, d=2, sweep=REQUIRED, **_GEN_TAU)},
+    "check-proof": {"": dict(tau=REQUIRED, proof=REQUIRED, alpha=None)},
+    "simulate": {"with advice": dict(phi=REQUIRED, checker=REQUIRED, w=REQUIRED, y=REQUIRED, c=2,
+                                     out=REQUIRED),
+                 "with empty advice": dict(phi=REQUIRED, proof=REQUIRED, c=2, out=REQUIRED)},
+    "solve": {"with --task cert": dict(task=REQUIRED, k=8, c=1, circuit=REQUIRED, out=None),
+              "with --task err": _ERR, "with --task pair": _ERR,
+              "with --task find-verify": dict(task=REQUIRED, k=8, alpha=REQUIRED, beta=REQUIRED,
+                                              c0=2, c1=1, mode="sound")},
+    "reduce": {"": dict(alpha=REQUIRED, k=8, c0=2, c1=1, out=None)},
+}
+
+
+def _apply_mode(args) -> None:
+    """Run args.command in the mode its --task names, or else the first that misses
+    fewest REQUIRED options: refuse the other options given, and fill in defaults."""
+    modes = MODES[args.command]
+    task = f"with --task {getattr(args, 'task', None)}"
+    missing = {label: [n for n, v in row.items() if v is REQUIRED and getattr(args, n) is None]
+               for label, row in modes.items() if label == task or task not in modes}
+    label = min(missing, key=lambda m: len(missing[m]))
+    if missing[label]:
+        ties = dict.fromkeys(", ".join("--" + n for n in m) for m in missing.values()
+                             if len(m) == len(missing[label]))
+        raise ValueError(f"{args.command}: missing {' or '.join(ties)}")
+    unread = dict.fromkeys(n for row in modes.values() for n in row
+                           if n not in modes[label] and getattr(args, n) is not None)
+    if unread:
+        raise ValueError(f"{args.command}: {', '.join('--' + n for n in unread)} not read {label}")
+    for name, default in modes[label].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nwtaut", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("design", help="build or verify a combinatorial design")
-    d.add_argument("--poly", action="store_true")
-    d.add_argument("--canonical", action="store_true")
+    d.add_argument("--poly", action="store_const", const=True)
+    d.add_argument("--canonical", action="store_const", const=True)
     d.add_argument("--verify", metavar="FILE")
-    d.add_argument("--q", type=int, default=3)
-    d.add_argument("--d", type=int, default=2)
-    d.add_argument("--n", type=int, default=27)
-    d.add_argument("--delta", default="1/3")
+    d.add_argument("--q", type=int)
+    d.add_argument("--d", type=int)
+    d.add_argument("--n", type=int)
+    d.add_argument("--delta")
     d.add_argument("--out")
     d.set_defaults(func=cmd_design)
 
     g = sub.add_parser("gen-tau", help="generate tau(NW)_b DIMACS benchmarks")
     g.add_argument("--design", metavar="FILE")
-    g.add_argument("--q", type=int, default=3)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--base", default="parity", choices=["parity", "tabular", "toy-owp"])
+    g.add_argument("--q", type=int)
+    g.add_argument("--d", type=int)
+    g.add_argument("--base", choices=["parity", "tabular", "toy-owp"])
     g.add_argument("--table")
     g.add_argument("--b", help="comma-separated output strings")
-    g.add_argument("--sweep", action="store_true")
-    g.add_argument("--verdict", action="store_true", help="also decide each b by DPLL")
-    g.add_argument("--outdir", default=".")
+    g.add_argument("--sweep", action="store_const", const=True)
+    g.add_argument("--verdict", action="store_const", const=True, help="also decide each b by DPLL")
+    g.add_argument("--outdir")
     g.set_defaults(func=cmd_gen_tau)
 
     c = sub.add_parser("check-proof", help="check a kernel or P+alpha proof")
-    c.add_argument("--tau", required=True, help="formula text")
-    c.add_argument("--proof", required=True, metavar="FILE")
+    c.add_argument("--tau", help="formula text")
+    c.add_argument("--proof", metavar="FILE")
     c.add_argument("--alpha", help="axiom formula text (P+alpha mode)")
     c.set_defaults(func=cmd_check_proof)
 
     s = sub.add_parser("simulate", help="run the advice-to-P+alpha pipeline")
-    s.add_argument("--phi", required=True, help="formula text")
+    s.add_argument("--phi", help="formula text")
     s.add_argument("--checker", metavar="FILE", help="advice checker circuit (with --w)")
-    s.add_argument("--w", default="", help="advice bits (none: empty advice)")
+    s.add_argument("--w", help="advice bits (none: empty advice)")
     s.add_argument("--y", help="Q-proof bits (with --w)")
     s.add_argument("--proof", metavar="FILE", help="kernel proof (empty advice)")
-    s.add_argument("--c", type=int, default=2)
-    s.add_argument("--out", required=True)
+    s.add_argument("--c", type=int)
+    s.add_argument("--out")
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("solve", help="run a task solver")
-    v.add_argument("--task", required=True,
-                   choices=["cert", "err", "pair", "find-verify"])
-    v.add_argument("--k", type=int, default=8)
-    v.add_argument("--c", type=int, default=1)
+    v.add_argument("--task", choices=["cert", "err", "pair", "find-verify"])
+    v.add_argument("--k", type=int)
+    v.add_argument("--c", type=int)
     v.add_argument("--circuit", metavar="FILE")
     v.add_argument("--design", metavar="FILE")
-    v.add_argument("--base", default="parity", choices=["parity", "tabular", "toy-owp"])
+    v.add_argument("--base", choices=["parity", "tabular", "toy-owp"])
     v.add_argument("--table")
     v.add_argument("--seed", help="generator seed bits (err/pair)")
     v.add_argument("--w", help="advice bits (err/pair)")
     v.add_argument("--alpha", help="axiom formula text (find)")
     v.add_argument("--beta", help="candidate formula text (find)")
-    v.add_argument("--c0", type=int, default=2)
-    v.add_argument("--c1", type=int, default=1)
-    v.add_argument("--mode", default="sound", choices=["sound", "heuristic"])
+    v.add_argument("--c0", type=int)
+    v.add_argument("--c1", type=int)
+    v.add_argument("--mode", choices=["sound", "heuristic"])
     v.add_argument("--out")
     v.set_defaults(func=cmd_solve)
 
     r = sub.add_parser("reduce", help="reduce a Find instance to Cert")
-    r.add_argument("--alpha", required=True, help="axiom formula text")
-    r.add_argument("--k", type=int, default=8)
-    r.add_argument("--c0", type=int, default=2)
-    r.add_argument("--c1", type=int, default=1)
+    r.add_argument("--alpha", help="axiom formula text")
+    r.add_argument("--k", type=int)
+    r.add_argument("--c0", type=int)
+    r.add_argument("--c1", type=int)
     r.add_argument("--out")
     r.set_defaults(func=cmd_reduce)
     return p
@@ -371,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     try:
+        _apply_mode(args)
         return args.func(args, argv)
     except fm.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -173,17 +173,18 @@ def _toy_owp_base(l: int) -> BaseFunction:
 
 
 def builtin_base(name: str, l: int, table: str | None = None) -> BaseFunction:
-    """parity | tabular | toy-owp.  The toy-owp is shape-correct only; it
+    """parity | tabular | toy-owp; table is the truth table that tabular
+    needs and the other two refuse.  The toy-owp is shape-correct only; it
     carries no hardness claim whatsoever."""
-    if name == "parity":
-        return _parity_base(l)
     if name == "tabular":
         if table is None:
             raise NWError("tabular base needs a truth table")
         return _tabular_base(l, table)
-    if name == "toy-owp":
-        return _toy_owp_base(l)
-    raise NWError(f"unknown base function {name!r}")
+    if name not in ("parity", "toy-owp"):
+        raise NWError(f"unknown base function {name!r}")
+    if table is not None:
+        raise NWError(f"{name} base takes no truth table")
+    return _parity_base(l) if name == "parity" else _toy_owp_base(l)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from nwtaut import circuits as cc
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
-from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, main
+from nwtaut import cli
+from nwtaut.cli import EXIT_ERROR, EXIT_NONE, EXIT_SOLUTION, EXIT_UNKNOWN, MODES, REQUIRED, main
 
 
 def run(*argv):
@@ -453,6 +456,35 @@ def test_solve_find_verify_at_a_huge_k_builds_no_code():
 # ---------------------------------------------------------------------------
 # inputs that must end in exit 2 with a one-line message, not a traceback
 
+# an option that the mode does not read, a table outside the tabular base,
+# an empty --w and a missing option, each named on the one error line
+NAMED_ERRORS = {
+    ("design", "--verify", "{q3d2}", "--out", "{tmp}/o.design"):
+        "design: --out not read with --verify",
+    ("solve", "--task", "find-verify", "--alpha", "x1|~x1", "--beta", "1", "--out", "{tmp}/fv"):
+        "solve: --out not read with --task find-verify",
+    ("gen-tau", "--b", "000000000", "--sweep", "--outdir", "{tmp}/t"):
+        "gen-tau: --sweep not read with --b",
+    ("design", "--poly", "--canonical"): "design: --canonical not read with --poly",
+    ("design", "--poly", "--n", "64", "--delta", "1/2"):
+        "design: --n, --delta not read with --poly",
+    ("gen-tau", "--design", "{q3d2}", "--q", "5", "--d", "3", "--b", "000000000",
+     "--outdir", "{tmp}/t"): "gen-tau: --q, --d not read with --design and --b",
+    ("gen-tau", "--base", "parity", "--table", "0110", "--b", "000000000", "--outdir", "{tmp}/t"):
+        "parity base takes no truth table",
+    ("solve", "--task", "err", "--design", "{design}", "--base", "toy-owp", "--table", "0110",
+     "--seed", "1010", "--w", "10"): "toy-owp base takes no truth table",
+    ("solve", "--task", "find-verify", "--alpha", "x1|~x1", "--beta", "1", "--seed", "01",
+     "--design", "{tmp}/nofile"): "solve: --design, --seed not read with --task find-verify",
+    ("simulate", "--phi", "1", "--w", "", "--checker", "{checker}", "--proof", "{one}",
+     "--out", "{tmp}/o"): "simulate: --checker, --w not read with empty advice",
+    ("simulate", "--phi", "1", "--w", "", "--checker", "{checker}", "--y", "1", "--out", "{tmp}/o"):
+        "simulate: --w is empty; empty advice leaves --w out",
+    ("gen-tau", "--design", "{q3d2}", "--outdir", "{tmp}/t"): "gen-tau: missing --b or --sweep",
+    ("solve",): "solve: missing --task, --circuit",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--phi", "1", "--out", "{tmp}/o"],
     ["simulate", "--phi", "1", "--checker", "{no_x}", "--w", "1", "--y", "1", "--out", "{tmp}/o"],
@@ -489,6 +521,7 @@ def test_solve_find_verify_at_a_huge_k_builds_no_code():
     ["gen-tau", "--q", "5", "--d", "2", "--sweep", "--outdir", "{tmp}/t"],
     ["solve", "--task", "err", "--design", "{q3d2}", "--seed", "000000000", "--w", "000"],
     ["gen-tau", "--design", "{header_only}", "--b", "00000000", "--outdir", "{tmp}/t"],
+    *map(list, NAMED_ERRORS),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     deep = tmp_path / "deep.proof"
@@ -510,6 +543,65 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     assert run(*(a.format(**fields) for a in argv)) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if tuple(argv) in NAMED_ERRORS:
+        assert err == f"error: {NAMED_ERRORS[tuple(argv)]}\n"
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_the_modes_name_every_option_of_the_parser():
+    commands = subcommands()
+    assert set(commands) == set(MODES)
+    for command, parser in commands.items():
+        options = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert options == {name for row in MODES[command].values() for name in row}, command
+
+
+def required(row) -> list[str]:
+    return [name for name, v in row.items() if v is REQUIRED]
+
+
+def unread_option_cases():
+    """(command, mode, option) for each option that the mode does not read,
+    unless another mode reads that option and the first mode's required ones
+    and requires no more."""
+    for command, modes in MODES.items():
+        options = dict.fromkeys(name for row in modes.values() for name in row)
+        for label, row in modes.items():
+            for option in (name for name in options if name not in row):
+                given = {*required(row), option}
+                if not any(set(required(r)) <= given <= set(r) for r in modes.values()):
+                    yield pytest.param(command, label, option, id=f"{command}-{label}-{option}")
+
+
+@pytest.mark.parametrize("command, label, option", unread_option_cases())
+def test_each_mode_refuses_an_option_that_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                           command, label, option):
+    """The mode's required options and one option that it does not read,
+    each with a value that parses: one error line names that option, and
+    no file is read or written."""
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_read", no_read)
+    monkeypatch.chdir(tmp_path)
+    actions = {a.dest: a for a in subcommands()[command]._actions}
+    argv = [command]
+    for name in [*required(MODES[command][label]), option]:
+        action = actions[name]
+        argv.append(action.option_strings[0])
+        if name == "task":
+            argv.append(label.removeprefix("with --task "))
+        elif action.nargs != 0:
+            argv.append(action.choices[0] if action.choices else "1")
+    assert run(*argv) == EXIT_ERROR, argv
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ") and err.count("\n") == 1, err
+    assert actions[option].option_strings[0] in re.findall(r"--[\w-]+", err), err
+    assert not any(tmp_path.iterdir())
 
 
 def test_large_exponents_form_no_power(tmp_path, capsys):

@@ -91,14 +91,15 @@ def test_tabular_table_must_be_bits(table):
 @pytest.mark.parametrize("call, message", [
     (lambda: nw.builtin_base("nope", 2), "unknown base function 'nope'"),
     (lambda: nw.builtin_base("tabular", 2), "tabular base needs a truth table"),
+    (lambda: nw.builtin_base("parity", 2, table="0110"), "parity base takes no truth table"),
     (lambda: nw.GeneratorSpec(four_block_spec().design, nw.builtin_base("parity", 3)),
      "base input width 3 != design block size 2"),
     (lambda: nw.Triple(nw.err_triple(four_block_spec()).f0, nw.builtin_base("parity", 2).f0),
      "triple checkers disagree on input groups"),
     (lambda: nw.Triple(nw.builtin_base("parity", 2).f0, nw.builtin_base("parity", 2).f0),
      "triple checkers need groups x, y, w"),
-], ids=["unknown-base", "tabular-without-table", "width-mismatch", "triple-groups-differ",
-        "triple-groups-not-xyw"])
+], ids=["unknown-base", "tabular-without-table", "table-outside-tabular", "width-mismatch",
+        "triple-groups-differ", "triple-groups-not-xyw"])
 def test_base_spec_and_triple_name_what_they_refuse(call, message):
     with pytest.raises(nw.NWError) as e:
         call()

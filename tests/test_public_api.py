@@ -11,11 +11,15 @@ outside the tests passes it, or it is a constant of its module.
 
 Data an object keeps beside its fields is a ``functools.cached_property``
 of its frozen owner, so no module reaches into an object's ``__dict__``.
+
+The package is pure stdlib: a module imports only the standard library and
+the package itself.
 """
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -208,3 +212,18 @@ def _dict_users(path: Path) -> set[str]:
 def test_kept_data_is_a_cached_property():
     users = set().union(*map(_dict_users, PACKAGE))
     assert users <= DICT_USERS, "reaches into __dict__: " + ", ".join(sorted(users - DICT_USERS))
+
+
+def test_the_package_imports_only_the_standard_library():
+    foreign = []
+    for path in PACKAGE:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and not n.level:
+                names = [n.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in {*sys.stdlib_module_names, "nwtaut"}]
+    assert not foreign, "imports outside the standard library: " + ", ".join(foreign)
