@@ -105,7 +105,7 @@ class Circuit:
         if self.has_opaque():
             return None
         cs, outs = circuit_clauses(self)
-        return ClauseSet((*cs.clauses, (outs[0],)), cs.nvars)
+        return ClauseSet.join([cs, ClauseSet([(outs[0],)], cs.nvars)], cs.nvars)
 
 
 class CircuitBuilder:
@@ -330,6 +330,8 @@ def inline(b: CircuitBuilder, circ: Circuit, input_wires: list[int]) -> list[int
 
 #: most free input bits that sat_search enumerates on an opaque circuit
 ENUMERATION_LIMIT = 20
+#: largest k of universal_evaluator, whose selector has an entry per decodable code
+UNIVERSAL_K_LIMIT = 20
 
 
 def sat_search(
@@ -509,8 +511,8 @@ def universal_evaluator(k: int, trim: bool = False) -> Circuit:
     apart, so behaviour off the valid-code set is unspecified (smaller
     circuit, same contract).
     """
-    if k > 20:
-        raise fm.BudgetError("universal evaluator capped at k <= 20")
+    if k > UNIVERSAL_K_LIMIT:
+        raise fm.BudgetError(f"universal evaluator capped at k <= {UNIVERSAL_K_LIMIT}")
     entries = []
     for f in fm.enumerate_fitting(k):
         code = fm.encode_k(f, k)

@@ -5,7 +5,8 @@ command refuses an option that its mode (see MODES) does not read.  Every
 command that writes files also writes a manifest (line-oriented key-value:
 command, argv, parameter values, input/output hashes, wall clock) next to
 its primary output; re-running the argv recorded in a manifest reproduces
-the outputs byte for byte.  Writes are atomic (temp file + rename).
+the outputs byte for byte.  Writes are atomic (temp file + rename, the
+temp file removed if either fails), and an empty --out is refused.
 
 Solver exit codes: 0 = solution found, 3 = certified none (complete sweep),
 4 = budget exhausted / unknown.  Other errors exit 2 with a message.
@@ -39,9 +40,14 @@ SWEEP_M_LIMIT = 20
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)  # a failed write or rename leaves no temp file
+        raise
 
 
 def _tau_file_name(b: str) -> str:
@@ -316,6 +322,8 @@ def _apply_mode(args) -> None:
                            if n not in modes[label] and getattr(args, n) is not None)
     if unread:
         raise ValueError(f"{args.command}: {', '.join('--' + n for n in unread)} not read {label}")
+    if getattr(args, "out", None) == "":
+        raise ValueError(f"{args.command}: --out is empty")
     for name, default in modes[label].items():
         if getattr(args, name) is None:
             setattr(args, name, default)

@@ -30,6 +30,10 @@ the clauses of more than three literals took 1.1-1.3x there, and about half
 the scan's time on uniform q=5 parity b, where long learned clauses are most
 of the work.
 
+A clause set is checked when it is built, so the solver and the RUP checker
+never check one; ``ClauseSet.join`` assembles a tau from the checked pieces
+its spec keeps (see ``tau_of``) without checking them again.
+
 A clause set cannot change, so it keeps the solver index built on its first
 solve (each literal's occurrence list over its input clauses, its unit
 clauses and whether one is empty): ``sat_search`` asks one circuit's clause
@@ -63,9 +67,11 @@ def _decimal(token: str) -> int | None:
 
 @dataclass(frozen=True)
 class ClauseSet:
-    """A tuple of clauses (tuples of nonzero integer literals) over variables
-    1..nvars; lists are converted, and clause tuples are kept as given.
-    nvars must be an int >= 0 (not a bool), or CnfError is raised here."""
+    """A tuple of clauses (tuples of literals) over variables 1..nvars, with
+    comment lines; lists are converted, and clause tuples are kept as given.
+    A bad set raises CnfError when built: nvars must be an int >= 0 (not a
+    bool), a comment one line, and each literal a nonzero int (not a bool)
+    of size at most nvars, with no clause holding both v and -v."""
 
     clauses: tuple[tuple[int, ...], ...]
     nvars: int
@@ -76,22 +82,6 @@ class ClauseSet:
             raise CnfError(f"nvars {self.nvars!r} is not a nonnegative integer")
         object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         object.__setattr__(self, "comments", tuple(self.comments))
-
-    @cached_property
-    def _index(self) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
-        """The solver index, built on the first solve: each literal's
-        occurrence list over the clauses, indexed by literal, the unit
-        literals in clause order, and whether a clause is empty."""
-        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * self.nvars + 1)]
-        units = []
-        for clause in self.clauses:
-            if len(clause) == 1:
-                units.append(clause[0])
-            for lit in clause:
-                occ[lit].append(clause)
-        return occ, units, not all(self.clauses)
-
-    def validate(self) -> None:
         for i, c in enumerate(self.comments):
             # to_dimacs writes f"c {c}"; a line break there starts a new line
             s = f"{c}"
@@ -110,6 +100,36 @@ class ClauseSet:
                 if -lit in seen:
                     raise CnfError(f"clause {ci}: contains both {lit} and {-lit}")
                 seen.add(lit)
+
+    @classmethod
+    def join(cls, parts: Sequence[ClauseSet], nvars: int, comments: Sequence[str] = ()) -> ClauseSet:
+        """The set of the parts' clauses, in order, over variables 1..nvars.
+
+        The parts were checked when they were built, so join checks only
+        nvars and the comments, as an empty set of them, and that each part
+        is a ClauseSet over at most nvars variables."""
+        cs = cls((), nvars, comments)
+        for i, part in enumerate(parts):
+            if not isinstance(part, ClauseSet):
+                raise CnfError(f"part {i} is not a ClauseSet")
+            if part.nvars > nvars:
+                raise CnfError(f"part {i}: nvars={part.nvars} exceeds nvars={nvars}")
+        object.__setattr__(cs, "clauses", tuple(chain.from_iterable(p.clauses for p in parts)))
+        return cs
+
+    @cached_property
+    def _index(self) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
+        """The solver index, built on the first solve: each literal's
+        occurrence list over the clauses, indexed by literal, the unit
+        literals in clause order, and whether a clause is empty."""
+        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * self.nvars + 1)]
+        units = []
+        for clause in self.clauses:
+            if len(clause) == 1:
+                units.append(clause[0])
+            for lit in clause:
+                occ[lit].append(clause)
+        return occ, units, not all(self.clauses)
 
     def to_dimacs(self) -> str:
         lines = [f"c {c}" for c in self.comments]
@@ -182,16 +202,16 @@ def parse_dimacs(text: str) -> ClauseSet:
         raise CnfError("missing p cnf header")
     if nclauses is not None and nclauses != len(clauses):
         raise CnfError(f"header declares {nclauses} clauses, found {len(clauses)}")
-    cs = ClauseSet(clauses, nvars, comments)
-    cs.validate()
-    return cs
+    return ClauseSet(clauses, nvars, comments)
 
 
 def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
-    """The unit literals of a ``fixed`` map: variables in 1..nvars, bits 0, 1,
-    "0" or "1"."""
+    """The unit literals of a ``fixed`` map: integer variables in 1..nvars,
+    bits 0, 1, "0" or "1"."""
     units = []
     for var, bit in (fixed or {}).items():
+        if not isinstance(var, int):
+            raise CnfError(f"fixed variable {var!r} is not an integer")
         if not 1 <= var <= nvars:
             raise CnfError(f"fixed variable {var} out of range")
         if bit not in (0, 1, "0", "1"):
@@ -218,16 +238,6 @@ def dpll_solve(
     ``[]`` at the final conflict, so an unsatisfiable answer leaves a DRUP
     refutation that ``check_rup`` accepts.
 
-    ``cs`` must be a set that ``validate`` accepts.  Validation takes more
-    than a third of the time of a q=3 tau solve, so it is not run up front:
-    when the search raises IndexError or TypeError, as some literals out of
-    range or not integers make it do, validate's ``CnfError`` is raised
-    instead, or one naming a fixed variable or order entry that is not an
-    integer.  Some invalid sets are still answered without error: a literal
-    0, or one whose size is in nvars+1..2*nvars, reads the value of another
-    literal, and the answer means nothing (``ClauseSet([[2]], 1)`` gives
-    ``{1: 0}``); a bool literal reads as 0 or 1.
-
     The occurrence lists of the input clauses are built on the first solve
     of ``cs`` and kept for later ones (see ``ClauseSet._index``).  A learned
     clause is added to per-call copies of the lists of its literals, never
@@ -245,29 +255,14 @@ def dpll_solve(
     where M and M* agree; M* satisfies all of them, a contradiction.
     """
     nvars = cs.nvars
-    try:
-        units = _fixed_literals(fixed, nvars)
-        if decision_order is None:
-            order = range(1, nvars + 1)
-        else:
-            order = decision_order
-            for var in order:
-                if not 1 <= var <= nvars:
-                    raise CnfError(f"decision order entry {var} out of range")
-        return _search(cs, units, order, lemmas)
-    except (IndexError, TypeError):
-        cs.validate()
-        _check_integers(fixed, decision_order)
-        raise
-
-
-def _check_integers(fixed: dict[int, int] | None, decision_order: list[int] | None) -> None:
-    """Raise CnfError naming the first fixed variable, then the first
-    decision order entry, that is not an integer."""
-    for what, entries in ("fixed variable", fixed), ("decision order entry", decision_order):
-        for var in entries or ():
-            if not isinstance(var, int):
-                raise CnfError(f"{what} {var!r} is not an integer")
+    units = _fixed_literals(fixed, nvars)
+    for var in decision_order or ():
+        if not isinstance(var, int):
+            raise CnfError(f"decision order entry {var!r} is not an integer")
+        if not 1 <= var <= nvars:
+            raise CnfError(f"decision order entry {var} out of range")
+    order = range(1, nvars + 1) if decision_order is None else decision_order
+    return _search(cs, units, order, lemmas)
 
 
 def _search(
@@ -420,12 +415,9 @@ def check_rup(
     units and the earlier lemmas, with every literal of the lemma made
     false, reaches a conflict.  This propagation is written apart from the
     solver's, so that a fault there cannot hide itself.  ``fixed`` follows
-    ``dpll_solve``'s rule, and a bad one raises ``CnfError``, as does a
-    clause set that ``validate`` refuses.  A lemma that is not a sequence
-    of integer literals in range makes the answer False.
+    ``dpll_solve``'s rule, and a bad one raises ``CnfError``.  A lemma that
+    is not a sequence of integer literals in range makes the answer False.
     """
-    cs.validate()
-    _check_integers(fixed, None)
     nvars = cs.nvars
     clauses = [*cs.clauses, *([lit] for lit in _fixed_literals(fixed, nvars))]
     if not lemmas or lemmas[-1]:

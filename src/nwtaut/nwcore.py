@@ -204,7 +204,7 @@ class GeneratorSpec:
             )
 
     @cached_property
-    def _pieces(self) -> dict[tuple[int, str, int], tuple[tuple, int]]:
+    def _pieces(self) -> dict[tuple[int, str, int], ClauseSet]:
         """tau_of's table of block pieces (see tau_of)."""
         return {}
 
@@ -276,28 +276,18 @@ class TauResult:
     clauses: ClauseSet
 
 
-def _tau_piece(spec: GeneratorSpec, i: int, bit: str, next_var: int) -> tuple[tuple, int]:
-    """Block i's clauses for output bit `bit`, its witness and computation
-    variables numbered from next_var, ending in the unit of its output; and
-    the first variable after them."""
-    base = spec.base
-    checker = base.checker(int(bit))
-    end = next_var + base.witness_width + checker.size
-    J = blocks(spec.design)[i]
-    clauses, outs = circuit_clauses_mapped(checker, [*J, *range(next_var, end)])
-    return (*clauses, (outs[0],)), end
-
-
 def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     """The negation clauses of tau(NW)_b, block by block.
 
     A block's clauses depend only on its index i, its bit b_i and its first
-    fresh variable, so the spec keeps each block's piece (its clauses with
-    its output unit, as tuples) under the key (i, b_i, first variable),
-    built on first use.  The first variable of block i is n + 1 plus the
-    sizes of the earlier blocks; with two checker sizes, block i sees at
+    fresh variable, so the spec keeps each block's piece under the key
+    (i, b_i, first variable), built and checked on first use: a clause set
+    of the block's clauses, its witness and computation variables numbered
+    from the first, ending in the unit of its output, whose nvars is the
+    last of those variables.  The first variable of block i is n + 1 plus
+    the sizes of the earlier blocks; with two checker sizes, block i sees at
     most i + 1 of them, so the table holds at most m(m+1) pieces, whose
-    clause tuples every result shares."""
+    clause tuples every result shares through ``ClauseSet.join``."""
     design = spec.design
     base = spec.base
     if len(b) != design.m or b.strip("01"):
@@ -305,20 +295,24 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     n = design.n
     pieces = spec._pieces
     next_var = n + 1
-    clauses: list[tuple[int, ...]] = []
+    parts: list[ClauseSet] = []
     for i, bit in enumerate(b):
         piece = pieces.get((i, bit, next_var))
         if piece is None:
-            piece = pieces[i, bit, next_var] = _tau_piece(spec, i, bit, next_var)
-        clauses += piece[0]
-        next_var = piece[1]
+            checker = base.checker(int(bit))
+            end = next_var + base.witness_width + checker.size
+            wires = [*blocks(design)[i], *range(next_var, end)]
+            clauses, outs = circuit_clauses_mapped(checker, wires)
+            piece = pieces[i, bit, next_var] = ClauseSet((*clauses, (outs[0],)), end - 1)
+        parts.append(piece)
+        next_var = piece.nvars + 1
     comments = (
         f"tau(NW)_b negation: design n={n} m={design.m} l={design.l} d={design.d} tag={design.tag}",
         f"base={base.name} witness_width={base.witness_width}",
         f"b={b}",
         "vars: x=1.." + str(n) + " then per-block witness and computation vars",
     )
-    return TauResult(ClauseSet(clauses, next_var - 1, comments))
+    return TauResult(ClauseSet.join(parts, next_var - 1, comments))
 
 
 def tau_verdict(tau: TauResult) -> bool:

@@ -482,6 +482,14 @@ NAMED_ERRORS = {
         "simulate: --w is empty; empty advice leaves --w out",
     ("gen-tau", "--design", "{q3d2}", "--outdir", "{tmp}/t"): "gen-tau: missing --b or --sweep",
     ("solve",): "solve: missing --task, --circuit",
+    # an empty --out, refused before anything is written
+    ("design", "--poly", "--out", ""): "design: --out is empty",
+    ("reduce", "--alpha", "x1|~x1", "--out", ""): "reduce: --out is empty",
+    ("simulate", "--phi", "1", "--proof", "{one}", "--out", ""): "simulate: --out is empty",
+    ("solve", "--task", "cert", "--circuit", "{checker}", "--out", ""): "solve: --out is empty",
+    # a failed rename, which removes the temp file
+    ("design", "--poly", "--out", "{tmp}/dir"):
+        "[Errno 21] Is a directory: '{tmp}/dir.tmp' -> '{tmp}/dir'",
 }
 
 
@@ -523,7 +531,11 @@ NAMED_ERRORS = {
     ["gen-tau", "--design", "{header_only}", "--b", "00000000", "--outdir", "{tmp}/t"],
     *map(list, NAMED_ERRORS),
 ])
-def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
+def test_bad_input_exits_with_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    """Exit 2 with one error line, and no temp file left, in the output's
+    directory or the working one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
     deep = tmp_path / "deep.proof"
     deep.write_text("proof\n1 " + "(" * 10**5 + "1 ; axiom T1\n")
     one = tmp_path / "one.proof"
@@ -544,7 +556,8 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if tuple(argv) in NAMED_ERRORS:
-        assert err == f"error: {NAMED_ERRORS[tuple(argv)]}\n"
+        assert err == f"error: {NAMED_ERRORS[tuple(argv)].format(**fields)}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -238,23 +238,32 @@ def test_clause_set_refuses_a_bad_nvars_when_built(nvars):
     ([[3]], 1, "clause 0: literal 3 exceeds nvars=1"),
     ([[-4, 2], [-2]], 3, "clause 0: literal -4 exceeds nvars=3"),
     ([[1, "2"]], 2, "clause 0: literal '2' is not an integer"),
+    # the solver once answered these: a literal 0 or one in nvars+1..2*nvars
+    # read another literal's value, and True read as the literal 1
+    ([[2]], 1, "clause 0: literal 2 exceeds nvars=1"),
+    ([[0]], 1, "clause 0: zero literal"),
+    ([[True]], 1, "clause 0: literal True is not an integer"),
+    ([[1, -3], [-1], [-2]], 2, "clause 0: literal -3 exceeds nvars=2"),
 ])
 def test_solver_raises_the_validate_error_for_a_set_it_cannot_search(clauses, nvars, message):
-    """The search fails on these sets (IndexError or TypeError); the error
-    raised is validate's, which names the clause."""
+    """A set the solver cannot search is refused when it is built, by an
+    error that names the clause, so no solve or RUP check reads it."""
     with pytest.raises(CnfError) as e:
-        dpll_solve(ClauseSet(clauses, nvars))
+        ClauseSet(clauses, nvars)
     assert str(e.value) == message
 
 
 def test_check_rup_refuses_a_set_that_validate_refuses():
     """With x3 declared, x3 = 0 satisfies the set, so no log may certify it
-    unsatisfiable while x3 is out of range."""
-    cs = ClauseSet([[1, -3], [-1], [-2]], 2)
+    unsatisfiable while x3 is out of range: the set is refused when built,
+    before check_rup could read it."""
+    clauses = [[1, -3], [-1], [-2]]
     with pytest.raises(CnfError) as e:
-        check_rup(cs, [[]])
+        ClauseSet(clauses, 2)
     assert str(e.value) == "clause 0: literal -3 exceeds nvars=2"
-    assert dpll_solve(ClauseSet(cs.clauses, 3)) == {1: 0, 2: 0, 3: 0}
+    cs = ClauseSet(clauses, 3)
+    assert dpll_solve(cs) == {1: 0, 2: 0, 3: 0}
+    assert not check_rup(cs, [[]])
 
 
 def test_check_rup_rejects_what_unit_propagation_does_not_imply():
@@ -287,8 +296,11 @@ def test_check_rup_rejects_what_unit_propagation_does_not_imply():
     (check_rup, {"lemmas": [[1.0], []]}, False),
     (check_rup, {"lemmas": [5, []]}, False),
     (check_rup, {"lemmas": [[True], []]}, False),
+    (dpll_solve, {"decision_order": [2, "x"]}, "decision order entry 'x' is not an integer"),
+    (dpll_solve, {"fixed": {1: 0, "x": 1}}, "fixed variable 'x' is not an integer"),
 ], ids=["order-float", "order-str", "fixed-str", "fixed-float", "rup-fixed-str",
-        "lemma-str", "lemma-float", "lemma-int", "lemma-bool"])
+        "lemma-str", "lemma-float", "lemma-int", "lemma-bool", "order-str-after-an-int",
+        "fixed-str-after-an-int"])
 def test_arguments_that_are_not_integers_raise_cnf_error_or_fail_the_check(
     function, kwargs, outcome
 ):
@@ -408,7 +420,7 @@ def test_dimacs_matches_the_clause_by_clause_text_on_random_clause_sets():
         back = parse_dimacs(text)
         assert (back.clauses, back.comments) == (tuple(map(tuple, clauses)), tuple(comments)), i
     assert widths == set(range(13))
-    assert ClauseSet([[10**7, -(10**7)]], 10**7).to_dimacs() == "p cnf 10000000 1\n10000000 -10000000 0\n"
+    assert ClauseSet([[9999999, -(10**7)]], 10**7).to_dimacs() == "p cnf 10000000 1\n9999999 -10000000 0\n"
 
 
 def test_dimacs_rejects_malformed():
@@ -441,7 +453,7 @@ def test_dimacs_refuses_a_second_header():
 @pytest.mark.parametrize("call, message", [
     (lambda: parse_dimacs("p cnf 1 1\n1\n"), "unterminated clause at end of file"),
     (lambda: parse_dimacs("p cnf 1 2\n1 0\n"), "header declares 2 clauses, found 1"),
-    (lambda: ClauseSet([[2, 1, -2]], 2).validate(), "clause 0: contains both -2 and 2"),
+    (lambda: ClauseSet([[2, 1, -2]], 2), "clause 0: contains both -2 and 2"),
 ], ids=["unterminated-clause", "clause-count", "complementary-literals"])
 def test_reader_and_validate_name_what_they_refuse(call, message):
     with pytest.raises(CnfError) as e:
@@ -458,7 +470,7 @@ def test_reader_and_validate_name_what_they_refuse(call, message):
 def test_validate_rejects_literals_that_are_not_integers(clauses, message):
     """DIMACS would print 1.5 or True as is, and parse_dimacs refuses both."""
     with pytest.raises(CnfError) as e:
-        ClauseSet(clauses, 2).validate()
+        ClauseSet(clauses, 2)
     assert str(e.value) == message
 
 
@@ -466,18 +478,101 @@ def test_validate_rejects_literals_that_are_not_integers(clauses, message):
 def test_validate_rejects_a_comment_with_a_line_break(comment):
     """to_dimacs would write the comment's tail as a line of its own."""
     with pytest.raises(CnfError) as e:
-        ClauseSet([[1]], 1, ["fine", comment]).validate()
+        ClauseSet([[1]], 1, ["fine", comment])
     assert str(e.value) == "comment 1: contains a line break"
 
 
 def test_validate_accepts_comments_on_one_line():
     cs = ClauseSet([[1]], 1, ["", "tau b=01 \t tabs"])
-    cs.validate()
     assert parse_dimacs(cs.to_dimacs()).clauses == ((1,),)
 
 
 def test_validate_rejects_out_of_range():
     with pytest.raises(CnfError):
-        ClauseSet([[3]], 2).validate()
+        ClauseSet([[3]], 2)
     with pytest.raises(CnfError):
-        ClauseSet([[0]], 2).validate()
+        ClauseSet([[0]], 2)
+
+
+def test_join_checks_what_its_parts_do_not_guarantee():
+    """join shares its parts' clause tuples, and refuses a part that is not
+    a clause set or that has more variables than the join, bad comments and
+    a bad nvars, as the constructor does."""
+    a = ClauseSet([[1, -2], [2]], 2)
+    b = ClauseSet([[-3], [3, 4]], 4)
+    joined = ClauseSet.join([a, b], 5, ["joined"])
+    assert joined == ClauseSet([*a.clauses, *b.clauses], 5, ["joined"])
+    assert all(x is y for x, y in zip(joined.clauses, (*a.clauses, *b.clauses), strict=True))
+    assert dpll_solve(joined) == {1: 1, 2: 1, 3: 0, 4: 1, 5: 0}
+    assert ClauseSet.join([], 0) == ClauseSet([], 0)
+    for args, message in [
+        (([a, b], 3), "part 1: nvars=4 exceeds nvars=3"),
+        (([a, [[1]]], 4), "part 1 is not a ClauseSet"),
+        (([a], 2, ["two\nlines"]), "comment 0: contains a line break"),
+        (([a], True), "nvars True is not a nonnegative integer"),
+    ]:
+        with pytest.raises(CnfError) as e:
+            ClauseSet.join(*args)
+        assert str(e.value) == message
+
+
+NON_ASCII_DIGITS = "١٣１²১"  # Arabic-Indic, fullwidth, superscript, Bengali
+
+
+def mutate(rng: random.Random, text: str, nvars: int) -> tuple[str, bool]:
+    """One mutant of a DIMACS text, and whether it must be refused: it has
+    a span deleted, characters inserted, a span copied elsewhere, a digit
+    outside the comments made non-ASCII, or a clause literal moved into
+    nvars+1..2*nvars."""
+    kind = rng.randrange(5)
+    at = rng.randrange(len(text))
+    if kind == 0:
+        return text[:at] + text[at + rng.randint(1, 8):], False
+    if kind == 1:
+        alphabet = "0123456789 -\n\tcp" + NON_ASCII_DIGITS
+        return text[:at] + "".join(rng.choices(alphabet, k=rng.randint(1, 4))) + text[at:], False
+    if kind == 2:
+        start = rng.randrange(len(text))
+        return text[:at] + text[start:start + rng.randint(1, 30)] + text[at:], False
+    if kind == 3:
+        # a digit of the header or a clause line; a comment may hold any
+        header = text.index("\np ") + 1
+        digits = [i for i, ch in enumerate(text) if ch.isdigit() and i > header]
+        i = rng.choice(digits)
+        return text[:i] + rng.choice(NON_ASCII_DIGITS) + text[i + 1:], True
+    lines = text.split("\n")
+    body = [i for i, line in enumerate(lines) if line[:1] not in ("", "c", "p")]
+    i = rng.choice(body)
+    tokens = lines[i].split()
+    j = rng.randrange(len(tokens) - 1)  # the last token is the 0 that ends the clause
+    tokens[j] = str(rng.choice((1, -1)) * rng.randint(nvars + 1, 2 * nvars))
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines), True
+
+
+def test_dimacs_reader_fuzz_refuses_or_gives_a_set_the_solver_answers():
+    """Each mutant of a q=3 tau's DIMACS is refused by the reader with a
+    CnfError, or read as a set that the solver answers without error (a
+    model it gives satisfies every clause); a non-ASCII digit or a literal
+    out of range is always refused."""
+    from nwtaut import designs as dg
+    from nwtaut import nwcore as nw
+
+    spec = nw.GeneratorSpec(dg.poly_design(3, 2), nw.builtin_base("parity", 3))
+    tau = nw.tau_of(spec, "101100111").clauses
+    text = tau.to_dimacs()
+    rng = random.Random(37)
+    read = refused = 0
+    for trial in range(500):
+        mutant, must_refuse = mutate(rng, text, tau.nvars)
+        try:
+            cs = parse_dimacs(mutant)
+        except CnfError:
+            refused += 1
+            continue
+        assert not must_refuse, (trial, mutant)
+        read += 1
+        model = dpll_solve(cs)
+        if model is not None:
+            assert all(any(model[abs(lit)] == (lit > 0) for lit in c) for c in cs.clauses), trial
+    assert read >= 50 and refused >= 250, (read, refused)

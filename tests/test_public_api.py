@@ -11,6 +11,8 @@ outside the tests passes it, or it is a constant of its module.
 
 Data an object keeps beside its fields is a ``functools.cached_property``
 of its frozen owner, so no module reaches into an object's ``__dict__``.
+Only ``ClauseSet``'s own check and join call ``object.__setattr__`` or
+``object.__new__``, so no clause set is built past its check.
 
 The package is pure stdlib: a module imports only the standard library and
 the package itself.
@@ -112,8 +114,8 @@ TEST_ONLY_PARAMETERS = {
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[int | None, str]]:
     """(position in a call, name) of fn's defaulted parameters; a
-    keyword-only one has no position, and a method's self is not counted
-    (the package has no static or class methods)."""
+    keyword-only one has no position, and a method's self or a class
+    method's cls is not counted (the package has no static methods)."""
     positional = [*fn.args.posonlyargs, *fn.args.args][method:]
     out = [(i, a.arg) for i, a in enumerate(positional)
            if i >= len(positional) - len(fn.args.defaults)]
@@ -189,9 +191,9 @@ def test_traced_names_resolve():
 DICT_USERS = {"frege._serialize"}
 
 
-def _dict_users(path: Path) -> set[str]:
-    """The functions of a module, as "module.Class.function", that read or
-    write an object's __dict__, by attribute or through vars()."""
+def _functions_where(path: Path, found) -> set[str]:
+    """The functions of a module, as "module.Class.function", with a node
+    in their body for which found is true."""
     users = set()
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -199,9 +201,7 @@ def _dict_users(path: Path) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "__dict__"
-                    or isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "vars"):
+            if found(child):
                 users.add(owner)
             visit(child, owner)
 
@@ -209,9 +209,34 @@ def _dict_users(path: Path) -> set[str]:
     return users
 
 
+def _reads_dict(node: ast.AST) -> bool:
+    """An object's __dict__, by attribute or through vars()."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars")
+
+
 def test_kept_data_is_a_cached_property():
-    users = set().union(*map(_dict_users, PACKAGE))
+    users = set().union(*(_functions_where(path, _reads_dict) for path in PACKAGE))
     assert users <= DICT_USERS, "reaches into __dict__: " + ", ".join(sorted(users - DICT_USERS))
+
+
+# the functions that may set a frozen field or build an object past its
+# __init__: a clause set is checked when built, or joined from checked sets
+BYPASS_USERS = {"cnf.ClauseSet.__post_init__", "cnf.ClauseSet.join"}
+
+
+def _bypasses_init(node: ast.AST) -> bool:
+    """object.__setattr__ or object.__new__."""
+    return (isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__new__")
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_only_the_clause_set_builds_past_its_check():
+    """No other module can make a ClauseSet that skips its check."""
+    users = set().union(*(_functions_where(path, _bypasses_init) for path in PACKAGE))
+    assert users <= BYPASS_USERS, "sets or builds past __init__: " + ", ".join(
+        sorted(users - BYPASS_USERS))
 
 
 def test_the_package_imports_only_the_standard_library():
