@@ -70,17 +70,25 @@ class Circuit:
         if len(set(names)) != len(names):
             raise CircuitError("duplicate group name")
         for n, w in self.groups:
+            if type(w) is not int:
+                raise CircuitError(f"group {n}: width {w!r} is not an integer")
             if w < 0:
                 raise CircuitError(f"negative width for group {n}")
         limit = self.n_inputs  # gate i reads wires below n_inputs + i
         for i, g in enumerate(self.gates):
-            if len(g) != _GATE_FIELDS.get(g[0] if g else None):
+            op = g[0] if type(g) is tuple and g and type(g[0]) is str else None
+            ops = gate_operands(g) if op in _GATE_FIELDS and len(g) == _GATE_FIELDS[op] else None
+            if type(ops) is not tuple:
                 raise CircuitError(f"gate {i}: malformed gate {g!r}")
-            for a in gate_operands(g):
+            for a in ops:
+                if type(a) is not int:
+                    raise CircuitError(f"gate {i}: wire {a!r} is not an integer")
                 if not 0 <= a < limit:
                     raise CircuitError(f"gate {i}: wire {a} not yet defined")
             limit += 1
         for o in self.outputs:
+            if type(o) is not int:
+                raise CircuitError(f"output wire {o!r} is not an integer")
             if not 0 <= o < limit:
                 raise CircuitError(f"output wire {o} undefined")
 

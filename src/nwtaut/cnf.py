@@ -206,11 +206,11 @@ def parse_dimacs(text: str) -> ClauseSet:
 
 
 def _fixed_literals(fixed: dict[int, int] | None, nvars: int) -> list[int]:
-    """The unit literals of a ``fixed`` map: integer variables in 1..nvars,
-    bits 0, 1, "0" or "1"."""
+    """The unit literals of a ``fixed`` map: integer variables (not bools) in
+    1..nvars, bits 0, 1, "0" or "1"."""
     units = []
     for var, bit in (fixed or {}).items():
-        if not isinstance(var, int):
+        if type(var) is not int:
             raise CnfError(f"fixed variable {var!r} is not an integer")
         if not 1 <= var <= nvars:
             raise CnfError(f"fixed variable {var} out of range")
@@ -232,11 +232,11 @@ def dpll_solve(
     and the unit clauses of ``cs`` are level-0 units: they are propagated
     before the first decision, and a conflict among them yields None with
     ``[]`` as the whole log.  The variables a given ``decision_order``
-    (entries in 1..nvars) leaves out are decided after it, in index order;
-    the default order is 1..nvars.  Bad arguments raise ``CnfError``.  When
-    a ``lemmas`` list is given, every learned clause is appended to it, and
-    ``[]`` at the final conflict, so an unsatisfiable answer leaves a DRUP
-    refutation that ``check_rup`` accepts.
+    (int entries, not bools, in 1..nvars) leaves out are decided after it,
+    in index order; the default order is 1..nvars.  Bad arguments raise
+    ``CnfError``.  When a ``lemmas`` list is given, every learned clause is
+    appended to it, and ``[]`` at the final conflict, so an unsatisfiable
+    answer leaves a DRUP refutation that ``check_rup`` accepts.
 
     The occurrence lists of the input clauses are built on the first solve
     of ``cs`` and kept for later ones (see ``ClauseSet._index``).  A learned
@@ -257,7 +257,7 @@ def dpll_solve(
     nvars = cs.nvars
     units = _fixed_literals(fixed, nvars)
     for var in decision_order or ():
-        if not isinstance(var, int):
+        if type(var) is not int:
             raise CnfError(f"decision order entry {var!r} is not an integer")
         if not 1 <= var <= nvars:
             raise CnfError(f"decision order entry {var} out of range")

@@ -26,7 +26,7 @@ functions are thin wrappers that give each a fresh builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from . import formulas as fm
 from .cnf import _decimal
@@ -115,11 +115,12 @@ def _rooted(t) -> bool:
 
 def _line_fault(lines: tuple[Line, ...], i: int) -> str | None:
     """Why lines[i] is not well formed, or None: the kernel's one line-shape
-    rule.  A well-formed line has a rooted formula (see _rooted) and the
-    justification ("hyp",), ("mp", a, b) with ints 0 <= a, b < i (a fault
-    quotes them from 1, as the text numbers lines), or ("axiom", name, sigma)
-    with name a scheme and sigma a dict from ints >= 1 to rooted formulas:
-    the lines the printer writes and parse_proof reads back."""
+    rule, which Proof checks when it is built.  A well-formed line has a
+    rooted formula (see _rooted) and the justification ("hyp",),
+    ("mp", a, b) with ints 0 <= a, b < i (a fault quotes them from 1, as the
+    text numbers lines), or ("axiom", name, sigma) with name a scheme and
+    sigma a dict from ints >= 1 to rooted formulas: the lines the printer
+    writes and parse_proof reads back."""
     ln = lines[i]
     f, just = ln.formula, ln.just
     if not _rooted(f):
@@ -141,26 +142,23 @@ def _line_fault(lines: tuple[Line, ...], i: int) -> str | None:
 
 @dataclass(frozen=True)
 class Proof:
-    """A sequence of lines; serialize_proof keeps its text once printed."""
+    """A nonempty sequence of well-formed lines (see _line_fault): any other
+    is refused when it is built, with ProofError("empty proof") or
+    ProofError("line N: why") for its first malformed line.  serialize_proof
+    keeps its text once printed."""
 
     lines: tuple[Line, ...]
 
-    @cached_property
-    def _fault(self) -> str | None:
-        """Why the proof is not well formed ("empty proof", or "line N: why"
-        for its first malformed line), or None; walked once per proof."""
+    def __post_init__(self):
         lines = self.lines
         if not lines:
-            return "empty proof"
+            raise ProofError("empty proof")
         for i in range(len(lines)):
             if (why := _line_fault(lines, i)) is not None:
-                return f"line {i + 1}: {why}"
-        return None
+                raise ProofError(f"line {i + 1}: {why}")
 
     @property
     def conclusion(self) -> Formula:
-        if not self.lines:
-            raise ProofError("empty proof")
         return self.lines[-1].formula
 
     def hypotheses(self) -> list[Formula]:
@@ -178,11 +176,9 @@ class FregeSystem:
     of the paper, while the proof builders always build kernel proofs."""
 
     def _justified(self, proof: Proof, allow_hyp: bool) -> bool:
-        """Whether the proof is well formed and each line follows from the
-        lines before it: the one loop of check and check_derivation."""
+        """Whether each line of the proof follows from the lines before it:
+        the one loop of check and check_derivation."""
         lines = proof.lines
-        if proof._fault is not None:
-            return False
         for ln in lines:
             f, just = ln.formula, ln.just
             if just[0] == "axiom":
@@ -200,12 +196,12 @@ FREGE = FregeSystem()
 
 
 def check(P: FregeSystem, tau: Formula, proof: Proof) -> bool:
-    """True iff the proof is well formed, every line is justified (no
-    hypotheses), the conclusion is tau and the printer prints the proof,
-    reading every depth: a node malformed below a formula's root fails.
+    """True iff every line of the proof is justified (no hypotheses), the
+    conclusion is tau and the printer prints the proof, reading every depth:
+    a node malformed below a formula's root fails (Proof reads only roots).
     The proof keeps its text (see serialize_proof), so a proof that is
     checked and then written is printed once."""
-    if not P._justified(proof, False) or proof.lines[-1].formula != tau:
+    if not P._justified(proof, False) or proof.conclusion != tau:
         return False
     try:
         serialize_proof(proof)
@@ -284,11 +280,7 @@ class ProofBuilder:
         return self.mp(i, self.axiom(name, sigma))
 
     def append_proof(self, proof: Proof) -> int:
-        """Replay an existing proof; returns the index of its conclusion.
-        A proof that is not well formed (see Proof._fault) raises ProofError
-        naming its first malformed line, and none of its lines is copied."""
-        if (fault := proof._fault) is not None:
-            raise ProofError(fault)
+        """Replay an existing proof; returns the index of its conclusion."""
         placed: list[int] = []  # where each replayed line landed after dedup
         for ln in proof.lines:
             just = ln.just
@@ -406,10 +398,9 @@ def discharge(proof: Proof, hypothesis: Formula) -> Proof:
     prover discharges into its own builder instead.  Every output line
     contains H, so H is held as one fm.HashedFormula and hashing a line
     costs the same whatever the size of H.  The input is checked for shape
-    only: a hypothesis that is not a rooted formula (see _rooted), or a
-    proof that is not well formed (see Proof._fault), raises ProofError
-    before any line is built; the builder's mp rejects premises whose
-    formulas do not fit."""
+    only: a hypothesis that is not a rooted formula (see _rooted) raises
+    ProofError before any line is built; the builder's mp rejects premises
+    whose formulas do not fit."""
     b = ProofBuilder()
     return b.proof(_discharge_into(b, proof, hypothesis))
 
@@ -418,8 +409,6 @@ def _discharge_into(b: ProofBuilder, proof: Proof, hypothesis: Formula) -> int:
     """discharge written into b: the index of the line proving H -> phi."""
     if not _rooted(hypothesis):
         raise ProofError(f"malformed hypothesis {hypothesis!r}")
-    if (fault := proof._fault) is not None:
-        raise ProofError(fault)
     mapped: dict[int, int] = {}  # old line -> line proving H -> f
     try:
         H = hypothesis if isinstance(hypothesis, fm.HashedFormula) else fm.HashedFormula(hypothesis)
@@ -503,11 +492,10 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     may serve several proofs; the caller keeps them all alive while the memo
     is in use (see the comment above fm._text).
 
-    A proof that is not well formed (see Proof._fault), or has a node below
-    a formula's root that fm._text refuses, raises ProofError naming the
-    line.  The text is built as one list of pieces, joined once, and kept in
-    the proof's __dict__, so ==, hash and repr ignore it.  It is no
-    cached_property, as Proof._fault is, because it is printed through the
+    A proof with a node below a formula's root that fm._text refuses raises
+    ProofError naming the line.  The text is built as one list of pieces,
+    joined once, and kept in the proof's __dict__, so ==, hash and repr
+    ignore it.  It is no cached_property because it is printed through the
     caller's memo: printing simulate's four stages with a fresh memo each
     made the pipeline benchmark 8-18% slower (2-vCPU host, Python 3.11).
     Line is frozen, formulas are tuples and ProofBuilder copies each sigma
@@ -516,8 +504,6 @@ def _serialize(proof: Proof, memo: dict[int, str]) -> str:
     text = proof.__dict__.get("_text")
     if text is not None:
         return text
-    if (fault := proof._fault) is not None:
-        raise ProofError(fault)
     out = ["proof\n"]
     try:
         for i, ln in enumerate(proof.lines, 1):
@@ -587,8 +573,6 @@ def parse_proof(text: str) -> Proof:
         texts.append(ftext)
     if not saw_header:
         raise ProofError("missing 'proof' header")
-    if not lines:
-        raise ProofError("empty proof")
     return Proof(tuple(lines))
 
 

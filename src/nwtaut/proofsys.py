@@ -249,11 +249,10 @@ def check_plus_alpha(S: PlusAlphaSystem, tau: Formula, pi: Proof) -> bool:
     negated alpha-instances ending in tau (possibly with no instances).
     check reads the conclusion at every depth, so only a malformed alpha
     can make the disjunct walk raise, and that is False too."""
-    lines = pi.lines
-    if not lines or not check(S.base, lines[-1].formula, pi):
+    C = pi.conclusion
+    if not check(S.base, C, pi):
         return False
 
-    C = lines[-1].formula
     try:
         while C != tau:
             if C[0] != "or" or C[1][0] != "not" or fm.match_instance(C[1][1], S.alpha) is None:

@@ -322,6 +322,22 @@ def test_circuit_rejects_malformed_gates(gate):
 
 
 @pytest.mark.parametrize("groups, gates, outputs, msg", [
+    ((("x", "3"),), (), (), "group x: width '3' is not an integer"),
+    ((("x", True),), (), (), "group x: width True is not an integer"),
+    ((("x", 2),), (("and", 0, "1"),), (), "gate 0: wire '1' is not an integer"),
+    ((("x", 2),), (5,), (), "gate 0: malformed gate 5"),
+    ((("x", 2),), (("opaque", "f", 0),), (), "gate 0: malformed gate ('opaque', 'f', 0)"),
+    ((("x", 2),), (), (1.0,), "output wire 1.0 is not an integer"),
+], ids=["width-str", "width-bool", "operand-str", "gate-int", "opaque-args-int", "output-float"])
+def test_circuit_refuses_what_is_no_int_or_no_gate(groups, gates, outputs, msg):
+    """Widths, operands and outputs are ints (a bool is none), and a gate is
+    a tuple: anything else is a CircuitError when the circuit is built."""
+    with pytest.raises(cc.CircuitError) as e:
+        cc.Circuit(groups, gates, outputs)
+    assert str(e.value) == msg
+
+
+@pytest.mark.parametrize("groups, gates, outputs, msg", [
     ((("a", 1), ("a", 2)), (), (0,), "duplicate group name"),
     ((("a", 1), ("b", -1)), (), (0,), "negative width for group b"),
     ((("a", 1),), (("not", 1),), (0,), "gate 0: wire 1 not yet defined"),

@@ -221,6 +221,14 @@ def test_check_proof_quotes_mp_premises_as_the_text_numbers_lines(tmp_path, caps
     assert err.count("\n") == 1 and "mp 5 1" in err and "('mp', 4, 0)" not in err
 
 
+def test_check_proof_refuses_a_forward_reference_as_it_is_read(tmp_path, capsys):
+    path = tmp_path / "fwd.proof"
+    path.write_text("proof\n1 1 ; axiom T1\n2 1 ; mp 3 1\n")
+    assert cli.main(["check-proof", "--tau", "1", "--proof", str(path)]) == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 2: malformed justification mp 3 1\n"
+
+
 # the README's hand-spelled dn.proof, a fuzz source: line 2, the mp premise
 # of line 3, has extra parentheses and its sigma value spaces, so the reader
 # parses line 2 and the mp line after it

@@ -321,6 +321,17 @@ def test_arguments_that_are_not_integers_raise_cnf_error_or_fail_the_check(
         assert str(e.value) == outcome
 
 
+def test_a_bool_is_no_variable():
+    """bool is an int subclass, but True names no variable, as it is no
+    literal when a set is built."""
+    with pytest.raises(CnfError, match=r"^fixed variable True is not an integer$"):
+        dpll_solve(ClauseSet([[1, 2]], 2), fixed={True: 0})
+    with pytest.raises(CnfError, match=r"^decision order entry True is not an integer$"):
+        dpll_solve(ClauseSet([[1, 2]], 2), decision_order=[True, 2])
+    with pytest.raises(CnfError, match=r"^fixed variable True is not an integer$"):
+        check_rup(ClauseSet([[1]], 1), [[]], fixed={True: 0})
+
+
 def test_dpll_partial_order_returns_models():
     assert dpll_solve(ClauseSet([[1], [-1]], 2), decision_order=[2]) is None
     assert dpll_solve(ClauseSet([[1, 2], [-1]], 2), decision_order=[]) == {1: 0, 2: 1}

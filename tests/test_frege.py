@@ -83,13 +83,23 @@ def test_check_rejects_hypotheses_and_forward_references():
     hyp = fr.Proof((fr.Line(fm.Var(1), ("hyp",)),))
     assert not fr.check(fr.FREGE, fm.Var(1), hyp)
     assert fr.check_derivation(fr.FREGE, hyp)
-    bad = fr.Proof((fr.Line(fm.parse("1"), ("mp", 0, 1)),))
-    assert not fr.check(fr.FREGE, fm.parse("1"), bad)
+    # a forward reference is refused when the proof is built
+    with pytest.raises(fr.ProofError, match=r"^line 1: malformed justification mp 1 2$"):
+        fr.Proof((fr.Line(fm.parse("1"), ("mp", 0, 1)),))
+
+
+def test_parse_proof_refuses_a_forward_reference():
+    """The reader builds the Proof, which names the line that cites a later
+    one, with its premises numbered as the text numbers them."""
+    with pytest.raises(fr.ProofError) as exc:
+        fr.parse_proof("proof\n1 1 ; axiom T1\n2 1 ; mp 3 1\n")
+    assert str(exc.value) == "line 2: malformed justification mp 3 1"
 
 
 def test_check_rejects_unknown_scheme_and_bad_instance():
-    bad = fr.Proof((fr.Line(fm.parse("1"), ("axiom", "Z9", {})),))
-    assert not fr.check(fr.FREGE, fm.parse("1"), bad)
+    with pytest.raises(fr.ProofError) as exc:
+        fr.Proof((fr.Line(fm.parse("1"), ("axiom", "Z9", {})),))
+    assert str(exc.value) == "line 1: malformed justification ('axiom', 'Z9', {})"
     wrong = fr.Proof((fr.Line(fm.parse("0"), ("axiom", "T1", {})),))
     assert not fr.check(fr.FREGE, fm.parse("0"), wrong)
 
@@ -102,25 +112,26 @@ MALFORMED_JUSTIFICATIONS = [
 
 @pytest.mark.parametrize("just", MALFORMED_JUSTIFICATIONS)
 def test_check_rejects_malformed_justifications(just):
-    """A justification of the wrong shape is rejected, not raised on."""
+    """A justification of the wrong shape is refused when the proof is
+    built, so no checker meets it; the line before it builds and checks."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
-    bad = fr.Proof((one, fr.Line(fm.parse("1"), just)))
-    assert not fr.check(fr.FREGE, fm.parse("1"), bad)
-    assert not fr.check_derivation(fr.FREGE, bad)
+    assert fr.check(fr.FREGE, fm.parse("1"), fr.Proof((one,)))
+    with pytest.raises(fr.ProofError, match=r"^line 2: malformed justification "):
+        fr.Proof((one, fr.Line(fm.parse("1"), just)))
 
 
 @pytest.mark.parametrize("just", MALFORMED_JUSTIFICATIONS)
 def test_printer_and_sizer_name_a_malformed_justification(just):
+    """The printer and sizer never meet a malformed justification: Proof
+    refuses it when it is built, naming the line as the text numbers it."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
-    bad = fr.Proof((one, fr.Line(fm.parse("1"), just)))
     # int mp premises are quoted as the proof text numbers lines, from 1
     int_mp = len(just) == 3 and just[0] == "mp" and type(just[1]) is type(just[2]) is int
     message = "line 2: malformed justification " + (
         f"mp {just[1] + 1} {just[2] + 1}" if int_mp else repr(just))
-    for measure in (fr.serialize_proof, fr.proof_size_bits):
-        with pytest.raises(fr.ProofError) as exc:
-            measure(bad)
-        assert str(exc.value) == message
+    with pytest.raises(fr.ProofError) as exc:
+        fr.Proof((one, fr.Line(fm.parse("1"), just)))
+    assert str(exc.value) == message
 
 
 def t1(sigma):
@@ -155,16 +166,19 @@ def test_printer_and_sizer_name_a_malformed_substitution(formula, just, part, re
     """A T1 line is malformed when its sigma is no map from variable indices
     to formulas, even though T1 uses no variable, and a line is malformed
     when its formula, or a sigma value, has no formula root or a var or
-    const root with a bad payload: check rejects it and the printer and
-    sizer name it.  The printer and sizer also name a malformed node below
-    the root (a bad leaf payload, an unknown tag or the wrong number of
-    operands), which the shape rule does not read, so check, which reads
-    through the printer, rejects it too."""
+    const root with a bad payload: Proof refuses it when it is built,
+    naming it.  A malformed node below the root (a bad leaf payload, an
+    unknown tag or the wrong number of operands) is not read by the shape
+    rule, so the proof builds; the printer and sizer name the line, and
+    check, which reads through the printer, rejects it."""
     one = fr.Line(fm.parse("1"), ("axiom", "T1", {}))
-    bad = fr.Proof((one, fr.Line(formula, just)))
-    assert not fr.check(fr.FREGE, formula, bad)
+    lines = (one, fr.Line(formula, just))
     if not request.node.callspec.id.startswith("deep-"):
-        assert not fr.check_derivation(fr.FREGE, bad)
+        with pytest.raises(fr.ProofError, match=rf"^line 2: malformed {part}"):
+            fr.Proof(lines)
+        return
+    bad = fr.Proof(lines)
+    assert not fr.check(fr.FREGE, formula, bad)
     for measure in (fr.serialize_proof, fr.proof_size_bits):
         with pytest.raises(fr.ProofError, match=rf"^line 2: malformed {part}"):
             measure(bad)
@@ -178,16 +192,15 @@ KERNEL_API_PREMISES = ["fwd", "neg"]
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kernel_api_rejects_malformed_lines(seed):
-    """Each entry point of the kernel's public API, fed a derivation with
-    one malformed line (line formulas all well formed), returns False or
-    raises ProofError, never another exception."""
+    """A derivation with one malformed line (line formulas all well formed)
+    is refused with ProofError naming the line when it is built, so no
+    entry point of the kernel's public API meets one."""
     rng = random.Random(seed)
     b = fr.ProofBuilder()
     h = b.hyp(fm.parse("x1 & x2"))
     b.append_proof(fr.prove_tautology(fm.parse(rng.choice(["x1 | ~x1", "~(x1 & ~x1)", "x2 | 1"]))))
     base = b.proof(b.imply(h, "C1", {1: fm.Var(1), 2: fm.Var(2)}))
-    good = fr.prove_true_sentence(fm.parse("~0"))
-    S = ps.PlusAlphaSystem(fr.FREGE, fm.parse("x1 | ~x1"))
+    assert fr.check_derivation(fr.FREGE, base)
     for just in KERNEL_API_SHAPES + KERNEL_API_PREMISES:
         lines = list(base.lines)
         i = rng.randrange(len(lines))
@@ -198,22 +211,8 @@ def test_kernel_api_rejects_malformed_lines(seed):
             rng.shuffle(pair)
             just = ("mp", *pair)
         lines[i] = fr.Line(lines[i].formula, just)
-        bad = fr.Proof(tuple(lines))
-        tau = bad.conclusion
-        assert fr.check(fr.FREGE, tau, bad) is False
-        assert fr.check_derivation(fr.FREGE, bad) is False
-        assert ps.check_plus_alpha(S, tau, bad) is False
-        assert isinstance(bad.hypotheses(), list)
-        for call in (lambda: fr.discharge(bad, fm.parse("x1 & x2")),
-                     lambda: fr.ProofBuilder().append_proof(bad),
-                     lambda: fr.subst_proof(bad, {1: fm.CONST1}),
-                     lambda: fr.mp(bad, good),
-                     lambda: fr.mp(good, bad)):
-            with pytest.raises(fr.ProofError):
-                call()
-        for measure in (fr.serialize_proof, fr.proof_size_bits):
-            with pytest.raises(fr.ProofError, match=f"^line {i + 1}: malformed"):
-                measure(bad)
+        with pytest.raises(fr.ProofError, match=f"^line {i + 1}: malformed"):
+            fr.Proof(tuple(lines))
 
 
 NOT0 = ("not", ())  # a not node without its operand
@@ -260,16 +259,18 @@ def test_append_proof_copies_no_malformed_line():
     b = fr.ProofBuilder()
     b.axiom("T1", {})
     for just in (("axiom", "T1"), ("hyp", "x"), ("mp", 0), None):
-        bad = fr.Proof((fr.Line(fm.parse("~0"), just),))
         with pytest.raises(fr.ProofError, match=r"^line 1: malformed justification"):
-            b.append_proof(bad)
+            b.append_proof(fr.Proof((fr.Line(fm.parse("~0"), just),)))
         assert len(b.lines) == 1
 
 
 def test_empty_proof_rejected():
-    assert not fr.check(fr.FREGE, fm.parse("1"), fr.Proof(()))
-    with pytest.raises(fr.ProofError):
-        fr.Proof(()).conclusion
+    for build in (lambda: fr.Proof(()),
+                  lambda: fr.ProofBuilder().proof(),
+                  lambda: fr.parse_proof("proof\n# no lines\n")):
+        with pytest.raises(fr.ProofError) as exc:
+            build()
+        assert str(exc.value) == "empty proof"
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +344,11 @@ def test_append_proof_replays_premises_by_line_index():
     idx = b.append_proof(pi)
     assert b.lines[idx].formula == pi.conclusion
     assert fr.check_derivation(fr.FREGE, b.proof(idx))
-    # a premise that is not an earlier line is a ProofError, not an IndexError
-    for premises in ((3, 5), (0, 0), (-1, 0)):
-        bad = fr.Proof((fr.Line(fm.parse("1"), ("mp", *premises)),))
-        with pytest.raises(fr.ProofError):
-            fr.ProofBuilder().append_proof(bad)
+    # a premise that is not an earlier line is refused when the proof is built
+    for a, c in ((3, 5), (0, 0), (-1, 0)):
+        with pytest.raises(fr.ProofError) as exc:
+            fr.Proof((fr.Line(fm.parse("1"), ("mp", a, c)),))
+        assert str(exc.value) == f"line 1: malformed justification mp {a + 1} {c + 1}"
 
 
 def test_builder_mp_rejects_premise_indices_outside_the_lines():
@@ -414,16 +415,19 @@ def test_discharge_keeps_other_hypotheses():
 
 
 def test_discharge_rejects_malformed_input():
+    """discharge never meets a malformed proof: Proof refuses it first."""
     one = fm.parse("1")
-    for bad in (
-        fr.Proof(()),
-        fr.Proof((fr.Line(one, ("mp", 0, 1)),)),                          # a later line
-        fr.Proof((fr.Line(one, ("axiom", "T1", {})), fr.Line(one, ("mp", 0, 7)))),  # missing
-        fr.Proof((fr.Line(one, ("foo",)),)),
-        fr.Proof((fr.Line(one, ("hyp", "x")),)),
+    for lines, why in (
+        ((), "empty proof"),
+        ((fr.Line(one, ("mp", 0, 1)),), "line 1: malformed justification mp 1 2"),  # a later line
+        ((fr.Line(one, ("axiom", "T1", {})), fr.Line(one, ("mp", 0, 7))),
+         "line 2: malformed justification mp 1 8"),                                    # missing
+        ((fr.Line(one, ("foo",)),), "line 1: malformed justification ('foo',)"),
+        ((fr.Line(one, ("hyp", "x")),), "line 1: malformed justification ('hyp', 'x')"),
     ):
-        with pytest.raises(fr.ProofError):
-            fr.discharge(bad, fm.Var(1))
+        with pytest.raises(fr.ProofError) as exc:
+            fr.discharge(fr.Proof(lines), fm.Var(1))
+        assert str(exc.value) == why
 
 
 @pytest.mark.parametrize("hypothesis", [5, None, "x1", ("var", 0)])
