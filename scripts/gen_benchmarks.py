@@ -30,7 +30,7 @@ from nwtaut import nwcore as nw  # noqa: E402
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="benchmarks")
-    ap.add_argument("--base", default="parity", choices=["parity", "tabular", "toy-owp"])
+    ap.add_argument("--base", default="parity", choices=list(nw.BASES))
     ap.add_argument("--table", help="truth table for the tabular base (8 bits)")
     ap.add_argument("--no-sweep", action="store_true",
                     help="skip the 512-instance tau sweep")

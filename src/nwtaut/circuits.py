@@ -66,6 +66,12 @@ class Circuit:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
+        for field in ("groups", "gates", "outputs"):
+            if type(getattr(self, field)) is not tuple:
+                raise CircuitError(f"{field} {getattr(self, field)!r} is not a tuple")
+        for g in self.groups:
+            if type(g) is not tuple or len(g) != 2 or type(g[0]) is not str:
+                raise CircuitError(f"malformed group {g!r}")
         names = [n for n, _ in self.groups]
         if len(set(names)) != len(names):
             raise CircuitError("duplicate group name")

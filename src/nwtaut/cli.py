@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands: design, gen-tau, check-proof, simulate, solve, reduce.  Each
-command refuses an option that its mode (see MODES) does not read.  Every
-command that writes files also writes a manifest (line-oriented key-value:
-command, argv, parameter values, input/output hashes, wall clock) next to
-its primary output; re-running the argv recorded in a manifest reproduces
-the outputs byte for byte.  Writes are atomic (temp file + rename, the
-temp file removed if either fails), and an empty --out is refused.
+Subcommands: design, gen-tau, check-proof, simulate, solve, reduce.  The
+parser is built from MODES, the options each mode reads, and OPTIONS, their
+argparse keywords; a mode refuses the options it does not read.  Every
+command that writes files also writes a manifest (command, argv, parameter
+values, input/output hashes, wall clock) next to its primary output;
+re-running the argv recorded in a manifest reproduces the outputs byte for
+byte.  Writes are atomic (temp file + rename, the temp file removed if
+either fails), and an empty --out or --outdir is refused.
 
 Solver exit codes: 0 = solution found, 3 = certified none (complete sweep),
 4 = budget exhausted / unknown.  Other errors exit 2 with a message.
@@ -60,20 +61,13 @@ def _tau_file_name(b: str) -> str:
     return name
 
 
-def _write_manifest(
-    out_path: str,
-    command: str,
-    argv: list[str],
-    params: dict[str, str],
-    inputs: dict[str, str],
-    outputs: dict[str, str],
-    started: float,
-) -> None:
+def _write_manifest(args, out_path: str, params: dict[str, str], inputs: dict[str, str],
+                    outputs: dict[str, str]) -> None:
     lines = [
         "manifest",
-        f"command {command}",
+        f"command {args.command}",
         f"version {__version__}",
-        "argv " + " ".join(argv),
+        "argv " + " ".join(args.argv),
     ]
     for key in sorted(params):
         lines.append(f"param {key} {params[key]}")
@@ -81,16 +75,15 @@ def _write_manifest(
         lines.append(f"input {name} {tk.sha256_hex(inputs[name])}")
     for name in sorted(outputs):
         lines.append(f"output {name} {tk.sha256_hex(outputs[name])}")
-    lines.append(f"wallclock {time.time() - started:.3f}")
+    lines.append(f"wallclock {time.time() - args.started:.3f}")
     _atomic_write(out_path + ".manifest", "\n".join(lines) + "\n")
 
 
-def _write_output(args, argv, t0: float, params: dict[str, str],
-                  inputs: dict[str, str], text: str) -> None:
-    """Write text to args.out atomically, and its manifest beside it."""
-    _atomic_write(args.out, text)
-    _write_manifest(args.out, args.command, argv, params, inputs,
-                    {os.path.basename(args.out): text}, t0)
+def _write_output(args, params: dict[str, str], inputs: dict[str, str], text: str) -> None:
+    """Write text to args.out atomically, if given, and its manifest beside it."""
+    if args.out:
+        _atomic_write(args.out, text)
+        _write_manifest(args, args.out, params, inputs, {os.path.basename(args.out): text})
 
 
 def _read(path: str) -> str:
@@ -101,8 +94,7 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_design(args, argv) -> int:
-    t0 = time.time()
+def cmd_design(args) -> int:
     if args.verify is not None:
         params = dg.parse_design(_read(args.verify))
         if params.tag == "canonical" and not params.blocks:  # parse_design checked the header
@@ -127,13 +119,11 @@ def cmd_design(args, argv) -> int:
     print(f"n={params.n} m={params.m} l={params.l} d={params.d} tag={params.tag}")
     if report:
         print(f"verified: max pairwise intersection {report.max_intersection}")
-    if args.out:
-        _write_output(args, argv, t0, {"tag": params.tag}, {}, text)
+    _write_output(args, {"tag": params.tag}, {}, text)
     return EXIT_SOLUTION
 
 
-def cmd_gen_tau(args, argv) -> int:
-    t0 = time.time()
+def cmd_gen_tau(args) -> int:
     if args.design is not None:
         design_text = _read(args.design)
         params = dg.parse_design(design_text)
@@ -161,17 +151,14 @@ def cmd_gen_tau(args, argv) -> int:
     for b, taut in zip(b_list, verdicts):
         print(f"b={b}: {'tautology (UNSAT negation)' if taut else 'falsifiable (SAT)'}")
     n_unsat = sum(verdicts)
-    _write_manifest(
-        os.path.join(args.outdir, "gen-tau"), "gen-tau", argv,
-        {"base": args.base, "m": str(params.m)},
-        {"design": design_text}, outputs, t0,
-    )
+    _write_manifest(args, os.path.join(args.outdir, "gen-tau"),
+                    {"base": args.base, "m": str(params.m)}, {"design": design_text}, outputs)
     if args.verdict:
         print(f"{n_unsat}/{len(b_list)} tautologies")
     return EXIT_SOLUTION
 
 
-def cmd_check_proof(args, argv) -> int:
+def cmd_check_proof(args) -> int:
     tau = fm.parse(args.tau)
     proof = parse_proof(_read(args.proof))
     if args.alpha is not None:
@@ -188,8 +175,7 @@ def cmd_check_proof(args, argv) -> int:
     return EXIT_SOLUTION if ok else EXIT_ERROR
 
 
-def cmd_simulate(args, argv) -> int:
-    t0 = time.time()
+def cmd_simulate(args) -> int:
     phi = fm.parse(args.phi)
     if args.w is not None:
         if not args.w:
@@ -203,22 +189,19 @@ def cmd_simulate(args, argv) -> int:
         inputs = {}
     for stage in sorted(res.stage_bits):
         print(f"stage {stage}: {res.stage_bits[stage]} bits")
-    _write_output(args, argv, t0, {"phi": args.phi, "c": str(args.c)}, inputs,
-                  serialize_proof(res.proof))
+    _write_output(args, {"phi": args.phi, "c": str(args.c)}, inputs, serialize_proof(res.proof))
     print(f"P+alpha proof written ({len(res.proof.lines)} lines)")
     return EXIT_SOLUTION
 
 
-def _solve_outcome(args, argv, t0, params, inputs, sol_lines: list[str], found: bool):
+def _solve_outcome(args, params, inputs, sol_lines: list[str], found: bool):
     text = "\n".join(sol_lines) + "\n"
-    if args.out:
-        _write_output(args, argv, t0, params, inputs, text)
+    _write_output(args, params, inputs, text)
     print(text, end="")
     return EXIT_SOLUTION if found else EXIT_NONE
 
 
-def cmd_solve(args, argv) -> int:
-    t0 = time.time()
+def cmd_solve(args) -> int:
     if args.task == "cert":
         circ_text = _read(args.circuit)
         inst = tk.CertInstance(args.k, args.c, cc.parse_circuit(circ_text))
@@ -228,10 +211,8 @@ def cmd_solve(args, argv) -> int:
             lines += [f"kind {sol.kind}", f"code {sol.code}"]
         else:
             lines.append("verdict none")
-        return _solve_outcome(
-            args, argv, t0, {"k": str(args.k), "c": str(args.c)},
-            {"circuit": circ_text}, lines, sol is not None,
-        )
+        return _solve_outcome(args, {"k": str(args.k), "c": str(args.c)},
+                              {"circuit": circ_text}, lines, sol is not None)
     if args.task == "find-verify":
         inst = tk.FindInstance(
             FREGE, fm.parse(args.alpha), args.k, args.c0, args.c1
@@ -252,14 +233,11 @@ def cmd_solve(args, argv) -> int:
         sol = tk.solve_pair(tk.pair_from_err(inst))
     lines = [f"solution {args.task}"]
     lines.append(f"index {sol}" if sol else "verdict none")
-    return _solve_outcome(
-        args, argv, t0, {"seed": args.seed, "w": args.w, "base": args.base},
-        {"design": design_text}, lines, sol is not None,
-    )
+    return _solve_outcome(args, {"seed": args.seed, "w": args.w, "base": args.base},
+                          {"design": design_text}, lines, sol is not None)
 
 
-def cmd_reduce(args, argv) -> int:
-    t0 = time.time()
+def cmd_reduce(args) -> int:
     inst = tk.FindInstance(FREGE, fm.parse(args.alpha), args.k, args.c0, args.c1)
     cert = tk.reduce_find_to_cert(inst)
     env = tk.envelope_text(
@@ -272,9 +250,8 @@ def cmd_reduce(args, argv) -> int:
         [("alpha", "alpha.txt", fm.to_text(inst.alpha))],
     )
     print(f"reduced: D over x ({cert.k} bits), y ({cert.y_width} bits), opaque oracle")
-    if args.out:
-        _write_output(args, argv, t0, {"k": str(args.k), "c0": str(args.c0), "c1": str(args.c1)},
-                      {"alpha": fm.to_text(inst.alpha)}, env)
+    _write_output(args, {"k": str(args.k), "c0": str(args.c0), "c1": str(args.c1)},
+                  {"alpha": fm.to_text(inst.alpha)}, env)
     return EXIT_SOLUTION
 
 
@@ -322,92 +299,75 @@ def _apply_mode(args) -> None:
                            if n not in modes[label] and getattr(args, n) is not None)
     if unread:
         raise ValueError(f"{args.command}: {', '.join('--' + n for n in unread)} not read {label}")
-    if getattr(args, "out", None) == "":
-        raise ValueError(f"{args.command}: --out is empty")
+    for name in ("out", "outdir"):
+        if getattr(args, name, None) == "":
+            raise ValueError(f"{args.command}: --{name} is empty")
     for name, default in modes[label].items():
         if getattr(args, name) is None:
             setattr(args, name, default)
 
 
+_FLAG = dict(action="store_const", const=True)
+#: Each option's argparse keywords, with help where its name does not say what it takes.
+OPTIONS: dict[str, dict[str, object]] = {
+    **dict.fromkeys(["q", "d", "n", "c", "k", "c0", "c1"], dict(type=int)),
+    **dict.fromkeys(["verify", "design", "circuit", "proof"], dict(metavar="FILE")),
+    **dict.fromkeys(["poly", "canonical", "sweep"], _FLAG),
+    **dict.fromkeys(["delta", "table", "out", "outdir"], {}),
+    "base": dict(choices=list(nw.BASES)),
+    "task": dict(choices=[label.removeprefix("with --task ") for label in MODES["solve"]]),
+    "mode": dict(choices=["sound", "heuristic"]),
+    "b": dict(help="comma-separated output strings"),
+    "verdict": dict(_FLAG, help="also decide each b by DPLL"),
+    "tau": dict(help="formula text"),
+    "phi": dict(help="formula text"),
+    "alpha": dict(help="axiom formula text"),
+    "beta": dict(help="candidate formula text"),
+    "checker": dict(metavar="FILE", help="advice checker circuit"),
+    "w": dict(help="advice bits"),
+    "y": dict(help="Q-proof bits"),
+    "seed": dict(help="generator seed bits"),
+}
+#: Each command's function and help line.
+COMMANDS = {
+    "design": (cmd_design, "build or verify a combinatorial design"),
+    "gen-tau": (cmd_gen_tau, "generate tau(NW)_b DIMACS benchmarks"),
+    "check-proof": (cmd_check_proof, "check a kernel or P+alpha proof"),
+    "simulate": (cmd_simulate, "run the advice-to-P+alpha pipeline"),
+    "solve": (cmd_solve, "run a task solver"),
+    "reduce": (cmd_reduce, "reduce a Find instance to Cert"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Give each command the options of its MODES rows; the help of one that
+    some mode does not read names the modes that do."""
     p = argparse.ArgumentParser(prog="nwtaut", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("design", help="build or verify a combinatorial design")
-    d.add_argument("--poly", action="store_const", const=True)
-    d.add_argument("--canonical", action="store_const", const=True)
-    d.add_argument("--verify", metavar="FILE")
-    d.add_argument("--q", type=int)
-    d.add_argument("--d", type=int)
-    d.add_argument("--n", type=int)
-    d.add_argument("--delta")
-    d.add_argument("--out")
-    d.set_defaults(func=cmd_design)
-
-    g = sub.add_parser("gen-tau", help="generate tau(NW)_b DIMACS benchmarks")
-    g.add_argument("--design", metavar="FILE")
-    g.add_argument("--q", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--base", choices=["parity", "tabular", "toy-owp"])
-    g.add_argument("--table")
-    g.add_argument("--b", help="comma-separated output strings")
-    g.add_argument("--sweep", action="store_const", const=True)
-    g.add_argument("--verdict", action="store_const", const=True, help="also decide each b by DPLL")
-    g.add_argument("--outdir")
-    g.set_defaults(func=cmd_gen_tau)
-
-    c = sub.add_parser("check-proof", help="check a kernel or P+alpha proof")
-    c.add_argument("--tau", help="formula text")
-    c.add_argument("--proof", metavar="FILE")
-    c.add_argument("--alpha", help="axiom formula text (P+alpha mode)")
-    c.set_defaults(func=cmd_check_proof)
-
-    s = sub.add_parser("simulate", help="run the advice-to-P+alpha pipeline")
-    s.add_argument("--phi", help="formula text")
-    s.add_argument("--checker", metavar="FILE", help="advice checker circuit (with --w)")
-    s.add_argument("--w", help="advice bits (none: empty advice)")
-    s.add_argument("--y", help="Q-proof bits (with --w)")
-    s.add_argument("--proof", metavar="FILE", help="kernel proof (empty advice)")
-    s.add_argument("--c", type=int)
-    s.add_argument("--out")
-    s.set_defaults(func=cmd_simulate)
-
-    v = sub.add_parser("solve", help="run a task solver")
-    v.add_argument("--task", choices=["cert", "err", "pair", "find-verify"])
-    v.add_argument("--k", type=int)
-    v.add_argument("--c", type=int)
-    v.add_argument("--circuit", metavar="FILE")
-    v.add_argument("--design", metavar="FILE")
-    v.add_argument("--base", choices=["parity", "tabular", "toy-owp"])
-    v.add_argument("--table")
-    v.add_argument("--seed", help="generator seed bits (err/pair)")
-    v.add_argument("--w", help="advice bits (err/pair)")
-    v.add_argument("--alpha", help="axiom formula text (find)")
-    v.add_argument("--beta", help="candidate formula text (find)")
-    v.add_argument("--c0", type=int)
-    v.add_argument("--c1", type=int)
-    v.add_argument("--mode", choices=["sound", "heuristic"])
-    v.add_argument("--out")
-    v.set_defaults(func=cmd_solve)
-
-    r = sub.add_parser("reduce", help="reduce a Find instance to Cert")
-    r.add_argument("--alpha", help="axiom formula text")
-    r.add_argument("--k", type=int)
-    r.add_argument("--c0", type=int)
-    r.add_argument("--c1", type=int)
-    r.add_argument("--out")
-    r.set_defaults(func=cmd_reduce)
+    for command, (_, line) in COMMANDS.items():
+        s = sub.add_parser(command, help=line)
+        modes = MODES[command]
+        for name in dict.fromkeys(n for row in modes.values() for n in row):
+            kwargs = dict(OPTIONS[name])
+            readers = [label for label, row in modes.items() if name in row]
+            if len(readers) < len(modes):
+                kwargs["help"] = f"{kwargs.get('help', '')} (read {', '.join(readers)})".lstrip()
+            s.add_argument("--" + name, **kwargs)
     return p
+
+
+_PARSER = build_parser()  # built once, at import: main parses every argv with it
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    args.argv, args.started = argv, time.time()  # for the manifest
     try:
         _apply_mode(args)
-        return args.func(args, argv)
+        return COMMANDS[args.command][0](args)
     except fm.BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -172,19 +172,23 @@ def _toy_owp_base(l: int) -> BaseFunction:
     return BaseFunction("toy-owp", l, l, build(0), build(1), forward)
 
 
+#: the built-in base functions by name; tabular also takes its truth table
+BASES = {"parity": _parity_base, "tabular": _tabular_base, "toy-owp": _toy_owp_base}
+
+
 def builtin_base(name: str, l: int, table: str | None = None) -> BaseFunction:
-    """parity | tabular | toy-owp; table is the truth table that tabular
-    needs and the other two refuse.  The toy-owp is shape-correct only; it
+    """A base function of BASES; table is the truth table that tabular
+    needs and the others refuse.  The toy-owp is shape-correct only; it
     carries no hardness claim whatsoever."""
     if name == "tabular":
         if table is None:
             raise NWError("tabular base needs a truth table")
         return _tabular_base(l, table)
-    if name not in ("parity", "toy-owp"):
+    if name not in BASES:
         raise NWError(f"unknown base function {name!r}")
     if table is not None:
         raise NWError(f"{name} base takes no truth table")
-    return _parity_base(l) if name == "parity" else _toy_owp_base(l)
+    return BASES[name](l)
 
 
 # ---------------------------------------------------------------------------

@@ -328,10 +328,19 @@ def test_circuit_rejects_malformed_gates(gate):
     ((("x", 2),), (5,), (), "gate 0: malformed gate 5"),
     ((("x", 2),), (("opaque", "f", 0),), (), "gate 0: malformed gate ('opaque', 'f', 0)"),
     ((("x", 2),), (), (1.0,), "output wire 1.0 is not an integer"),
-], ids=["width-str", "width-bool", "operand-str", "gate-int", "opaque-args-int", "output-float"])
+    ((("x",),), (), (), "malformed group ('x',)"),
+    (((["x"], 2),), (), (), "malformed group (['x'], 2)"),
+    (5, (), (), "groups 5 is not a tuple"),
+    ((("x", 2),), 5, (), "gates 5 is not a tuple"),
+    (((3, 1),), (("not", 0),), (1,), "malformed group (3, 1)"),
+    ((("x", 2),), [("and", 0, 1)], [2], "gates [('and', 0, 1)] is not a tuple"),
+], ids=["width-str", "width-bool", "operand-str", "gate-int", "opaque-args-int", "output-float",
+        "group-short", "group-list-name", "groups-int", "gates-int", "group-int-name",
+        "gates-list"])
 def test_circuit_refuses_what_is_no_int_or_no_gate(groups, gates, outputs, msg):
-    """Widths, operands and outputs are ints (a bool is none), and a gate is
-    a tuple: anything else is a CircuitError when the circuit is built."""
+    """Widths, operands and outputs are ints (a bool is none), a gate is a
+    tuple, a group a (str, int) pair, and groups, gates and outputs tuples:
+    anything else is a CircuitError when the circuit is built."""
     with pytest.raises(cc.CircuitError) as e:
         cc.Circuit(groups, gates, outputs)
     assert str(e.value) == msg

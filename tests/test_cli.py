@@ -495,6 +495,7 @@ NAMED_ERRORS = {
     ("reduce", "--alpha", "x1|~x1", "--out", ""): "reduce: --out is empty",
     ("simulate", "--phi", "1", "--proof", "{one}", "--out", ""): "simulate: --out is empty",
     ("solve", "--task", "cert", "--circuit", "{checker}", "--out", ""): "solve: --out is empty",
+    ("gen-tau", "--b", "000000000", "--outdir", ""): "gen-tau: --outdir is empty",
     # a failed rename, which removes the temp file
     ("design", "--poly", "--out", "{tmp}/dir"):
         "[Errno 21] Is a directory: '{tmp}/dir.tmp' -> '{tmp}/dir'",
@@ -579,6 +580,40 @@ def test_the_modes_name_every_option_of_the_parser():
     for command, parser in commands.items():
         options = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
         assert options == {name for row in MODES[command].values() for name in row}, command
+
+
+def help_entries(text: str) -> dict[str, str]:
+    """Each option of an argparse help text, by its first option string,
+    with its metavar and help, whitespace removed (the help wraps lines,
+    and may break a line after a hyphen)."""
+    entries: dict[str, str] = {}
+    for line in text.splitlines():
+        start = re.match(r"  (-[-\w]+)", line)
+        if start:
+            option = start.group(1)
+            entries[option] = ""
+        elif not line.startswith("   ") or not entries:
+            continue
+        entries[option] += "".join(line.split())
+    return entries
+
+
+@pytest.mark.parametrize("command", MODES)
+def test_help_names_each_option_and_the_modes_that_read_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    entries = help_entries(capsys.readouterr().out)
+    modes = MODES[command]
+    for name in {name for row in modes.values() for name in row}:
+        readers = [label for label, row in modes.items() if name in row]
+        entry = entries["--" + name]
+        if len(readers) < len(modes):
+            named = [label for label in modes if "".join(label.split()) in entry]
+            assert named == readers, (name, entry)
+    with pytest.raises(SystemExit) as exc:
+        run("--version")
+    assert exc.value.code == 0 and capsys.readouterr().out == nwtaut.__version__ + "\n"
 
 
 def required(row) -> list[str]:
