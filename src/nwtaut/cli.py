@@ -339,14 +339,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors main reports like any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Give each command the options of its MODES rows; the help of one that
-    some mode does not read names the modes that do."""
-    p = argparse.ArgumentParser(prog="nwtaut", description=__doc__)
+    some mode does not read names the modes that do.  An option is read by
+    its whole name only, never by a prefix."""
+    p = _Parser(prog="nwtaut", description=__doc__, allow_abbrev=False)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
     for command, (_, line) in COMMANDS.items():
-        s = sub.add_parser(command, help=line)
+        s = sub.add_parser(command, help=line, allow_abbrev=False)
         modes = MODES[command]
         for name in dict.fromkeys(n for row in modes.values() for n in row):
             kwargs = dict(OPTIONS[name])
@@ -363,9 +371,9 @@ _PARSER = build_parser()  # built once, at import: main parses every argv with i
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _PARSER.parse_args(argv)
-    args.argv, args.started = argv, time.time()  # for the manifest
     try:
+        args = _PARSER.parse_args(argv)
+        args.argv, args.started = argv, time.time()  # for the manifest
         _apply_mode(args)
         return COMMANDS[args.command][0](args)
     except fm.BudgetError as exc:

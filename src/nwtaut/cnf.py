@@ -34,24 +34,43 @@ A clause set is checked when it is built, so the solver and the RUP checker
 never check one; ``ClauseSet.join`` assembles a tau from the checked pieces
 its spec keeps (see ``tau_of``) without checking them again.
 
-A clause set cannot change, so it keeps the solver index built on its first
-solve (each literal's occurrence list over its input clauses, its unit
-clauses and whether one is empty): ``sat_search`` asks one circuit's clause
-set many questions, and MiniSat likewise keeps its clause database across
-searches.  Learned clauses go into per-call copies of the lists they touch,
-so the kept lists hold input clauses only and every call starts from them.
+A clause set cannot change, so it keeps what it derives from its clauses:
+its DIMACS clause lines, and the solver index built on its first solve
+(each literal's occurrence list over its input clauses, its unit clauses
+and whether one is empty).  ``sat_search`` asks one circuit's clause set
+many questions, and MiniSat likewise keeps its clause database across
+searches.  A joined set keeps its parts and assembles both values from
+theirs: its lines are its parts' lines in order, and each occurrence list
+is its parts' lists for that literal in order, or the one part's list
+itself, so a tau formats and indexes only blocks its spec has not met.
+Learned clauses go into per-call copies of the lists they touch, so the
+kept lists hold input clauses only and every call starts from them.
+
+The search stops with ``BudgetError`` past ``CONFLICT_LIMIT`` conflicts, a
+count rather than a time, so where it stops does not depend on the machine.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 
 class CnfError(ValueError):
     pass
+
+
+class BudgetError(RuntimeError):
+    """A search or enumeration passed its named limit; the CLI exits 4."""
+
+
+#: conflicts one search may analyse.  Tier-1, the benchmark workloads, the
+#: README and the scripts reach at most 260 (a q=4 parity tau), and 1,500
+#: uniform q=4 parity b at most 274, 36x below; a uniform q=5 b takes about
+#: 3,100
+CONFLICT_LIMIT = 10_000
 
 
 def _decimal(token: str) -> int | None:
@@ -76,6 +95,8 @@ class ClauseSet:
     clauses: tuple[tuple[int, ...], ...]
     nvars: int
     comments: tuple[str, ...] = ()
+    # the sets a join concatenates, in order; () for a set built from clauses
+    _parts: tuple[ClauseSet, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if type(self.nvars) is not int or self.nvars < 0:
@@ -107,33 +128,24 @@ class ClauseSet:
 
         The parts were checked when they were built, so join checks only
         nvars and the comments, as an empty set of them, and that each part
-        is a ClauseSet over at most nvars variables."""
+        is a ClauseSet over at most nvars variables.  The join keeps its
+        parts, and builds its DIMACS lines and solver index from theirs."""
         cs = cls((), nvars, comments)
+        parts = tuple(parts)
         for i, part in enumerate(parts):
             if not isinstance(part, ClauseSet):
                 raise CnfError(f"part {i} is not a ClauseSet")
             if part.nvars > nvars:
                 raise CnfError(f"part {i}: nvars={part.nvars} exceeds nvars={nvars}")
         object.__setattr__(cs, "clauses", tuple(chain.from_iterable(p.clauses for p in parts)))
+        object.__setattr__(cs, "_parts", parts)
         return cs
 
     @cached_property
-    def _index(self) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
-        """The solver index, built on the first solve: each literal's
-        occurrence list over the clauses, indexed by literal, the unit
-        literals in clause order, and whether a clause is empty."""
-        occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * self.nvars + 1)]
-        units = []
-        for clause in self.clauses:
-            if len(clause) == 1:
-                units.append(clause[0])
-            for lit in clause:
-                occ[lit].append(clause)
-        return occ, units, not all(self.clauses)
-
-    def to_dimacs(self) -> str:
-        lines = [f"c {c}" for c in self.comments]
-        lines.append(f"p cnf {self.nvars} {len(self.clauses)}\n")
+    def _lines(self) -> str:
+        """The clause lines of the DIMACS text: a join's are its parts'."""
+        if self._parts:
+            return "".join([part._lines for part in self._parts])
         # one %-format over all literals, rendered in C: a clause of width w
         # gets "%s " * w + "0\n" and an empty one " 0\n", the line that
         # str(lit) joined by spaces and " 0" would give; one format per
@@ -141,7 +153,49 @@ class ClauseSet:
         widths = list(map(len, self.clauses))
         formats = {w: "%s " * w + "0\n" if w else " 0\n" for w in set(widths)}
         template = "".join(map(formats.__getitem__, widths))
-        return "\n".join(lines) + template % tuple(chain.from_iterable(self.clauses))
+        return template % tuple(chain.from_iterable(self.clauses))
+
+    @cached_property
+    def _occurrences(self) -> tuple[dict[int, list[tuple[int, ...]]], list[int], bool]:
+        """The solver index keyed by the literals that occur: each one's
+        occurrence list over the clauses, the unit literals in clause order,
+        and whether a clause is empty.  A join concatenates its parts',
+        in order, and shares a part's list where no other part has the
+        literal; the solver never appends to a kept list."""
+        if not self._parts:
+            occ: dict[int, list[tuple[int, ...]]] = {}
+            for clause in self.clauses:
+                for lit in clause:
+                    if lit in occ:
+                        occ[lit].append(clause)
+                    else:
+                        occ[lit] = [clause]
+            return occ, [c[0] for c in self.clauses if len(c) == 1], not all(self.clauses)
+        parts = [part._occurrences for part in self._parts]
+        occ = {}
+        for part_occ, _, _ in parts:
+            # a literal that earlier parts have too gets the concatenation
+            shared = {lit: occ[lit] + part_occ[lit] for lit in occ.keys() & part_occ.keys()}
+            occ.update(part_occ)
+            occ.update(shared)
+        return occ, [*chain.from_iterable(p[1] for p in parts)], any(p[2] for p in parts)
+
+    @cached_property
+    def _index(self) -> tuple[list[list[tuple[int, ...]]], list[int], bool]:
+        """The solver index, built on the first solve: ``_occurrences`` with
+        the lists indexed by literal (-v wraps to the back, as in the
+        solver's value list), and one shared empty list for the literals
+        that do not occur."""
+        occ, units, empty = self._occurrences
+        none: list[tuple[int, ...]] = []
+        table = [*map(occ.get, range(self.nvars + 1), repeat(none)),
+                 *map(occ.get, range(-self.nvars, 0), repeat(none))]
+        return table, units, empty
+
+    def to_dimacs(self) -> str:
+        lines = [f"c {c}" for c in self.comments]
+        lines.append(f"p cnf {self.nvars} {len(self.clauses)}\n")
+        return "\n".join(lines) + self._lines
 
 
 def gate_clauses(op: str, v: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
@@ -236,7 +290,8 @@ def dpll_solve(
     in index order; the default order is 1..nvars.  Bad arguments raise
     ``CnfError``.  When a ``lemmas`` list is given, every learned clause is
     appended to it, and ``[]`` at the final conflict, so an unsatisfiable
-    answer leaves a DRUP refutation that ``check_rup`` accepts.
+    answer leaves a DRUP refutation that ``check_rup`` accepts.  A search
+    that meets more than ``CONFLICT_LIMIT`` conflicts raises ``BudgetError``.
 
     The occurrence lists of the input clauses are built on the first solve
     of ``cs`` and kept for later ones (see ``ClauseSet._index``).  A learned
@@ -362,11 +417,15 @@ def _search(
             return refuted()
 
     pos = 0
+    budget = CONFLICT_LIMIT
     while True:
         conflict = propagate()
         while conflict is not None:
             if not levels:
                 return refuted()
+            budget -= 1
+            if budget < 0:
+                raise BudgetError(f"search passed the conflict limit {CONFLICT_LIMIT}")
             learned = analyze(conflict)
             back = max((level[abs(other)] for other in learned[1:]), default=0)
             # back to level `back`; the cursor returns to the decision of back + 1

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import re
 
+from .cnf import BudgetError
+
 Formula = tuple
 
 CONST0: Formula = ("const", 0)
@@ -462,10 +464,6 @@ def enumerate_fitting(k: int) -> list[Formula]:
 
 # ---------------------------------------------------------------------------
 # the tautology oracle
-
-class BudgetError(RuntimeError):
-    pass
-
 
 BRUTE_VAR_LIMIT = 24
 

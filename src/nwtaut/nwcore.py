@@ -8,8 +8,11 @@ Evaluating the generator on a seed gathers every bit its blocks read in one
 itemgetter call (built once per spec, which keeps it) and cuts the result
 into l-bit block inputs.  Each base function keeps a table of the inputs it
 has evaluated, so an input is computed once per base and the table holds at
-most 2^l entries.  Likewise a spec keeps the clauses of each tau block it has
-translated, which every tau that has the block shares.
+most 2^l entries.  Likewise a spec keeps the clause set of each tau block it
+has translated, which every tau that has the block joins: a tau shares the
+block's clauses, and assembles its DIMACS lines and solver occurrence lists
+from the ones the block keeps, so only a block met for the first time is
+formatted and indexed.
 """
 
 from __future__ import annotations
@@ -291,7 +294,8 @@ def tau_of(spec: GeneratorSpec, b: str) -> TauResult:
     last of those variables.  The first variable of block i is n + 1 plus
     the sizes of the earlier blocks; with two checker sizes, block i sees at
     most i + 1 of them, so the table holds at most m(m+1) pieces, whose
-    clause tuples every result shares through ``ClauseSet.join``."""
+    clause tuples, DIMACS lines and occurrence lists every result shares
+    through ``ClauseSet.join``."""
     design = spec.design
     base = spec.base
     if len(b) != design.m or b.strip("01"):

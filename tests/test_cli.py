@@ -13,6 +13,7 @@ import pytest
 
 import nwtaut
 from nwtaut import circuits as cc
+from nwtaut import cnf
 from nwtaut import designs as dg
 from nwtaut import formulas as fm
 from nwtaut import frege as fr
@@ -151,6 +152,24 @@ def test_gen_tau_explicit_b(tmp_path, capsys):
     assert "b=000000000" in out and "tautologies" in out
     # the all-zero string is in the range (zero seed), so it is falsifiable
     assert "b=000000000: falsifiable (SAT)" in out
+
+
+def test_gen_tau_verdict_past_the_conflict_limit_exits_4(tmp_path, monkeypatch, capsys):
+    """The parity tau of b=111111110 is refuted after 15 conflicts: under a
+    limit of 14, gen-tau --verdict stops with one line and writes no file,
+    and under 15 it answers."""
+    argv = ["gen-tau", "--base", "parity", "--b", "111111110", "--verdict", "--outdir",
+            str(tmp_path / "taus")]
+    assert fm.BudgetError is cnf.BudgetError
+    monkeypatch.setattr(cnf, "CONFLICT_LIMIT", 14)
+    t0 = time.perf_counter()
+    assert run(*argv) == EXIT_UNKNOWN
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr() == ("", "budget exhausted: search passed the conflict limit 14\n")
+    assert not any(tmp_path.iterdir())
+    monkeypatch.setattr(cnf, "CONFLICT_LIMIT", 15)
+    assert run(*argv) == EXIT_SOLUTION
+    assert "b=111111110: tautology (UNSAT negation)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("table", ["0110101x", "0110101\u0661"])
@@ -657,6 +676,22 @@ def test_each_mode_refuses_an_option_that_it_does_not_read(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ") and err.count("\n") == 1, err
     assert actions[option].option_strings[0] in re.findall(r"--[\w-]+", err), err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--k", "x"], "argument --k: invalid int value: 'x'"),
+    (["reduce", "--c", "3", "--alpha", "1"], "unrecognized arguments: --c 3"),
+    (["gen-tau", "--des", "d.txt", "--b", "000000000"], "unrecognized arguments: --des d.txt"),
+    (["solve", "--task", "cert", "--circ", "c.txt"], "unrecognized arguments: --circ c.txt"),
+    ([], "the following arguments are required: command"),
+])
+def test_a_bad_argv_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    """argparse's errors are reported like any other bad input, and an
+    option is read by its whole name, never by a prefix."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == EXIT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(tmp_path.iterdir())
 
 

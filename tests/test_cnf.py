@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import operator
 import random
 
 import pytest
@@ -506,9 +507,10 @@ def test_validate_rejects_out_of_range():
 
 
 def test_join_checks_what_its_parts_do_not_guarantee():
-    """join shares its parts' clause tuples, and refuses a part that is not
-    a clause set or that has more variables than the join, bad comments and
-    a bad nvars, as the constructor does."""
+    """join shares its parts' clause tuples, reads parts given as an
+    iterator once, and refuses a part that is not a clause set or that has
+    more variables than the join, bad comments and a bad nvars, as the
+    constructor does."""
     a = ClauseSet([[1, -2], [2]], 2)
     b = ClauseSet([[-3], [3, 4]], 4)
     joined = ClauseSet.join([a, b], 5, ["joined"])
@@ -516,6 +518,7 @@ def test_join_checks_what_its_parts_do_not_guarantee():
     assert all(x is y for x, y in zip(joined.clauses, (*a.clauses, *b.clauses), strict=True))
     assert dpll_solve(joined) == {1: 1, 2: 1, 3: 0, 4: 1, 5: 0}
     assert ClauseSet.join([], 0) == ClauseSet([], 0)
+    assert ClauseSet.join(iter([a, b]), 5, ["joined"]) == joined
     for args, message in [
         (([a, b], 3), "part 1: nvars=4 exceeds nvars=3"),
         (([a, [[1]]], 4), "part 1 is not a ClauseSet"),
@@ -525,6 +528,65 @@ def test_join_checks_what_its_parts_do_not_guarantee():
         with pytest.raises(CnfError) as e:
             ClauseSet.join(*args)
         assert str(e.value) == message
+
+
+def assert_built_as_from_its_clauses(cs: ClauseSet) -> None:
+    """cs's solver index holds, for each literal, the very clause objects
+    that a list built from cs.clauses holds, in the same order, with the
+    same units and empty flag; and its DIMACS is the clause-by-clause text."""
+    occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * cs.nvars + 1)]
+    for clause in cs.clauses:
+        for lit in clause:
+            occ[lit].append(clause)
+    table, units, empty = cs._index
+    assert len(table) == len(occ)
+    for lit, (got, want) in enumerate(zip(table, occ)):
+        assert len(got) == len(want) and all(map(operator.is_, got, want)), lit
+    assert units == [c[0] for c in cs.clauses if len(c) == 1]
+    assert empty == (() in cs.clauses)
+    assert cs.to_dimacs() == reference_dimacs(cs)
+
+
+def test_a_join_is_indexed_and_printed_as_a_set_built_from_its_clauses():
+    """A join assembles its DIMACS lines and occurrence lists from its
+    parts' kept ones: on every tau of both q=3 sweeps, seeded q=4 parity
+    taus, a circuit's clause set, a join of joins, a join of no parts and
+    joins holding an empty clause, they are what the flat rule gives.  A
+    solve that learns leaves the kept lists of a tau and its parts as they
+    were."""
+    from nwtaut import circuits as cc
+    from nwtaut import designs as dg
+    from nwtaut import nwcore as nw
+
+    q3 = dg.poly_design(3, 2)
+    sets = []
+    for base in (nw.builtin_base("parity", 3), nw.builtin_base("tabular", 3, table="01101011")):
+        spec = nw.GeneratorSpec(q3, base)
+        sets += [nw.tau_of(spec, format(v, "09b")).clauses for v in range(512)]
+    spec4 = nw.GeneratorSpec(dg.poly_design(4, 2), nw.builtin_base("parity", 4))
+    rng = random.Random(41)
+    q4 = [nw.tau_of(spec4, format(rng.getrandbits(16), "016b")).clauses for _ in range(8)]
+    b = cc.CircuitBuilder([("x", 3)])
+    x1, x2, x3 = (b.inp("x", i) for i in (1, 2, 3))
+    circuit = b.build([b.OR(b.AND(x1, b.NOT(x2)), b.AND(x2, x3))])._clauses
+    a = ClauseSet([[1, -2], [2], [-1, 3]], 3)
+    c = ClauseSet([[-3], [1, 3]], 4)
+    inner = ClauseSet.join([a, c], 4)
+    empty = ClauseSet([[2, 4], []], 4)
+    sets += [*q4, circuit, inner, ClauseSet.join([inner, a, inner], 5, ["joined twice"]),
+             ClauseSet.join([], 0), ClauseSet.join([], 3, ["none"]),
+             ClauseSet.join([a, empty, c], 4), ClauseSet.join([empty], 4)]
+    for cs in sets:
+        assert_built_as_from_its_clauses(cs)
+    learned = 0
+    for cs in q4:
+        lemmas: list[list[int]] = []
+        dpll_solve(cs, lemmas=lemmas)
+        learned += len(lemmas) > 1
+        assert_built_as_from_its_clauses(cs)
+        for part in cs._parts:
+            assert_built_as_from_its_clauses(part)
+    assert learned
 
 
 NON_ASCII_DIGITS = "١٣１²১"  # Arabic-Indic, fullwidth, superscript, Bengali
